@@ -98,13 +98,10 @@ def canonical_profile(group: FiniteAbelianGroup, profile) -> Profile:
             raise InvalidInputError(f"eigenspace dimension must be an integer >= 0, got {dim!r}")
         if dim:
             items.append((group.validate(chi), dim))
-    best: Profile | None = None
-    for alpha in group.automorphisms():
-        form = tuple(sorted((alpha.apply_char(chi), dim) for chi, dim in items))
-        if best is None or form < best:
-            best = form
-    assert best is not None
-    return best
+    return min(
+        tuple(sorted((alpha.char_table[chi], dim) for chi, dim in items))
+        for alpha in group.automorphisms()
+    )
 
 
 @lru_cache(maxsize=None)

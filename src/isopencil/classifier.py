@@ -145,10 +145,10 @@ def _stabilizer(cover: CoverData):
     loose_twist = not cover.twist or _twist_interchangeable(cover)
     kept = []
     for alpha in group.automorphisms():
-        moved = tuple(sorted((alpha.apply(e), m) for e, m in cover.branch))
-        if moved != cover.branch:
+        image = alpha.table
+        if tuple(sorted((image[e], m) for e, m in cover.branch)) != cover.branch:
             continue
-        if not loose_twist and tuple(alpha.apply(t) for t in cover.twist) != cover.twist:
+        if not loose_twist and tuple(image[t] for t in cover.twist) != cover.twist:
             continue
         kept.append(alpha)
     return tuple(kept)
@@ -160,16 +160,13 @@ def _canonical_solution(stab, chi0: Element, branch: dict[Element, int]):
     Pulling the character back along alpha pairs with pushing the branch
     forward along the inverse, so both sides transform as one solution.
     """
-    best = None
-    for alpha in stab:
-        inverse = {alpha.apply(g): g for g in alpha.group.elements()}
-        key = (
-            alpha.apply_char(chi0),
-            tuple(sorted((inverse[e], m) for e, m in branch.items())),
+    return min(
+        (
+            alpha.char_table[chi0],
+            tuple(sorted((alpha.preimage[e], m) for e, m in branch.items())),
         )
-        if best is None or key < best:
-            best = key
-    return best
+        for alpha in stab
+    )
 
 
 def classify_cell(
@@ -288,6 +285,12 @@ def _series(sol: SurfaceSolution) -> dict[str, int]:
     }
 
 
+def _row_order(r: FamilyRow):
+    g_d = r.forms["g_D"]
+    cell = (r.factors, r.quotient_genus_a, r.quotient_genus_b, r.genus_f)
+    return cell + ((-g_d.slope, -g_d.intercept), r.chi0, r.pg_lo)
+
+
 def fit_families(solutions: list[SurfaceSolution]) -> list[FamilyRow]:
     """Group solutions into linear-in-p_g families, leaving the rest sporadic."""
     buckets: dict[tuple, list[SurfaceSolution]] = {}
@@ -320,17 +323,7 @@ def fit_families(solutions: list[SurfaceSolution]) -> list[FamilyRow]:
             else:
                 rows.extend(_emit_row([sol]) for sol in run)
 
-    rows.sort(
-        key=lambda r: (
-            r.factors,
-            r.quotient_genus_a,
-            r.quotient_genus_b,
-            r.genus_f,
-            (-r.forms["g_D"].slope, -r.forms["g_D"].intercept),
-            r.chi0,
-            r.pg_lo,
-        )
-    )
+    rows.sort(key=_row_order)
     return rows
 
 
@@ -410,15 +403,5 @@ def classify(
     cells = [(factors, genus_f, a, b, (lo, hi)) for factors, a, b in triples]
     merged = parallel_map(_cell_rows, cells, resolve_workers(workers))
     rows = [row for cell in merged for row in cell]
-    rows.sort(
-        key=lambda r: (
-            r.factors,
-            r.quotient_genus_a,
-            r.quotient_genus_b,
-            r.genus_f,
-            (-r.forms["g_D"].slope, -r.forms["g_D"].intercept),
-            r.chi0,
-            r.pg_lo,
-        )
-    )
+    rows.sort(key=_row_order)
     return rows

@@ -10,7 +10,7 @@ from .classifier import classify, search_cells
 from .covers import enumerate_covers
 from .compare import compare_atlas_with_reference, compare_with_reference
 from .errors import InternalConsistencyError, InvalidInputError, IsopencilError
-from .groups import make_group
+from .groups import make_group, parse_group
 from .reference_tables import atlas_table_ids, family_reference, family_table_ids
 from .render import (
     FORMATS,
@@ -35,11 +35,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_factors(text: str) -> tuple[int, ...]:
-    try:
-        factors = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise InvalidInputError(f"group must be comma-separated integers, got {text!r}")
-    return make_group(factors).factors
+    return parse_group(text).factors
 
 
 def _parse_groups(text: str):
@@ -73,6 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     atlas.add_argument("--genus", type=int, required=True, choices=sorted(ATLAS_TABLE_FOR_GENUS))
     atlas.add_argument("--quotient-genus", type=int, default=None)
     atlas.add_argument("--format", choices=FORMATS, default="table")
+    atlas.add_argument("--workers", type=int, default=None)
 
     covers = sub.add_parser("covers", help="enumerate covers for one group and base")
     covers.add_argument("--group", type=_parse_factors, required=True)
@@ -89,6 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     classify_cmd.add_argument("--pg", type=_parse_pg, default=(3, 8))
     classify_cmd.add_argument("--compare", default=None, metavar="TABLE_ID")
     classify_cmd.add_argument("--format", choices=FORMATS, default="table")
+    classify_cmd.add_argument("--workers", type=int, default=None)
 
     inv = sub.add_parser("invariants", help="compute invariants from a spec file")
     inv.add_argument("spec", help="path to a JSON cover-pair spec")
@@ -98,11 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("table", help="reference table id")
     comp.add_argument("--pg", type=_parse_pg, default=(3, 8))
     comp.add_argument("--format", choices=FORMATS, default="table")
+    comp.add_argument("--workers", type=int, default=None)
     return parser
 
 
 def _run_atlas(args) -> str:
-    rows = atlas_table(args.genus)
+    rows = atlas_table(args.genus, workers=args.workers)
     if args.quotient_genus is not None:
         rows = [row for row in rows if row.quotient_genus == args.quotient_genus]
     return render_atlas_rows(rows, args.format)
@@ -131,6 +130,7 @@ def _run_classify(args) -> str:
         quotient_genus_a=args.base_a,
         quotient_genus_b=args.base_b,
         pg_range=args.pg,
+        workers=args.workers,
     )
     if args.compare is None:
         return render_family_rows(rows, args.format)
@@ -148,7 +148,8 @@ def _run_invariants(args) -> str:
 
 def _run_compare(args) -> str:
     if args.table in atlas_table_ids():
-        return render_atlas_comparison(compare_atlas_with_reference(args.table), args.format)
+        report = compare_atlas_with_reference(args.table, workers=args.workers)
+        return render_atlas_comparison(report, args.format)
     if args.table not in family_table_ids():
         known = ", ".join(atlas_table_ids() + family_table_ids())
         raise InvalidInputError(f"unknown table {args.table!r}; known ids: {known}")
@@ -160,7 +161,7 @@ def _run_compare(args) -> str:
     for factors, a, b, genus_f in sorted(cells):
         rows.extend(
             classify(genus_f, groups=[factors], quotient_genus_a=a,
-                     quotient_genus_b=b, pg_range=args.pg)
+                     quotient_genus_b=b, pg_range=args.pg, workers=args.workers)
         )
     report = compare_with_reference(rows, args.table, cells=cells)
     return render_family_comparison(report, args.format)

@@ -139,16 +139,19 @@ def genus(cover: CoverData) -> int:
     return by_dims
 
 
+def _aut_orbit(cover: CoverData) -> set[tuple]:
+    """Every (branch, twist) that an automorphism of the group carries the cover to."""
+    orbit = set()
+    for alpha in cover.group.automorphisms():
+        image = alpha.table
+        branch = tuple(sorted((image[e], m) for e, m in cover.branch))
+        orbit.add((branch, tuple(image[x] for x in cover.twist)))
+    return orbit
+
+
 def canonical_cover_form(cover: CoverData) -> tuple:
     """Lexicographically minimal (branch, twist) over the automorphism orbit."""
-    best = None
-    for alpha in cover.group.automorphisms():
-        b = tuple(sorted((alpha.apply(e), m) for e, m in cover.branch))
-        t = tuple(alpha.apply(x) for x in cover.twist)
-        form = (b, t)
-        if best is None or form < best:
-            best = form
-    return best
+    return min(_aut_orbit(cover))
 
 
 def enumerate_covers(
@@ -233,6 +236,7 @@ def _iter_covers(group, base_genus, target_genus, max_branch_points, dims, up_to
         else list(product(group.elements(), repeat=2 * base_genus))
     )
 
+    least: dict[tuple, tuple] = {}  # key of every orbit member met -> orbit minimum
     for branch in leaves(0, target, count_budget, []):
         for twist in twists:
             try:
@@ -243,6 +247,11 @@ def _iter_covers(group, base_genus, target_genus, max_branch_points, dims, up_to
                 profile = eigen_profile(cover)
                 if any(profile[k] != v for k, v in dims.items()):
                     continue
-            if up_to_aut and (cover.branch, cover.twist) != canonical_cover_form(cover):
-                continue
+            if up_to_aut:
+                key = (cover.branch, cover.twist)
+                if key not in least:
+                    orbit = _aut_orbit(cover)
+                    least.update(dict.fromkeys(orbit, min(orbit)))
+                if least[key] != key:
+                    continue
             yield cover

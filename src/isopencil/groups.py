@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm, prod
 
 from .errors import CapabilityError, InvalidInputError
@@ -172,25 +173,48 @@ class FiniteAbelianGroup:
 
 @dataclass(frozen=True)
 class Automorphism:
-    """Group automorphism given by the images of the standard generators."""
+    """Group automorphism given by the images of the standard generators.
+
+    Its lookup tables are built on first use and kept with the instance.
+    """
 
     group: FiniteAbelianGroup
     images: tuple[Element, ...]
 
+    def _linear_table(self, basis_images) -> dict[Element, Element]:
+        """g -> sum(g_i * basis_images[i]) for every g, in one pass over elements() order."""
+        grp = self.group
+        values = [grp.identity]
+        for n, img in zip(grp.factors, basis_images):
+            multiples = [grp.scale(c, img) for c in range(n)]
+            values = [grp.add(v, m) for v in values for m in multiples]
+        return dict(zip(grp.elements(), values))
+
+    @cached_property
+    def table(self) -> dict[Element, Element]:
+        """Element -> its image."""
+        return self._linear_table(self.images)
+
+    @cached_property
+    def char_table(self) -> dict[Element, Element]:
+        """Character chi -> the pulled-back character chi o alpha."""
+        # The j-th coordinate of e_i o alpha is <e_i, images[j]> * n_j.
+        fs = self.group.factors
+        return self._linear_table(
+            [tuple(img[i] * m // n for img, m in zip(self.images, fs)) for i, n in enumerate(fs)]
+        )
+
+    @cached_property
+    def preimage(self) -> dict[Element, Element]:
+        """Image -> the element it comes from."""
+        return {img: g for g, img in self.table.items()}
+
     def apply(self, g: Element) -> Element:
-        out = self.group.identity
-        for coeff, img in zip(g, self.images):
-            if coeff:
-                out = self.group.add(out, self.group.scale(coeff, img))
-        return out
+        return self.table[g]
 
     def apply_char(self, chi: Element) -> Element:
         """The character chi o alpha, as coordinates."""
-        grp = self.group
-        return tuple(
-            grp.pair_num(chi, img) * n // grp.exponent
-            for img, n in zip(self.images, grp.factors)
-        )
+        return self.char_table[chi]
 
 
 def make_group(factors) -> FiniteAbelianGroup:

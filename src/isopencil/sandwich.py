@@ -204,8 +204,11 @@ def invariants(sw: Sandwich) -> InvariantReport:
             )
 
     if k2 > 9 * chi:
-        warnings.warn(
-            f"canonical degree {k2} exceeds 9*chi={9 * chi}", RuntimeWarning, stacklevel=2
-        )
+        # Bogomolov-Miyaoka-Yau bounds K^2 by 9*chi on the minimal model and
+        # blowing up only lowers K^2; ruled surfaces (p_g = 0) can exceed it.
+        message = f"canonical degree {k2} exceeds 9*chi={9 * chi}"
+        if p_g >= 1:
+            raise InternalConsistencyError(f"{message} with p_g={p_g}")
+        warnings.warn(message, RuntimeWarning, stacklevel=2)
 
     return InvariantReport(p_g, q, chi, euler_e, k2, t_z, sing, canonical)

@@ -97,6 +97,14 @@ def test_identical_invocations_are_byte_identical(capsys):
     assert first == second
 
 
+def test_worker_count_does_not_change_stdout(capsys):
+    argv = ("classify", "--genus-f", "2", "--group", "2,2", "--pg", "3..5")
+    code_one, one, _ = run(capsys, *argv, "--workers", "1")
+    code_two, two, _ = run(capsys, *argv, "--workers", "2")
+    assert code_one == code_two == 0
+    assert one and one == two
+
+
 @pytest.mark.parametrize("argv", [
     ("atlas", "--genus", "7"),
     ("classify", "--genus-f", "4", "--group", "2,2"),
@@ -107,6 +115,8 @@ def test_identical_invocations_are_byte_identical(capsys):
     ("covers", "--group", "2", "--base-genus", "1"),
     ("compare", "nosuch"),
     ("nosuch",),
+    ("atlas", "--genus", "2", "--workers", "0"),
+    ("compare", "tabelladue", "--workers", "x"),
 ])
 def test_invalid_inputs_exit_one(capsys, argv):
     code, _, err = run(capsys, *argv)

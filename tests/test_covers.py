@@ -5,6 +5,7 @@ import pytest
 from isopencil.covers import (
     CoverData,
     bundle_degree,
+    canonical_cover_form,
     eigen_dim,
     eigen_profile,
     enumerate_covers,
@@ -184,6 +185,45 @@ def test_enumerate_covers_elliptic_base_with_twists():
     for c in covers:
         assert len(c.twist) == 2
         assert genus(c) == 3
+
+
+def _reference_form(cover):
+    """Smallest (branch, twist) over Aut(G), by coordinate arithmetic on alpha.images."""
+    grp = cover.group
+
+    def image(alpha, g):
+        out = grp.identity
+        for coeff, img in zip(g, alpha.images):
+            out = grp.add(out, grp.scale(coeff, img))
+        return out
+
+    return min(
+        (
+            tuple(sorted((image(alpha, e), m) for e, m in cover.branch)),
+            tuple(image(alpha, t) for t in cover.twist),
+        )
+        for alpha in grp.automorphisms()
+    )
+
+
+@pytest.mark.parametrize("factors, base_genus, genera, dims", [
+    ((2, 2, 2), 0, range(2, 8), None),
+    ((2, 4), 0, range(2, 10), None),
+    ((4, 4), 0, range(2, 10), None),
+    ((3, 3), 0, range(2, 12), None),
+    ((2, 2), 1, range(1, 6), None),
+    ((2, 4), 0, range(2, 10), {(0, 1): 1}),
+])
+def test_enumerate_covers_up_to_aut_matches_brute_force(factors, base_genus, genera, dims):
+    group = make_group(factors)
+    yielded = 0
+    for g in genera:
+        every = list(enumerate_covers(group, base_genus, genus=g, dims=dims))
+        expected = [c for c in every if (c.branch, c.twist) == _reference_form(c)]
+        assert list(enumerate_covers(group, base_genus, genus=g, dims=dims, up_to_aut=True)) == expected
+        assert [canonical_cover_form(c) for c in expected] == [(c.branch, c.twist) for c in expected]
+        yielded += len(expected)
+    assert yielded >= 3
 
 
 def test_cover_data_is_hashable_and_frozen():

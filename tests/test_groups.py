@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from isopencil.atlas import abelian_groups_up_to
 from isopencil.errors import CapabilityError, InvalidInputError
 from isopencil.groups import (
     automorphisms,
@@ -132,6 +133,25 @@ def test_automorphism_character_action_compatible():
             pulled = alpha.apply_char(chi)
             for x in g.elements():
                 assert g.pairing(chi, alpha.apply(x)) == g.pairing(pulled, x)
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [g.factors for g in abelian_groups_up_to(16) if g.factors != (2, 2, 2, 2)],
+    ids=lambda factors: ",".join(map(str, factors)),
+)
+def test_automorphism_tables_match_coordinate_formulas(factors):
+    g = make_group(factors)
+    for alpha in automorphisms(g):
+        assert list(alpha.table) == g.elements()
+        for x in g.elements():
+            image = g.identity
+            for coeff, img in zip(x, alpha.images):
+                image = g.add(image, g.scale(coeff, img))
+            pulled = tuple(g.pair_num(x, img) * n // g.exponent for img, n in zip(alpha.images, g.factors))
+            assert alpha.apply(x) == alpha.table[x] == image
+            assert alpha.apply_char(x) == alpha.char_table[x] == pulled
+            assert alpha.preimage[alpha.apply(x)] == x
 
 
 def test_automorphism_bound():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
 
 from isopencil.covers import eigen_profile, genus, make_cover
@@ -192,3 +194,17 @@ def test_profiles_feed_geometric_genus():
         pf.get(chi, 0) * pd.get(g.neg(chi), 0) for chi in g.elements()
     )
     assert geometric_genus(sw) == expected == 3
+
+
+def test_random_pairs_stay_within_the_bmy_bound(random_covers):
+    by_group = {}
+    for cover in random_covers:
+        if genus(cover) >= 2:
+            by_group.setdefault(cover.group.factors, []).append(cover)
+    pairs = [(f, d) for covers in by_group.values() for f, d in zip(covers, covers[1:])]
+    assert len(pairs) >= 800
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f, d in pairs:
+            report = invariants(make_sandwich(f, d))
+            assert report.K2 <= 9 * report.chi
