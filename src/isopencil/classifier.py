@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from .atlas import _actions_cell
@@ -25,6 +26,7 @@ __all__ = [
     "fit_families",
     "search_cells",
     "classify",
+    "classify_cells",
 ]
 
 FIBER_GENUS_RANGE = (2, 5)
@@ -70,6 +72,49 @@ def _validate_pg_range(pg_range) -> tuple[int, int]:
     return lo, hi
 
 
+@lru_cache(maxsize=None)
+def _bounded_part(group: FiniteAbelianGroup, fixed: tuple, target: Element):
+    """Split the nonzero elements against fixed requirements and a target character.
+
+    An element pairing nontrivially with a fixed character is bounded by that
+    requirement; the other (free) elements pair only with the target. Returns
+    the nonzero elements, the free ones as (index, target coefficient), and
+    every multiplicity vector on the bounded elements that meets the fixed
+    requirements exactly, as ((index, multiplicity) pairs, its share of the
+    target). None of these depends on the target's degree.
+    """
+    nonzero = [e for e in group.elements() if e != group.identity]
+    bounded = []
+    free = []
+    for i, e in enumerate(nonzero):
+        cs = tuple(group.pair_num(chi, e) for chi, _ in fixed)
+        t = group.pair_num(target, e)
+        if any(cs):
+            bounded.append((i, cs, t))
+        elif t:
+            free.append((i, t))
+        else:
+            raise CapabilityError(
+                f"element {e} escapes every degree constraint; the search is unbounded"
+            )
+
+    vectors = []
+
+    def rec(k: int, remaining: tuple[int, ...], acc: tuple, share: int):
+        if k == len(bounded):
+            if not any(remaining):
+                vectors.append((acc, share))
+            return
+        i, cs, t = bounded[k]
+        cap = min(r // c for c, r in zip(cs, remaining) if c)
+        for d in range(cap + 1):
+            nxt = tuple(r - d * c for c, r in zip(cs, remaining))
+            rec(k + 1, nxt, acc + ((i, d),) if d else acc, share + d * t)
+
+    rec(0, tuple(deg * group.exponent for _, deg in fixed), (), 0)
+    return tuple(nonzero), tuple(free), tuple(vectors)
+
+
 def _branch_solutions(
     group: FiniteAbelianGroup, requirements: list[tuple[Element, int]]
 ) -> list[dict[Element, int]]:
@@ -77,34 +122,51 @@ def _branch_solutions(
 
     Every nonzero element must pair nontrivially with some listed character,
     otherwise its multiplicity is unconstrained and the cell has no finite list.
+    The last requirement is the target whose degree grows with p_g; the bounded
+    part is solved once per (group, other requirements, target character), the
+    free part per call. Vectors come in ascending lexicographic order of the
+    multiplicity vector in elements() order.
     """
-    scale = group.exponent
-    elems = [e for e in group.elements() if e != group.identity]
-    budgets = [deg * scale for _, deg in requirements]
-    coefs = []
-    for e in elems:
-        cs = tuple(group.pair_num(chi, e) for chi, _ in requirements)
-        if not any(cs):
-            raise CapabilityError(
-                f"element {e} escapes every degree constraint; the search is unbounded"
-            )
-        coefs.append(cs)
+    target, degree = requirements[-1]
+    nonzero, free, bounded = _bounded_part(group, tuple(requirements[:-1]), target)
+    budget = degree * group.exponent
+    if budget < 0:
+        return []
+    # reach[k]: bit r is set when the free elements k.. can make exactly r.
+    reach = [1]
+    for _, t in reversed(free):
+        mask = reach[-1]
+        step = t
+        while step <= budget:
+            mask |= mask << step
+            step *= 2
+        reach.append(mask & ((2 << budget) - 1))
+    reach.reverse()
 
-    out: list[dict[Element, int]] = []
-
-    def rec(i: int, remaining: tuple[int, ...], acc: list[tuple[Element, int]]):
-        if i == len(elems):
-            if not any(remaining):
-                out.append(dict(acc))
+    def fill(k: int, rest: int, acc: tuple):
+        if k == len(free):
+            yield acc
             return
-        cs = coefs[i]
-        cap = min(r // c for c, r in zip(cs, remaining) if c)
-        for d in range(cap + 1):
-            nxt = tuple(r - d * c for c, r in zip(cs, remaining))
-            rec(i + 1, nxt, acc + [(elems[i], d)] if d else acc)
+        i, t = free[k]
+        for d in range(rest // t + 1):
+            if reach[k + 1] >> (rest - d * t) & 1:
+                yield from fill(k + 1, rest - d * t, acc + ((i, d),) if d else acc)
 
-    rec(0, tuple(budgets), [])
-    return out
+    filled: dict[int, list[tuple]] = {}
+    vectors = []
+    for part, share in bounded:
+        rest = budget - share
+        if rest < 0 or not reach[0] >> rest & 1:
+            continue
+        if rest not in filled:
+            filled[rest] = list(fill(0, rest, ()))
+        for tail in filled[rest]:
+            vec = [0] * len(nonzero)
+            for i, d in part + tail:
+                vec[i] = d
+            vectors.append(vec)
+    vectors.sort()
+    return [{nonzero[i]: d for i, d in enumerate(vec) if d} for vec in vectors]
 
 
 def _complete_twist(group: FiniteAbelianGroup, base_genus: int, elems) -> tuple | None:
@@ -124,7 +186,8 @@ def _twist_interchangeable(cover: CoverData) -> bool:
     """True when every generating twist over this branch data gives the same cover.
 
     Base moves act transitively on generating tuples exactly when the quotient
-    by the branch subgroup is cyclic, which covers every case handled here.
+    by the branch subgroup is cyclic. Every twisted witness up to fiber genus 4
+    has a cyclic quotient; at genus 5 three do not (over (2,2), (2,2,2), (2,4)).
     """
     group = cover.group
     omega = group.subgroup([e for e, _ in cover.branch])
@@ -141,6 +204,12 @@ def _twist_interchangeable(cover: CoverData) -> bool:
 
 
 def _stabilizer(cover: CoverData):
+    """Automorphisms fixing the cover's branch data, and its twist when that matters.
+
+    When the twist is not interchangeable, only automorphisms fixing the twist
+    tuple itself are kept: a subgroup of the cover's symmetries, so no two
+    distinct solutions are merged, though one may be listed twice.
+    """
     group = cover.group
     loose_twist = not cover.twist or _twist_interchangeable(cover)
     kept = []
@@ -398,10 +467,17 @@ def classify(
     workers: int | None = None,
 ) -> list[FamilyRow]:
     """Fitted families over every requested (group, quotient genera) cell."""
-    lo, hi = _validate_pg_range(pg_range)
+    _validate_pg_range(pg_range)
     triples = search_cells(genus_f, groups, quotient_genus_a, quotient_genus_b)
-    cells = [(factors, genus_f, a, b, (lo, hi)) for factors, a, b in triples]
-    merged = parallel_map(_cell_rows, cells, resolve_workers(workers))
+    cells = [(factors, a, b, genus_f) for factors, a, b in triples]
+    return classify_cells(cells, pg_range, workers=workers)
+
+
+def classify_cells(cells, pg_range, *, workers: int | None = None) -> list[FamilyRow]:
+    """Fitted families over (factors, a, b, genus_f) cells, fanned out on one pool."""
+    lo, hi = _validate_pg_range(pg_range)
+    jobs = [(factors, genus_f, a, b, (lo, hi)) for factors, a, b, genus_f in cells]
+    merged = parallel_map(_cell_rows, jobs, resolve_workers(workers))
     rows = [row for cell in merged for row in cell]
     rows.sort(key=_row_order)
     return rows

@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from .atlas import ATLAS_TABLE_FOR_GENUS, atlas_table
-from .classifier import classify, search_cells
+from .classifier import classify, classify_cells, search_cells
 from .covers import enumerate_covers
 from .compare import compare_atlas_with_reference, compare_with_reference
 from .errors import InternalConsistencyError, InvalidInputError, IsopencilError
@@ -157,12 +157,7 @@ def _run_compare(args) -> str:
         (ref.factors, ref.quotient_genus_a, ref.quotient_genus_b, ref.genus_f)
         for ref in family_reference(args.table)
     }
-    rows = []
-    for factors, a, b, genus_f in sorted(cells):
-        rows.extend(
-            classify(genus_f, groups=[factors], quotient_genus_a=a,
-                     quotient_genus_b=b, pg_range=args.pg, workers=args.workers)
-        )
+    rows = classify_cells(sorted(cells), args.pg, workers=args.workers)
     report = compare_with_reference(rows, args.table, cells=cells)
     return render_family_comparison(report, args.format)
 

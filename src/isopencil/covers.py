@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 from .errors import (
@@ -37,6 +38,8 @@ TWIST_SPACE_BOUND = 100_000
 
 @dataclass(frozen=True)
 class CoverData:
+    """Cover data; its eigen-profile and genus are computed on first use and kept."""
+
     group: FiniteAbelianGroup
     base_genus: int
     branch: tuple[tuple[Element, int], ...]
@@ -44,6 +47,29 @@ class CoverData:
 
     def branch_points(self) -> int:
         return sum(m for _, m in self.branch)
+
+    @cached_property
+    def _dims(self) -> tuple[int, ...]:
+        """Eigenspace dimension of every character, in elements() order."""
+        grp = self.group
+        nums = [0] * grp.order
+        for e, m in self.branch:
+            nums = [x + m * p for x, p in zip(nums, grp.pairing_row(e))]
+        b = self.base_genus
+        dims = [b]  # elements() starts at the identity, whose eigenspace is the base's
+        for chi, num in zip(grp.elements()[1:], nums[1:]):
+            dims.append(_dim_of_degree(_degree_of_num(grp, chi, num), b, chi))
+        return tuple(dims)
+
+    @cached_property
+    def _genus(self) -> int:
+        by_dims = sum(self._dims)
+        by_rh = genus_rh(self)
+        if by_dims != by_rh:
+            raise InternalConsistencyError(
+                f"genus mismatch: eigenspace total {by_dims} vs ramification count {by_rh}"
+            )
+        return by_dims
 
 
 def make_cover(group: FiniteAbelianGroup, base_genus, branch, twist=()) -> CoverData:
@@ -85,14 +111,29 @@ def make_cover(group: FiniteAbelianGroup, base_genus, branch, twist=()) -> Cover
     return CoverData(group, base_genus, branch_t, twist_t)
 
 
+def _degree_of_num(grp: FiniteAbelianGroup, chi: Element, num: int) -> int:
+    """Bundle degree from its numerator over the group exponent."""
+    if num % grp.exponent:
+        raise InternalConsistencyError(f"bundle degree for {chi} is not integral")
+    return num // grp.exponent
+
+
+def _dim_of_degree(l: int, b: int, chi: Element) -> int:
+    """Eigenspace dimension at a nontrivial character with bundle degree l over base genus b."""
+    if l >= 1:
+        return l + b - 1
+    if b == 0:
+        raise InternalConsistencyError(
+            f"degree-0 bundle at nontrivial character {chi} on a connected rational-base cover"
+        )
+    return b - 1
+
+
 def bundle_degree(cover: CoverData, chi) -> int:
     """Degree of the building-data line bundle attached to the character."""
     grp = cover.group
     c = grp.validate(chi)
-    num = sum(m * grp.pair_num(c, e) for e, m in cover.branch)
-    if num % grp.exponent:
-        raise InternalConsistencyError(f"bundle degree for {c} is not integral")
-    return num // grp.exponent
+    return _degree_of_num(grp, c, sum(m * grp.pair_num(c, e) for e, m in cover.branch))
 
 
 def eigen_dim(cover: CoverData, chi) -> int:
@@ -102,18 +143,12 @@ def eigen_dim(cover: CoverData, chi) -> int:
     b = cover.base_genus
     if c == grp.identity:
         return b
-    l = bundle_degree(cover, c)
-    if l >= 1:
-        return l + b - 1
-    if b == 0:
-        raise InternalConsistencyError(
-            f"degree-0 bundle at nontrivial character {c} on a connected rational-base cover"
-        )
-    return b - 1
+    return _dim_of_degree(bundle_degree(cover, c), b, c)
 
 
 def eigen_profile(cover: CoverData) -> dict[Element, int]:
-    return {chi: eigen_dim(cover, chi) for chi in cover.group.elements()}
+    """Character -> eigen_dim, read from the cover's cached profile as a fresh dict."""
+    return dict(zip(cover.group.elements(), cover._dims))
 
 
 def genus_rh(cover: CoverData) -> int:
@@ -130,13 +165,8 @@ def genus_rh(cover: CoverData) -> int:
 
 
 def genus(cover: CoverData) -> int:
-    by_dims = sum(eigen_profile(cover).values())
-    by_rh = genus_rh(cover)
-    if by_dims != by_rh:
-        raise InternalConsistencyError(
-            f"genus mismatch: eigenspace total {by_dims} vs ramification count {by_rh}"
-        )
-    return by_dims
+    """Genus by the eigenspace total, checked against genus_rh once per cover."""
+    return cover._genus
 
 
 def _aut_orbit(cover: CoverData) -> set[tuple]:

@@ -40,7 +40,7 @@ _AUT_CACHE: dict[tuple[int, ...], tuple["Automorphism", ...]] = {}
 class FiniteAbelianGroup:
     """Direct product of cyclic groups Z/n_1 x ... x Z/n_k."""
 
-    __slots__ = ("factors", "order", "exponent", "_weights", "_elements")
+    __slots__ = ("factors", "order", "exponent", "_weights", "_elements", "_cyclic")
 
     def __init__(self, factors: tuple[int, ...]):
         self.factors = factors
@@ -49,6 +49,7 @@ class FiniteAbelianGroup:
         # pair_num(chi, g) = sum(chi_i * g_i * weight_i) mod exponent
         self._weights = tuple(self.exponent // n for n in factors)
         self._elements: list[Element] | None = None
+        self._cyclic: dict[Element, frozenset[Element]] = {}
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FiniteAbelianGroup) and self.factors == other.factors
@@ -98,6 +99,14 @@ class FiniteAbelianGroup:
         """Numerator of <chi, g> over the group exponent."""
         return sum(c * a * w for c, a, w in zip(chi, g, self._weights)) % self.exponent
 
+    def pairing_row(self, g: Element) -> list[int]:
+        """pair_num(chi, g) for every character chi, in elements() order."""
+        values = [0]
+        for n, a, w in zip(self.factors, g, self._weights):
+            step = a * w
+            values = [(v + c * step) % self.exponent for v in values for c in range(n)]
+        return values
+
     def pairing(self, chi: Element, g: Element) -> Fraction:
         return Fraction(self.pair_num(chi, g), self.exponent)
 
@@ -128,7 +137,10 @@ class FiniteAbelianGroup:
         return len(self.subgroup(elems)) == self.order
 
     def cyclic(self, h: Element) -> frozenset[Element]:
-        return self.subgroup([h])
+        span = self._cyclic.get(h)
+        if span is None:
+            span = self._cyclic[h] = self.subgroup([h])
+        return span
 
     def automorphisms(self) -> tuple["Automorphism", ...]:
         if self.order > AUT_ORDER_BOUND:

@@ -3,18 +3,22 @@
 from __future__ import annotations
 
 from collections import Counter
+from itertools import product
+from operator import mul
 
 import pytest
 
+from isopencil.atlas import _actions_cell, abelian_groups_up_to
 from isopencil.classifier import (
     _branch_solutions,
     _canonical_solution,
     _stabilizer,
+    _twist_interchangeable,
     classify,
     classify_cell,
     fit_families,
 )
-from isopencil.covers import genus, make_cover
+from isopencil.covers import eigen_profile, genus, make_cover
 from isopencil.errors import CapabilityError, InvalidInputError
 from isopencil.groups import make_group
 from isopencil.sandwich import invariants, make_sandwich
@@ -66,6 +70,87 @@ def test_escaping_element_is_reported():
     group = make_group([2, 2])
     with pytest.raises(CapabilityError):
         _branch_solutions(group, [((1, 0), 1)])
+
+
+def _requirements(witness, chi0, b, degree):
+    """The degree requirements classify_cell builds for one witness and character."""
+    group = witness.group
+    profile = eigen_profile(witness)
+    support = sorted(chi for chi, dim in profile.items() if dim and chi != group.identity)
+    fixed = [(group.neg(chi), 1 - b) for chi in support if chi != chi0]
+    return fixed + [(group.neg(chi0), degree)]
+
+
+def _box_solutions(group, requirements):
+    """Every vector in the box d_e <= budget/coef meeting all degrees, in product order."""
+    nonzero = [e for e in group.elements() if e != group.identity]
+    cols = [[group.pair_num(chi, e) for e in nonzero] for chi, _ in requirements]
+    budgets = [deg * group.exponent for _, deg in requirements]
+    caps = [
+        min(budget // col[i] for col, budget in zip(cols, budgets) if col[i])
+        for i in range(len(nonzero))
+    ]
+    return [
+        [(e, d) for e, d in zip(nonzero, vec) if d]
+        for vec in product(*(range(cap + 1) for cap in caps))
+        if all(sum(map(mul, vec, col)) == budget for col, budget in zip(cols, budgets))
+    ]
+
+
+# (factors, witness branch over P^1, characters chi0 or None for every
+# dimension-1 candidate, degrees tried in this order for b = 0 and b = 1)
+ORACLE_CASES = [
+    # The (2,6), a = b = 0 cell at g_F = 2 with its real pencil character.
+    ((2, 6), {(0, 1): 1, (1, 0): 1, (1, 5): 1}, [(1, 4)], {0: (2, 0, 1), 1: (3, 1, 5, 2, 4)}),
+    ((2, 2, 2), {(0, 0, 1): 1, (0, 1, 0): 1, (0, 1, 1): 1, (1, 0, 0): 2}, None,
+     {0: (3, 1, 4, 2), 1: (2, 5, 1)}),
+    ((4,), {(1,): 1, (2,): 2, (3,): 1}, None, {0: (5, 1, 3, 2, 4), 1: (3, 1, 2)}),
+    ((3, 3), {(1, 0): 1, (2, 0): 1, (0, 1): 1, (0, 2): 1}, None, {0: (1, 3, 2), 1: (2, 1, 3)}),
+]
+
+
+@pytest.mark.parametrize("factors,branch,chars,degrees", ORACLE_CASES)
+def test_branch_solutions_match_a_brute_force_box(factors, branch, chars, degrees):
+    group = make_group(factors)
+    witness = make_cover(group, 0, branch)
+    profile = eigen_profile(witness)
+    if chars is None:
+        chars = [chi for chi, dim in sorted(profile.items()) if dim == 1 and chi != group.identity]
+    assert chars
+    checked = 0
+    for chi0 in chars:
+        for b, degs in degrees.items():
+            for degree in degs:
+                requirements = _requirements(witness, chi0, b, degree)
+                found = [list(v.items()) for v in _branch_solutions(group, requirements)]
+                assert found == _box_solutions(group, requirements)
+                checked += len(found)
+    assert checked
+
+
+def test_twist_is_fixed_only_over_a_non_cyclic_quotient():
+    group = make_group([2, 2])
+    cyclic = make_cover(group, 1, {(1, 0): 2}, twist=((0, 1), (0, 0)))
+    assert _twist_interchangeable(cyclic)
+    assert len(_stabilizer(cyclic)) == 2
+    # All six automorphisms fix the empty branch; only the identity fixes the twist.
+    non_cyclic = make_cover(group, 1, {}, twist=((1, 0), (0, 1)))
+    assert not _twist_interchangeable(non_cyclic)
+    assert len(_stabilizer(non_cyclic)) == 1
+
+
+def test_non_cyclic_twisted_witnesses_first_appear_at_genus_five():
+    found = [
+        (genus_f, a, grp.factors)
+        for genus_f in range(2, 6)
+        for grp in abelian_groups_up_to(4 * genus_f + 4)
+        for a in range(1, genus_f + 1)
+        for row in _actions_cell(genus_f, a, grp.factors)
+        if row.witness.twist and not _twist_interchangeable(row.witness)
+    ]
+    assert found == [(5, 2, (2, 2)), (5, 1, (2, 2, 2)), (5, 1, (2, 4))]
+    for _, a, factors in found:
+        assert classify_cell(factors, 5, a, 0, (3, 10)) == []
 
 
 def test_genus_two_base_zero_families():

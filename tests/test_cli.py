@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from isopencil import cli
+from isopencil import classifier, cli
 from isopencil.covers import make_cover
 from isopencil.errors import InternalConsistencyError
 from isopencil.groups import make_group
@@ -103,6 +103,21 @@ def test_worker_count_does_not_change_stdout(capsys):
     code_two, two, _ = run(capsys, *argv, "--workers", "2")
     assert code_one == code_two == 0
     assert one and one == two
+
+
+def test_compare_fans_every_cell_out_on_one_pool(capsys, monkeypatch):
+    batches = []
+    real = classifier.parallel_map
+
+    def recording(fn, items, workers):
+        items = list(items)
+        batches.append(len(items))
+        return real(fn, items, 1)
+
+    monkeypatch.setattr(classifier, "parallel_map", recording)
+    code, _, _ = run(capsys, "compare", "zero", "--pg", "3..4", "--workers", "2")
+    assert code == 0
+    assert len(batches) == 1 and batches[0] > 1
 
 
 @pytest.mark.parametrize("argv", [

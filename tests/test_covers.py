@@ -10,6 +10,7 @@ from isopencil.covers import (
     eigen_profile,
     enumerate_covers,
     genus,
+    genus_rh,
     make_cover,
 )
 from isopencil.errors import (
@@ -121,6 +122,18 @@ def test_genus_examples():
 def test_profile_sums_to_genus():
     c = make_cover(Z28, 0, {(0, 7): 1, (1, 4): 1, (1, 5): 1})
     assert sum(eigen_profile(c).values()) == genus(c)
+
+
+def test_cached_profile_matches_the_per_character_route(random_covers):
+    for c in random_covers:
+        assert eigen_profile(c) == {chi: eigen_dim(c, chi) for chi in c.group.elements()}
+        assert genus(c) == genus_rh(c)
+    c = random_covers[0]
+    first = eigen_profile(c)
+    expected = dict(first)
+    first[c.group.identity] += 1
+    first.clear()
+    assert eigen_profile(c) == expected
 
 
 def test_pardini_carry_on_one_cover():

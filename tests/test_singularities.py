@@ -62,6 +62,13 @@ def test_k2_correction_examples():
         assert k2_correction(n, 1) == Fraction(-((n - 2) ** 2), n)
 
 
+def test_k2_correction_rejects_bad_types_before_its_cache():
+    assert k2_correction(8, 5) == Fraction(-1, 2)
+    for n, q in (([8], 5), (8, [5]), (8.0, 5), (8, 4), (8, 8)):
+        with pytest.raises(InvalidInputError):
+            k2_correction(n, q)
+
+
 def test_discrepancies_lie_in_unit_interval():
     for n in range(2, 31):
         for q in range(1, n):
