@@ -10,6 +10,7 @@ from .atlas import _actions_cell
 from .covers import CoverData, eigen_profile, genus, make_cover
 from .errors import (
     CapabilityError,
+    DisconnectedCoverError,
     InternalConsistencyError,
     InvalidInputError,
     InvalidMonodromyError,
@@ -170,9 +171,12 @@ def _branch_solutions(
 
 
 def _complete_twist(group: FiniteAbelianGroup, base_genus: int, elems) -> tuple | None:
-    """Lexicographically first twist making the data connected, if one exists."""
+    """Lexicographically first twist making the data connected, if one exists.
+
+    A rational base takes the empty twist; make_cover then checks generation.
+    """
     if base_genus == 0:
-        return () if group.generates(elems) else None
+        return ()
     pool = group.elements()
     fixed = list(elems)
     for t1 in pool:
@@ -287,7 +291,7 @@ def classify_cell(
                         continue
                     try:
                         cover_d = make_cover(group, b, dict(branch_c), twist)
-                    except InvalidMonodromyError:
+                    except (InvalidMonodromyError, DisconnectedCoverError):
                         continue
                     g_d = genus(cover_d)
                     if g_d < 2:

@@ -235,11 +235,35 @@ def _iter_covers(group, base_genus, target_genus, max_branch_points, dims, up_to
         target = None
     cap = max_branch_points
 
-    def leaves(i, remaining, count_left, chosen):
-        if i == len(nonzero):
-            if remaining in (None, 0):
-                yield tuple((e, m) for e, m in chosen)
+    # Branch sums are carried as element indices (0 is the identity); a branch
+    # vector is a leaf only when its sum m_1*e_1 + ... + m_k*e_k is 0, since
+    # make_cover rejects every other one whatever the base genus or twist.
+    rows = [group.add_row(e) for e in nonzero]
+    index = group.index
+    last = len(nonzero) - 1
+    if nonzero:
+        last_order = group.element_order(nonzero[last])
+        # index of -(m * e_last) -> m: the sums that m copies of e_last close
+        closing = {
+            index[group.neg(group.scale(m, nonzero[last]))]: m for m in range(last_order)
+        }
+
+    def leaves(i, s, remaining, count_left, chosen):
+        if i == last:
+            m0 = closing.get(s)
+            if m0 is None:
+                return
+            w = scaled_weight[i]
+            if remaining is None:
+                ms = range(m0, count_left + 1, last_order)
+            else:
+                # a genus target forces the last multiplicity
+                m, rest = divmod(remaining, w)
+                ms = (m,) if rest == 0 and m <= count_left and m % last_order == m0 else ()
+            for m in ms:
+                yield tuple(chosen) + (((nonzero[i], m),) if m else ())
             return
+        row = rows[i]
         w = scaled_weight[i]
         top = count_left
         if remaining is not None:
@@ -249,12 +273,14 @@ def _iter_covers(group, base_genus, target_genus, max_branch_points, dims, up_to
                 chosen.append((nonzero[i], m))
             yield from leaves(
                 i + 1,
+                s,
                 None if remaining is None else remaining - m * w,
                 count_left - m,
                 chosen,
             )
             if m:
                 chosen.pop()
+            s = row[s]
 
     count_budget = cap if cap is not None else (target if target is not None else 0)
     if target is not None and cap is None:
@@ -266,8 +292,12 @@ def _iter_covers(group, base_genus, target_genus, max_branch_points, dims, up_to
         else list(product(group.elements(), repeat=2 * base_genus))
     )
 
+    if nonzero:
+        branches = leaves(0, 0, target, count_budget, [])
+    else:
+        branches = [()] if target in (None, 0) else []
     least: dict[tuple, tuple] = {}  # key of every orbit member met -> orbit minimum
-    for branch in leaves(0, target, count_budget, []):
+    for branch in branches:
         for twist in twists:
             try:
                 cover = make_cover(group, base_genus, branch, twist)

@@ -3,6 +3,8 @@
 Elements and characters are both integer tuples indexed by the cyclic
 factors; the pairing <chi, g> = sum(chi[i]*g[i]/n_i) mod 1 is carried as an
 integer numerator over the group exponent, so no floats appear anywhere.
+Hot loops also number the elements by their position in elements() and add
+through one lookup row per summand (index, add_row).
 """
 
 from __future__ import annotations
@@ -36,11 +38,17 @@ AUT_ORDER_BOUND = 64
 
 _AUT_CACHE: dict[tuple[int, ...], tuple["Automorphism", ...]] = {}
 
+# Per factors tuple: element -> position in elements(), and x's index -> add_row(x).
+_INDEX_CACHE: dict[tuple[int, ...], dict[Element, int]] = {}
+_ROW_CACHE: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
+
 
 class FiniteAbelianGroup:
     """Direct product of cyclic groups Z/n_1 x ... x Z/n_k."""
 
-    __slots__ = ("factors", "order", "exponent", "_weights", "_elements", "_cyclic")
+    __slots__ = (
+        "factors", "order", "exponent", "_weights", "_elements", "_cyclic", "_index", "_rows",
+    )
 
     def __init__(self, factors: tuple[int, ...]):
         self.factors = factors
@@ -50,6 +58,8 @@ class FiniteAbelianGroup:
         self._weights = tuple(self.exponent // n for n in factors)
         self._elements: list[Element] | None = None
         self._cyclic: dict[Element, frozenset[Element]] = {}
+        self._index: dict[Element, int] | None = None
+        self._rows: dict[int, tuple[int, ...]] | None = None
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FiniteAbelianGroup) and self.factors == other.factors
@@ -82,6 +92,27 @@ class FiniteAbelianGroup:
                 els = [e + (c,) for e in els for c in range(n)]
             self._elements = els
         return self._elements
+
+    @property
+    def index(self) -> dict[Element, int]:
+        """Element -> its position in elements(); the identity is 0."""
+        if self._index is None:
+            index = _INDEX_CACHE.get(self.factors)
+            if index is None:
+                index = _INDEX_CACHE[self.factors] = {e: i for i, e in enumerate(self.elements())}
+            self._index = index
+        return self._index
+
+    def add_row(self, x: Element) -> tuple[int, ...]:
+        """Index of y + x for every y, in elements() order; built by add on first use."""
+        if self._rows is None:
+            self._rows = _ROW_CACHE.setdefault(self.factors, {})
+        index = self.index
+        i = index[x]
+        row = self._rows.get(i)
+        if row is None:
+            row = self._rows[i] = tuple(index[self.add(y, x)] for y in self.elements())
+        return row
 
     def add(self, x: Element, y: Element) -> Element:
         return tuple((a + b) % n for a, b, n in zip(x, y, self.factors))
@@ -120,21 +151,26 @@ class FiniteAbelianGroup:
             raise InvalidInputError(f"pairing of {chi} with {h} is not a multiple of 1/{o}")
         return num // self.exponent
 
+    def _span(self, elems) -> list[int]:
+        """Indices of the subgroup the elements generate, by breadth-first closure."""
+        rows = [self.add_row(x) for x in set(elems)]
+        seen = bytearray(self.order)
+        seen[0] = 1
+        span = [0]
+        for i in span:
+            for row in rows:
+                j = row[i]
+                if not seen[j]:
+                    seen[j] = 1
+                    span.append(j)
+        return span
+
     def subgroup(self, elems) -> frozenset[Element]:
-        span = {self.identity}
-        for x in elems:
-            if x in span:
-                continue
-            multiples = []
-            m = x
-            while m != self.identity:
-                multiples.append(m)
-                m = self.add(m, x)
-            span |= {self.add(s, m) for s in span for m in multiples}
-        return frozenset(span)
+        els = self.elements()
+        return frozenset(els[i] for i in self._span(elems))
 
     def generates(self, elems) -> bool:
-        return len(self.subgroup(elems)) == self.order
+        return len(self._span(elems)) == self.order
 
     def cyclic(self, h: Element) -> frozenset[Element]:
         span = self._cyclic.get(h)
@@ -173,11 +209,10 @@ class FiniteAbelianGroup:
                     yield tuple(chosen)
                 return
             for x in candidates[i]:
-                new_span = span if x in span else self.subgroup(list(span) + [x])
-                if len(new_span) * tail_bound[i + 1] < self.order:
-                    continue
                 chosen.append(x)
-                yield from extend(chosen, new_span)
+                new_span = span if x in span else self.subgroup(chosen)
+                if len(new_span) * tail_bound[i + 1] >= self.order:
+                    yield from extend(chosen, new_span)
                 chosen.pop()
 
         yield from extend([], frozenset({self.identity}))

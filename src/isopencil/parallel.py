@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import InvalidInputError
@@ -41,5 +40,8 @@ def parallel_map(fn: Callable[[_T], _R], items: Iterable[_T], workers: int) -> S
     cells = list(items)
     if workers <= 1 or len(cells) <= 1:
         return [fn(cell) for cell in cells]
+    # Imported here: concurrent.futures costs every CLI process start-up time.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
         return list(pool.map(fn, cells))

@@ -93,7 +93,11 @@ def _pairing_dims(sw: Sandwich) -> list[tuple[Element, int, int]]:
 
 def geometric_genus(sw: Sandwich) -> int:
     """Sections of the canonical sheaf, counted through matching eigenspaces."""
-    return sum(df * dd for _, df, dd in _pairing_dims(sw))
+    return _sections(_pairing_dims(sw))
+
+
+def _sections(support) -> int:
+    return sum(df * dd for _, df, dd in support)
 
 
 def irregularity(sw: Sandwich) -> int:
@@ -102,8 +106,11 @@ def irregularity(sw: Sandwich) -> int:
 
 def canonical_character(sw: Sandwich) -> Element | None:
     """Character of a canonical pencil with fiber the first curve, if any."""
-    support = _pairing_dims(sw)
-    if sum(df * dd for _, df, dd in support) < 2:
+    return _pencil_character(_pairing_dims(sw))
+
+
+def _pencil_character(support) -> Element | None:
+    if _sections(support) < 2:
         raise NotApplicableError("the canonical system needs at least two sections")
     if len(support) == 1 and support[0][1] == 1:
         return support[0][0]
@@ -159,7 +166,8 @@ def invariants(sw: Sandwich) -> InvariantReport:
     order = grp.order
     g_f = genus(sw.cover_f)
     g_d = genus(sw.cover_d)
-    p_g = geometric_genus(sw)
+    support = _pairing_dims(sw)
+    p_g = _sections(support)
     q = irregularity(sw)
     chi = 1 - q + p_g
     sing = singular_locus(sw)
@@ -191,7 +199,7 @@ def invariants(sw: Sandwich) -> InvariantReport:
         if chi * order != (g_f - 1) * (g_d - 1) + t_z // 4:
             raise InternalConsistencyError("nodal shortcut for chi failed")
 
-    canonical = None if p_g < 2 else canonical_character(sw)
+    canonical = None if p_g < 2 else _pencil_character(support)
 
     if canonical is not None and p_g >= 11:
         a = sw.cover_f.base_genus

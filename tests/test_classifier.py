@@ -8,6 +8,7 @@ from operator import mul
 
 import pytest
 
+from isopencil import classifier, groups
 from isopencil.atlas import _actions_cell, abelian_groups_up_to
 from isopencil.classifier import (
     _branch_solutions,
@@ -19,7 +20,7 @@ from isopencil.classifier import (
     fit_families,
 )
 from isopencil.covers import eigen_profile, genus, make_cover
-from isopencil.errors import CapabilityError, InvalidInputError
+from isopencil.errors import CapabilityError, DisconnectedCoverError, InvalidInputError
 from isopencil.groups import make_group
 from isopencil.sandwich import invariants, make_sandwich
 
@@ -371,3 +372,29 @@ def test_search_is_complete_within_a_box():
                     )
                 )
     assert found == expected
+
+
+def test_generation_is_checked_once_per_branch_vector(monkeypatch):
+    _actions_cell(3, 0, (2, 2, 2))  # warm the witness cache, whose enumeration checks generation too
+    calls = Counter()
+    real_generates = groups.FiniteAbelianGroup.generates
+    real_make_cover = classifier.make_cover
+
+    def counting_generates(self, elems):
+        calls["generates"] += 1
+        return real_generates(self, elems)
+
+    def counting_make_cover(*args, **kwargs):
+        calls["make_cover"] += 1
+        try:
+            return real_make_cover(*args, **kwargs)
+        except DisconnectedCoverError:
+            calls["disconnected"] += 1
+            raise
+
+    monkeypatch.setattr(groups.FiniteAbelianGroup, "generates", counting_generates)
+    monkeypatch.setattr(classifier, "make_cover", counting_make_cover)
+    solutions = classify_cell((2, 2, 2), 3, 0, 0, (3, 6))
+    assert len(solutions) == 48
+    assert calls["disconnected"] >= 1
+    assert calls["generates"] == calls["make_cover"]

@@ -1,6 +1,10 @@
 """Exit codes, spec examples, and byte-determinism of the command line."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -158,3 +162,12 @@ def test_compare_subcommand_covers_both_table_kinds(capsys):
     payload = json.loads(out)
     assert payload["matched"] and not payload["missing"]
     assert all(not m["discrepancies"] for m in payload["matched"])
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = "import sys, isopencil.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"

@@ -1,7 +1,11 @@
 """Cover building data: validation, bundle degrees, eigenspace dims, genus."""
 
+from fractions import Fraction
+from itertools import product
+
 import pytest
 
+from isopencil import covers as covers_module
 from isopencil.covers import (
     CoverData,
     bundle_degree,
@@ -244,3 +248,83 @@ def test_cover_data_is_hashable_and_frozen():
     assert isinstance(hash(c), int)
     with pytest.raises(Exception):
         c.base_genus = 1  # type: ignore[misc]
+
+
+def _brute_force_covers(group, base_genus, genus=None, max_branch_points=None, dims=None):
+    """Every weight-feasible multiplicity vector times every twist, through make_cover."""
+    nonzero = [e for e in group.elements() if e != group.identity]
+    m_exp = group.exponent
+    weights = [m_exp - m_exp // group.element_order(e) for e in nonzero]
+    target = None
+    if genus is not None:
+        weight = Fraction(2 * (genus - 1 - group.order * (base_genus - 1)), group.order) * m_exp
+        if weight < 0 or weight.denominator != 1:
+            return []
+        target = int(weight)
+    tops = [
+        min(t for t in (max_branch_points, None if target is None else target // w) if t is not None)
+        for w in weights
+    ]
+    covers = []
+    for mults in product(*(range(top + 1) for top in tops)):
+        if target is not None and sum(m * w for m, w in zip(mults, weights)) != target:
+            continue
+        if max_branch_points is not None and sum(mults) > max_branch_points:
+            continue
+        branch = [(e, m) for e, m in zip(nonzero, mults) if m]
+        for twist in product(group.elements(), repeat=2 * base_genus):
+            try:
+                cover = make_cover(group, base_genus, branch, twist)
+            except InvalidInputError:
+                continue
+            profile = eigen_profile(cover)
+            if dims is None or all(profile[k] == v for k, v in dims.items()):
+                covers.append(cover)
+    return covers
+
+
+@pytest.mark.parametrize("factors, base_genus, bounds", [
+    ((3,), 0, [{"genus": g} for g in range(0, 7)]),
+    ((2, 2), 0, [{"genus": g} for g in range(0, 7)]),
+    ((4,), 0, [{"genus": g} for g in range(0, 7)] + [{"max_branch_points": 5}]),
+    ((2, 4), 0, [{"genus": g} for g in range(2, 5)]),
+    ((2, 2, 2), 0, [{"genus": 1}, {"genus": 3}, {"max_branch_points": 3}]),
+    ((6,), 0, [{"genus": g} for g in range(2, 5)] + [{"genus": 4, "dims": {(1,): 1}}]),
+    ((2,), 1, [{"genus": g} for g in range(1, 6)] + [{"max_branch_points": 3}]),
+    ((3,), 1, [{"genus": g} for g in range(1, 6)]),
+    ((2, 2), 1, [{"genus": g} for g in range(1, 5)] + [{"genus": 3, "max_branch_points": 2}]),
+    ((), 0, [{"genus": 0}, {"max_branch_points": 2}]),
+    ((), 1, [{"genus": 1}]),
+])
+def test_enumerate_covers_matches_the_brute_force_list(factors, base_genus, bounds):
+    group = make_group(factors)
+    yielded = 0
+    for bound in bounds:
+        expected = _brute_force_covers(group, base_genus, **bound)
+        assert list(enumerate_covers(group, base_genus, **bound)) == expected
+        yielded += len(expected)
+    assert yielded >= 1
+
+
+def test_enumerator_only_builds_closed_branch_vectors(monkeypatch):
+    built = []
+
+    def closed_make_cover(group, base_genus, branch, twist=()):
+        total = group.identity
+        for e, m in branch:
+            total = group.add(total, group.scale(m, e))
+        assert total == group.identity, f"branch {branch} sums to {total}"
+        built.append(branch)
+        return make_cover(group, base_genus, branch, twist)
+
+    monkeypatch.setattr(covers_module, "make_cover", closed_make_cover)
+    for factors, base_genus, bound in [
+        ((2, 2, 2), 0, {"genus": 5}),
+        ((2, 4), 0, {"genus": 7}),
+        ((4, 4), 0, {"genus": 9}),
+        ((3, 3), 0, {"max_branch_points": 4}),
+        ((2, 2), 1, {"genus": 5}),
+        ((3,), 1, {"max_branch_points": 3}),
+    ]:
+        list(enumerate_covers(make_group(factors), base_genus, up_to_aut=True, **bound))
+    assert len(built) >= 100

@@ -1,5 +1,6 @@
 """Exact-arithmetic group layer: orders, pairings, generation, automorphisms."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -183,3 +184,46 @@ def test_element_serialization_round_trip():
         parse_element(g, "[1,9]")
     with pytest.raises(InvalidInputError):
         parse_element(g, "nope")
+
+
+def _coordinate_closure(g, elems):
+    """The subgroup generated by elems, closed by coordinate addition of multiples."""
+    span = {g.identity}
+    for x in elems:
+        if x in span:
+            continue
+        multiples = []
+        m = x
+        while m != g.identity:
+            multiples.append(m)
+            m = g.add(m, x)
+        span |= {g.add(s, m) for s in span for m in multiples}
+    return frozenset(span)
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [g.factors for g in abelian_groups_up_to(16)],
+    ids=lambda factors: ",".join(map(str, factors)) or "trivial",
+)
+def test_index_subgroup_matches_the_coordinate_closure(factors):
+    g = make_group(factors)
+    rng = random.Random(repr(factors))
+    els = g.elements()
+    assert [g.index[x] for x in els] == list(range(g.order))
+    for x in els:
+        assert [els[j] for j in g.add_row(x)] == [g.add(y, x) for y in els]
+    for _ in range(40):
+        gens = [rng.choice(els) for _ in range(rng.randrange(4))]
+        span = _coordinate_closure(g, gens)
+        assert g.subgroup(gens) == span
+        assert g.generates(gens) == (len(span) == g.order)
+    for x in els:
+        assert g.cyclic(x) == _coordinate_closure(g, [x])
+
+
+def test_index_tables_are_shared_by_groups_with_the_same_factors():
+    first, second = make_group([2, 4]), make_group([2, 4])
+    assert first is not second
+    assert first.index is second.index
+    assert first.add_row((1, 3)) is second.add_row((1, 3))

@@ -6,6 +6,7 @@ import warnings
 
 import pytest
 
+from isopencil import sandwich
 from isopencil.covers import eigen_profile, genus, make_cover
 from isopencil.errors import InvalidInputError, NotApplicableError
 from isopencil.groups import make_group
@@ -208,3 +209,21 @@ def test_random_pairs_stay_within_the_bmy_bound(random_covers):
         for f, d in pairs:
             report = invariants(make_sandwich(f, d))
             assert report.K2 <= 9 * report.chi
+
+
+def test_invariants_builds_the_pairing_list_once(monkeypatch):
+    calls = []
+    real = sandwich._pairing_dims
+
+    def counting(sw):
+        calls.append(sw)
+        return real(sw)
+
+    monkeypatch.setattr(sandwich, "_pairing_dims", counting)
+    for sw in (_klein_pair(), _eight_group_pair(), _elliptic_base_pair()):
+        calls.clear()
+        report = invariants(sw)
+        assert len(calls) == 1
+        assert report.p_g == geometric_genus(sw)
+        if report.p_g >= 2:
+            assert report.canonical_character == canonical_character(sw)
