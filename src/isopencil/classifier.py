@@ -7,7 +7,7 @@ from functools import lru_cache
 from math import gcd
 
 from .atlas import _actions_cell
-from .covers import CoverData, eigen_profile, genus, make_cover
+from .covers import CoverData, genus, make_cover
 from .errors import (
     CapabilityError,
     DisconnectedCoverError,
@@ -231,15 +231,31 @@ def _canonical_solution(stab, chi0: Element, branch: dict[Element, int]):
     """Smallest cover-symmetry image of the pair (character, branch data).
 
     Pulling the character back along alpha pairs with pushing the branch
-    forward along the inverse, so both sides transform as one solution.
+    forward along the inverse, so both sides transform as one solution. The
+    character decides first, so only the automorphisms carrying chi0 to the
+    smallest image need their branch image.
     """
-    return min(
-        (
-            alpha.char_table[chi0],
-            tuple(sorted((alpha.preimage[e], m) for e, m in branch.items())),
-        )
+    low = min(alpha.char_table[chi0] for alpha in stab)
+    return low, min(
+        tuple(sorted(zip(map(alpha.preimage.__getitem__, branch), branch.values())))
         for alpha in stab
+        if alpha.char_table[chi0] == low
     )
+
+
+def _pencil_requirements(cover_f: CoverData, chi0: Element, b: int):
+    """Fixed degree requirements and target character of a pencil at chi0.
+
+    Every other character in F's eigen-profile needs degree 1 - b on D at its
+    negative; the target -chi0 carries the degree that grows with p_g.
+    """
+    group = cover_f.group
+    fixed = tuple(
+        (group.neg(chi), 1 - b)
+        for chi, dim in zip(group.elements()[1:], cover_f._dims[1:])
+        if dim and chi != chi0
+    )
+    return fixed, group.neg(chi0)
 
 
 def classify_cell(
@@ -262,24 +278,19 @@ def classify_cell(
     if quotient_genus_a > genus_f:
         return []
 
-    identity = group.identity
     solutions = []
     for row in _actions_cell(genus_f, quotient_genus_a, group.factors):
         cover_f = row.witness
-        profile_f = eigen_profile(cover_f)
         stab = _stabilizer(cover_f)
         seen = set()
-        support = sorted(
-            chi for chi, dim in profile_f.items() if dim and chi != identity
-        )
-        candidates = [chi for chi in support if profile_f[chi] == 1]
+        # characters with a one-dimensional eigenspace on F, in elements() order
+        candidates = [
+            chi for chi, dim in zip(group.elements()[1:], cover_f._dims[1:]) if dim == 1
+        ]
         for chi0 in candidates:
-            constraints = [
-                (group.neg(chi), 1 - b) for chi in support if chi != chi0
-            ]
-            target = group.neg(chi0)
+            fixed, target = _pencil_requirements(cover_f, chi0, b)
             for p_g in range(lo, hi + 1):
-                requirements = constraints + [(target, p_g + 1 - b)]
+                requirements = [*fixed, (target, p_g + 1 - b)]
                 for branch in _branch_solutions(group, requirements):
                     canon = _canonical_solution(stab, chi0, branch)
                     if canon in seen:
@@ -290,7 +301,7 @@ def classify_cell(
                     if twist is None:
                         continue
                     try:
-                        cover_d = make_cover(group, b, dict(branch_c), twist)
+                        cover_d = make_cover(group, b, branch_c, twist)
                     except (InvalidMonodromyError, DisconnectedCoverError):
                         continue
                     g_d = genus(cover_d)
@@ -312,36 +323,34 @@ def classify_cell(
     return solutions
 
 
-def _growth_step(group: FiniteAbelianGroup, target: Element, e: Element) -> int:
-    coef = group.pair_num(target, e)
-    return group.exponent // gcd(group.exponent, coef)
+@lru_cache(maxsize=None)
+def _bucket_split(cover_f: CoverData, chi0: Element, b: int):
+    """The bounded elements and the free ones with their growth steps, for one pencil.
+
+    This is _bounded_part's split. A free element pairs only with the target
+    -chi0, with numerator t over the exponent, so as p_g grows its
+    multiplicity moves along a progression of step exponent / gcd(exponent, t).
+    """
+    group = cover_f.group
+    nonzero, free, _ = _bounded_part(group, *_pencil_requirements(cover_f, chi0, b))
+    free_index = dict(free)
+    bounded = tuple(e for i, e in enumerate(nonzero) if i not in free_index)
+    steps = tuple(
+        (nonzero[i], group.exponent // gcd(group.exponent, t)) for i, t in free
+    )
+    return bounded, steps
 
 
-def _bucket_key(group: FiniteAbelianGroup, sol: SurfaceSolution):
-    profile_f = eigen_profile(sol.cover_f)
-    constraint_chars = [
-        group.neg(chi)
-        for chi, dim in sorted(profile_f.items())
-        if dim and chi not in (group.identity, sol.chi0)
-    ]
-    target = group.neg(sol.chi0)
+def _bucket_key(sol: SurfaceSolution):
+    """Witness, pencil character, bounded multiplicities and free residues of a solution."""
+    bounded, steps = _bucket_split(sol.cover_f, sol.chi0, sol.cover_d.base_genus)
     branch = dict(sol.cover_d.branch)
-    bounded = []
-    residues = []
-    for e in group.elements():
-        if e == group.identity:
-            continue
-        if any(group.pair_num(chi, e) for chi in constraint_chars):
-            if branch.get(e):
-                bounded.append((e, branch[e]))
-        else:
-            residues.append((e, branch.get(e, 0) % _growth_step(group, target, e)))
     return (
         sol.cover_f.branch,
         sol.cover_f.twist,
         sol.chi0,
-        tuple(bounded),
-        tuple(residues),
+        tuple((e, branch[e]) for e in bounded if e in branch),
+        tuple((e, branch.get(e, 0) % step) for e, step in steps),
     )
 
 
@@ -368,28 +377,28 @@ def fit_families(solutions: list[SurfaceSolution]) -> list[FamilyRow]:
     """Group solutions into linear-in-p_g families, leaving the rest sporadic."""
     buckets: dict[tuple, list[SurfaceSolution]] = {}
     for sol in solutions:
-        key = _bucket_key(sol.cover_f.group, sol)
+        key = _bucket_key(sol)
         buckets.setdefault(key, []).append(sol)
 
     rows = []
     for key in buckets:
         members = sorted(buckets[key], key=lambda s: s.p_g)
         runs: list[list[SurfaceSolution]] = []
+        prev = {}  # series of the previous member, which ends runs[-1]
         for sol in members:
+            cur = _series(sol)
             run = runs[-1] if runs else None
             if run and sol.p_g == run[-1].p_g + 1:
                 if len(run) == 1:
+                    steps = {k: cur[k] - prev[k] for k in _FITTED_KEYS}
                     run.append(sol)
-                    continue
-                steps = {
-                    k: _series(run[1])[k] - _series(run[0])[k] for k in _FITTED_KEYS
-                }
-                cur = _series(sol)
-                prev = _series(run[-1])
-                if all(cur[k] - prev[k] == steps[k] for k in _FITTED_KEYS):
+                elif all(cur[k] - prev[k] == steps[k] for k in _FITTED_KEYS):
                     run.append(sol)
-                    continue
-            runs.append([sol])
+                else:
+                    runs.append([sol])
+            else:
+                runs.append([sol])
+            prev = cur
         for run in runs:
             if len(run) >= 3:
                 rows.append(_emit_row(run))

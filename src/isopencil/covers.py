@@ -8,7 +8,6 @@ computed by exact integer arithmetic from that data alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import product
 
@@ -77,16 +76,19 @@ def make_cover(group: FiniteAbelianGroup, base_genus, branch, twist=()) -> Cover
         raise InvalidInputError(f"base genus must be an integer >= 0, got {base_genus!r}")
 
     entries = branch.items() if hasattr(branch, "items") else branch
+    identity = group.identity
     merged: dict[Element, int] = {}
+    points = 0
     for elem, mult in entries:
         e = group.validate(elem)
         if not isinstance(mult, int) or isinstance(mult, bool) or mult < 0:
             raise InvalidInputError(f"branch multiplicity {mult!r} must be an integer >= 0")
         if mult == 0:
             continue
-        if e == group.identity:
+        if e == identity:
             raise InvalidInputError("the identity cannot be a branch element")
         merged[e] = merged.get(e, 0) + mult
+        points += mult
     branch_t = tuple(sorted(merged.items()))
 
     twist_t = tuple(group.validate(t) for t in twist)
@@ -95,13 +97,19 @@ def make_cover(group: FiniteAbelianGroup, base_genus, branch, twist=()) -> Cover
             f"twist must list {2 * base_genus} elements for base genus {base_genus}, got {len(twist_t)}"
         )
 
-    total = group.identity
+    orders = group.orders
+    index = group.index
+    total = 0  # index of the running sum of m * e
     for e, m in branch_t:
-        total = group.add(total, group.scale(m, e))
-    if total != group.identity:
-        raise InvalidMonodromyError(f"branch monodromies sum to {total}, not the identity")
+        row = group.add_row(e)
+        for _ in range(m % orders[index[e]]):
+            total = row[total]
+    if total:
+        raise InvalidMonodromyError(
+            f"branch monodromies sum to {group.elements()[total]}, not the identity"
+        )
 
-    if base_genus == 0 and group.order > 1 and sum(m for _, m in branch_t) < 2:
+    if base_genus == 0 and group.order > 1 and points < 2:
         raise InvalidMonodromyError("a cover of a rational base needs at least two branch points")
 
     gens = [e for e, _ in branch_t] + list(twist_t)
@@ -155,13 +163,15 @@ def genus_rh(cover: CoverData) -> int:
     """Genus of the covering curve by the ramification count."""
     grp = cover.group
     n = grp.order
-    total = Fraction(1 + n * (cover.base_genus - 1))
-    for e, m in cover.branch:
-        o = grp.element_order(e)
-        total += Fraction(n, 2) * m * Fraction(o - 1, o)
-    if total.denominator != 1:
-        raise InternalConsistencyError(f"non-integral genus {total} from ramification data")
-    return int(total)
+    orders = grp.orders
+    index = grp.index
+    # 2g - 2 = n(2b - 2) + sum of m * n(1 - 1/o); every order o divides n.
+    two_g = 2 + n * (2 * cover.base_genus - 2) + sum(
+        m * (n - n // orders[index[e]]) for e, m in cover.branch
+    )
+    if two_g % 2:
+        raise InternalConsistencyError(f"non-integral genus {two_g}/2 from ramification data")
+    return two_g // 2
 
 
 def genus(cover: CoverData) -> int:
@@ -198,8 +208,16 @@ def enumerate_covers(
     At least one of genus, max_branch_points, or a dims map covering every
     character must be supplied, otherwise the search space is unbounded.
     """
-    if not isinstance(base_genus, int) or base_genus < 0:
+    if not isinstance(base_genus, int) or isinstance(base_genus, bool) or base_genus < 0:
         raise InvalidInputError(f"base genus must be an integer >= 0, got {base_genus!r}")
+    if max_branch_points is not None and (
+        not isinstance(max_branch_points, int)
+        or isinstance(max_branch_points, bool)
+        or max_branch_points < 0
+    ):
+        raise InvalidInputError(
+            f"max_branch_points must be an integer >= 0, got {max_branch_points!r}"
+        )
     if dims is not None:
         dims = {group.validate(k): v for k, v in dims.items()}
         for v in dims.values():
@@ -227,13 +245,14 @@ def _iter_covers(group, base_genus, target_genus, max_branch_points, dims, up_to
     scaled_weight = [m_exp - m_exp // group.element_order(e) for e in nonzero]
 
     if target_genus is not None:
-        weight = Fraction(2 * (target_genus - 1 - n * (base_genus - 1)), n) * m_exp
-        if weight < 0 or weight.denominator != 1:
+        weight = 2 * (target_genus - 1 - n * (base_genus - 1)) * m_exp
+        if weight < 0 or weight % n:
             return
-        target = int(weight)
+        target = weight // n
     else:
         target = None
     cap = max_branch_points
+    count_budget = cap if cap is not None else target  # every branch point has scaled weight >= 1
 
     # Branch sums are carried as element indices (0 is the identity); a branch
     # vector is a leaf only when its sum m_1*e_1 + ... + m_k*e_k is 0, since
@@ -247,6 +266,56 @@ def _iter_covers(group, base_genus, target_genus, max_branch_points, dims, up_to
         closing = {
             index[group.neg(group.scale(m, nonzero[last]))]: m for m in range(last_order)
         }
+    if last >= 1:  # with one nonzero element the closing lookup alone decides
+        # reach[i][s]: bit r is set when elements i.. can close the sum s with
+        # scaled weight exactly r (genus target) or with r branch points (no
+        # target), so a frame is entered only when a leaf lies below it. With
+        # both a target and a cap, the cap can still end a frame leafless.
+        steps = scaled_weight if target is not None else [1] * len(nonzero)
+        limit = target if target is not None else count_budget
+        full = (2 << limit) - 1
+
+        def periodic(mask, period):
+            """mask | mask << period | mask << 2 * period | ..., cut at bit limit."""
+            while period <= limit:
+                mask |= mask << period
+                period *= 2
+            return mask & full
+
+        # m copies of an element of order o move the sum by m mod o and the
+        # weight by m * w, so each mask is o shifted copies repeated with
+        # period o * w: O(o + log(limit)) big-integer steps, not O(limit).
+        w = steps[last]
+        reach_last = [0] * n
+        for s, m0 in closing.items():
+            reach_last[s] = periodic(1 << (m0 * w), last_order * w)
+        reach = [reach_last]
+        for i in range(last - 1, -1, -1):
+            row = rows[i]
+            w = steps[i]
+            order = group.element_order(nonzero[i])
+            below = reach[-1]
+            level = []
+            for s in range(n):
+                mask = 0
+                t = s  # s plus r copies of nonzero[i]
+                for r in range(order):
+                    mask |= below[t] << (r * w)
+                    t = row[t]
+                level.append(periodic(mask, order * w))
+            reach.append(level)
+        reach.reverse()
+        # Lookups that read one bit without copying a limit-bit integer.
+        if target is None:
+            fewest = [[(m & -m).bit_length() - 1 for m in level] for level in reach]
+        else:
+            width = limit // 8 + 1
+            reach = [[m.to_bytes(width, "little") for m in level] for level in reach]
+
+    def closable(i, s, remaining, count_left) -> bool:
+        if remaining is None:
+            return 0 <= fewest[i][s] <= count_left  # fewest branch points that close s
+        return reach[i][s][remaining >> 3] >> (remaining & 7) & 1
 
     def leaves(i, s, remaining, count_left, chosen):
         if i == last:
@@ -269,22 +338,14 @@ def _iter_covers(group, base_genus, target_genus, max_branch_points, dims, up_to
         if remaining is not None:
             top = min(top, remaining // w)
         for m in range(top + 1):
-            if m:
-                chosen.append((nonzero[i], m))
-            yield from leaves(
-                i + 1,
-                s,
-                None if remaining is None else remaining - m * w,
-                count_left - m,
-                chosen,
-            )
-            if m:
-                chosen.pop()
+            rest = None if remaining is None else remaining - m * w
+            if closable(i + 1, s, rest, count_left - m):
+                if m:
+                    chosen.append((nonzero[i], m))
+                yield from leaves(i + 1, s, rest, count_left - m, chosen)
+                if m:
+                    chosen.pop()
             s = row[s]
-
-    count_budget = cap if cap is not None else (target if target is not None else 0)
-    if target is not None and cap is None:
-        count_budget = target  # every branch point has scaled weight >= 1
 
     twists = (
         [()]
@@ -293,7 +354,9 @@ def _iter_covers(group, base_genus, target_genus, max_branch_points, dims, up_to
     )
 
     if nonzero:
-        branches = leaves(0, 0, target, count_budget, [])
+        branches = ()
+        if last == 0 or closable(0, 0, target, count_budget):
+            branches = leaves(0, 0, target, count_budget, [])
     else:
         branches = [()] if target in (None, 0) else []
     least: dict[tuple, tuple] = {}  # key of every orbit member met -> orbit minimum

@@ -3,8 +3,9 @@
 Elements and characters are both integer tuples indexed by the cyclic
 factors; the pairing <chi, g> = sum(chi[i]*g[i]/n_i) mod 1 is carried as an
 integer numerator over the group exponent, so no floats appear anywhere.
-Hot loops also number the elements by their position in elements() and add
-through one lookup row per summand (index, add_row).
+Hot loops also number the elements by their position in elements() and read
+per-group lookup tables by that index (index, add_row, orders, neg_index,
+pairing_row), each built on first use.
 """
 
 from __future__ import annotations
@@ -38,17 +39,33 @@ AUT_ORDER_BOUND = 64
 
 _AUT_CACHE: dict[tuple[int, ...], tuple["Automorphism", ...]] = {}
 
-# Per factors tuple: element -> position in elements(), and x's index -> add_row(x).
-_INDEX_CACHE: dict[tuple[int, ...], dict[Element, int]] = {}
-_ROW_CACHE: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
+
+class _Tables:
+    """Lookup tables of one factors tuple, each built on first use.
+
+    Group objects with equal factors share one instance (_TABLES), so a fresh
+    group per parsed spec reads the tables the previous one built.
+    """
+
+    __slots__ = ("elements", "index", "orders", "neg", "rows", "pairing", "cyclic")
+
+    def __init__(self):
+        self.elements: list[Element] | None = None
+        self.index: dict[Element, int] | None = None  # element -> position in elements()
+        self.orders: tuple[int, ...] | None = None  # element order, by index
+        self.neg: tuple[int, ...] | None = None  # index of -x, by index of x
+        self.rows: dict[int, tuple[int, ...]] = {}  # index of x -> add_row(x)
+        self.pairing: dict[int, tuple[int, ...]] = {}  # index of g -> pairing_row(g)
+        self.cyclic: dict[Element, frozenset[Element]] = {}
+
+
+_TABLES: dict[tuple[int, ...], _Tables] = {}
 
 
 class FiniteAbelianGroup:
     """Direct product of cyclic groups Z/n_1 x ... x Z/n_k."""
 
-    __slots__ = (
-        "factors", "order", "exponent", "_weights", "_elements", "_cyclic", "_index", "_rows",
-    )
+    __slots__ = ("factors", "order", "exponent", "_weights", "_tables")
 
     def __init__(self, factors: tuple[int, ...]):
         self.factors = factors
@@ -56,10 +73,10 @@ class FiniteAbelianGroup:
         self.exponent = lcm(*factors) if factors else 1
         # pair_num(chi, g) = sum(chi_i * g_i * weight_i) mod exponent
         self._weights = tuple(self.exponent // n for n in factors)
-        self._elements: list[Element] | None = None
-        self._cyclic: dict[Element, frozenset[Element]] = {}
-        self._index: dict[Element, int] | None = None
-        self._rows: dict[int, tuple[int, ...]] | None = None
+        tables = _TABLES.get(factors)
+        if tables is None:
+            tables = _TABLES[factors] = _Tables()
+        self._tables = tables
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FiniteAbelianGroup) and self.factors == other.factors
@@ -86,57 +103,83 @@ class FiniteAbelianGroup:
         return t
 
     def elements(self) -> list[Element]:
-        if self._elements is None:
+        tables = self._tables
+        if tables.elements is None:
             els = [()]
             for n in self.factors:
                 els = [e + (c,) for e in els for c in range(n)]
-            self._elements = els
-        return self._elements
+            tables.elements = els
+        return tables.elements
 
     @property
     def index(self) -> dict[Element, int]:
         """Element -> its position in elements(); the identity is 0."""
-        if self._index is None:
-            index = _INDEX_CACHE.get(self.factors)
-            if index is None:
-                index = _INDEX_CACHE[self.factors] = {e: i for i, e in enumerate(self.elements())}
-            self._index = index
-        return self._index
+        tables = self._tables
+        if tables.index is None:
+            tables.index = {e: i for i, e in enumerate(self.elements())}
+        return tables.index
 
     def add_row(self, x: Element) -> tuple[int, ...]:
         """Index of y + x for every y, in elements() order; built by add on first use."""
-        if self._rows is None:
-            self._rows = _ROW_CACHE.setdefault(self.factors, {})
+        rows = self._tables.rows
         index = self.index
         i = index[x]
-        row = self._rows.get(i)
+        row = rows.get(i)
         if row is None:
-            row = self._rows[i] = tuple(index[self.add(y, x)] for y in self.elements())
+            row = rows[i] = tuple(index[self.add(y, x)] for y in self.elements())
         return row
+
+    @property
+    def orders(self) -> tuple[int, ...]:
+        """Element orders, in elements() order."""
+        tables = self._tables
+        if tables.orders is None:
+            fs = self.factors
+            tables.orders = tuple(
+                lcm(*(n // gcd(a, n) for a, n in zip(g, fs))) for g in self.elements()
+            )
+        return tables.orders
+
+    @property
+    def neg_index(self) -> tuple[int, ...]:
+        """Index of -x for the index of every x."""
+        tables = self._tables
+        if tables.neg is None:
+            index = self.index
+            fs = self.factors
+            tables.neg = tuple(
+                index[tuple((-a) % n for a, n in zip(x, fs))] for x in self.elements()
+            )
+        return tables.neg
 
     def add(self, x: Element, y: Element) -> Element:
         return tuple((a + b) % n for a, b, n in zip(x, y, self.factors))
 
     def neg(self, x: Element) -> Element:
-        return tuple((-a) % n for a, n in zip(x, self.factors))
+        return self.elements()[self.neg_index[self.index[x]]]
 
     def scale(self, k: int, x: Element) -> Element:
         return tuple((k * a) % n for a, n in zip(x, self.factors))
 
     def element_order(self, g: Element) -> int:
-        return lcm(*(n // gcd(a, n) for a, n in zip(g, self.factors)))
+        return self.orders[self.index[g]]
 
     def pair_num(self, chi: Element, g: Element) -> int:
         """Numerator of <chi, g> over the group exponent."""
         return sum(c * a * w for c, a, w in zip(chi, g, self._weights)) % self.exponent
 
-    def pairing_row(self, g: Element) -> list[int]:
-        """pair_num(chi, g) for every character chi, in elements() order."""
-        values = [0]
-        for n, a, w in zip(self.factors, g, self._weights):
-            step = a * w
-            values = [(v + c * step) % self.exponent for v in values for c in range(n)]
-        return values
+    def pairing_row(self, g: Element) -> tuple[int, ...]:
+        """pair_num(chi, g) for every character chi, in elements() order; built on first use."""
+        pairing = self._tables.pairing
+        i = self.index[g]
+        row = pairing.get(i)
+        if row is None:
+            values = [0]
+            for n, a, w in zip(self.factors, g, self._weights):
+                step = a * w
+                values = [(v + c * step) % self.exponent for v in values for c in range(n)]
+            row = pairing[i] = tuple(values)
+        return row
 
     def pairing(self, chi: Element, g: Element) -> Fraction:
         return Fraction(self.pair_num(chi, g), self.exponent)
@@ -173,9 +216,10 @@ class FiniteAbelianGroup:
         return len(self._span(elems)) == self.order
 
     def cyclic(self, h: Element) -> frozenset[Element]:
-        span = self._cyclic.get(h)
+        cyclic = self._tables.cyclic
+        span = cyclic.get(h)
         if span is None:
-            span = self._cyclic[h] = self.subgroup([h])
+            span = cyclic[h] = self.subgroup([h])
         return span
 
     def automorphisms(self) -> tuple["Automorphism", ...]:
@@ -231,11 +275,17 @@ class Automorphism:
     def _linear_table(self, basis_images) -> dict[Element, Element]:
         """g -> sum(g_i * basis_images[i]) for every g, in one pass over elements() order."""
         grp = self.group
-        values = [grp.identity]
+        els = grp.elements()
+        values = [0]  # indices of the partial sums
         for n, img in zip(grp.factors, basis_images):
-            multiples = [grp.scale(c, img) for c in range(n)]
-            values = [grp.add(v, m) for v in values for m in multiples]
-        return dict(zip(grp.elements(), values))
+            step = grp.add_row(img)
+            extended = []
+            for v in values:
+                for _ in range(n):  # v + c * img for c = 0 .. n-1
+                    extended.append(v)
+                    v = step[v]
+            values = extended
+        return dict(zip(els, [els[v] for v in values]))
 
     @cached_property
     def table(self) -> dict[Element, Element]:

@@ -11,6 +11,7 @@ from .classifier import FamilyRow
 from .compare import AtlasComparison, ComparisonReport
 from .covers import CoverData, genus
 from .errors import InvalidInputError
+from .groups import format_element
 from .sandwich import InvariantReport, Sandwich
 from .specfile import cover_record, sandwich_record
 
@@ -27,10 +28,6 @@ __all__ = [
 ]
 
 FORMATS = ("table", "csv", "json")
-
-
-def format_element(elem) -> str:
-    return "[" + ",".join(str(v) for v in elem) + "]"
 
 
 def _check_format(fmt: str) -> None:

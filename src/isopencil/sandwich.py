@@ -5,9 +5,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import gcd, lcm
 
-from .covers import CoverData, eigen_profile, genus
+from .covers import CoverData, genus
 from .errors import (
     InternalConsistencyError,
     InvalidInputError,
@@ -79,16 +80,15 @@ def make_sandwich(cover_f: CoverData, cover_d: CoverData) -> Sandwich:
 
 
 def _pairing_dims(sw: Sandwich) -> list[tuple[Element, int, int]]:
+    """(chi, dim on F, dim of -chi on D) for every chi where both are nonzero."""
     grp = sw.group
-    pf = eigen_profile(sw.cover_f)
-    pd = eigen_profile(sw.cover_d)
-    out = []
-    for chi in grp.elements():
-        df = pf.get(chi, 0)
-        dd = pd.get(grp.neg(chi), 0)
-        if df and dd:
-            out.append((chi, df, dd))
-    return out
+    neg = grp.neg_index
+    dims_f = sw.cover_f._dims
+    dims_d = sw.cover_d._dims
+    els = grp.elements()
+    return [
+        (els[i], df, dims_d[neg[i]]) for i, df in enumerate(dims_f) if df and dims_d[neg[i]]
+    ]
 
 
 def geometric_genus(sw: Sandwich) -> int:
@@ -117,40 +117,59 @@ def _pencil_character(support) -> Element | None:
     return None
 
 
+# Per factors tuple: (h1, h2) -> _point_type(group, h1, h2), filled on first use.
+_POINT_TYPES: dict[tuple[int, ...], dict[tuple[Element, Element], tuple | None]] = {}
+_UNSEEN = object()
+
+
+def _point_type(grp: FiniteAbelianGroup, h1: Element, h2: Element):
+    """Type of the points of F x D that the local monodromies h1, h2 fix.
+
+    Returns (n, canonical (n, q), (|G|/o1)*(|G|/o2)), or None when the shared
+    stabilizer is trivial. It depends only on the group and the pair, so each
+    is computed once per (factors, h1, h2).
+    """
+    o1 = grp.element_order(h1)
+    o2 = grp.element_order(h2)
+    n = len(grp.cyclic(h1) & grp.cyclic(h2))
+    if n == 1:
+        return None
+    # Generator acting with rotation 1/n on the first local coordinate.
+    c = grp.scale(o1 // n, h1)
+    k2 = next(k for k in range(1, o2) if grp.scale(k, h2) == c)
+    if k2 * n % o2:
+        raise InternalConsistencyError(
+            f"stabilizer generator {c} is not an n-th power along {h2}"
+        )
+    q = k2 * n // o2
+    if not (1 <= q < n and gcd(q, n) == 1):
+        raise InternalConsistencyError(
+            f"rotation exponent {q} invalid for a point of order {n}"
+        )
+    return n, canonical_type(n, q), (grp.order // o1) * (grp.order // o2)
+
+
 def singular_locus(sw: Sandwich) -> tuple[SingularClass, ...]:
     """Cyclic quotient points grouped by type, with their product-side counts."""
     grp = sw.group
     order = grp.order
+    types = _POINT_TYPES.get(grp.factors)
+    if types is None:
+        types = _POINT_TYPES[grp.factors] = {}
     classes: dict[tuple[int, int], list[int]] = {}
     for h1, d1 in sw.cover_f.branch:
-        o1 = grp.element_order(h1)
-        c1 = grp.cyclic(h1)
         for h2, d2 in sw.cover_d.branch:
-            o2 = grp.element_order(h2)
-            shared = c1 & grp.cyclic(h2)
-            n = len(shared)
-            if n == 1:
+            point = types.get((h1, h2), _UNSEEN)
+            if point is _UNSEEN:
+                point = types[h1, h2] = _point_type(grp, h1, h2)
+            if point is None:
                 continue
-            # Generator acting with rotation 1/n on the first local coordinate.
-            c = grp.scale(o1 // n, h1)
-            k2 = next(
-                k for k in range(1, o2) if grp.scale(k, h2) == c
-            )
-            if k2 * n % o2:
-                raise InternalConsistencyError(
-                    f"stabilizer generator {c} is not an n-th power along {h2}"
-                )
-            q = k2 * n // o2
-            if not (1 <= q < n and gcd(q, n) == 1):
-                raise InternalConsistencyError(
-                    f"rotation exponent {q} invalid for a point of order {n}"
-                )
-            z = d1 * d2 * (order // o1) * (order // o2)
+            n, key, unit = point
+            z = d1 * d2 * unit
             if z * n % order:
                 raise InternalConsistencyError(
                     f"{z} stabilized points do not split into orbits of size {order // n}"
                 )
-            key = canonical_type(n, q)
             bucket = classes.setdefault(key, [0, 0])
             bucket[0] += z * n // order
             bucket[1] += z
@@ -158,6 +177,14 @@ def singular_locus(sw: Sandwich) -> tuple[SingularClass, ...]:
         SingularClass(n, q, count, z)
         for (n, q), (count, z) in sorted(classes.items())
     )
+
+
+@lru_cache(maxsize=None)
+def _resolution(n: int, q: int) -> tuple[int, int, int]:
+    """Euler number of the exceptional chain over one 1/n(1,q) point, and the
+    numerator and denominator of its K^2 correction."""
+    k2 = k2_correction(n, q)
+    return len(hj_expansion(n, q)) + 1, k2.numerator, k2.denominator
 
 
 def invariants(sw: Sandwich) -> InvariantReport:
@@ -178,15 +205,20 @@ def invariants(sw: Sandwich) -> InvariantReport:
         raise InternalConsistencyError(
             f"free locus has Euler number {euler_z - t_z}, not divisible by {order}"
         )
-    euler_e = (euler_z - t_z) // order + sum(
-        s.count * (len(hj_expansion(s.n, s.q)) + 1) for s in sing
-    )
+    resolved = [(s.count, *_resolution(s.n, s.q)) for s in sing]
+    euler_e = (euler_z - t_z) // order + sum(c * chain for c, chain, _, _ in resolved)
 
     k2_noether = 12 * chi - euler_e
-    k2_exact = Fraction(2 * (2 * g_f - 2) * (2 * g_d - 2), order) + sum(
-        (s.count * k2_correction(s.n, s.q) for s in sing), Fraction(0)
-    )
-    if k2_exact.denominator != 1 or k2_exact != k2_noether:
+    # By resolution K^2 = 2(2g_F - 2)(2g_D - 2)/|G| + sum of count * num/den;
+    # compared with Noether's value in integers over |G| * lcm(den).
+    k2_z = 2 * (2 * g_f - 2) * (2 * g_d - 2)
+    lcd = lcm(*(den for _, _, _, den in resolved))
+    if (k2_noether * order - k2_z) * lcd != order * sum(
+        c * num * (lcd // den) for c, _, num, den in resolved
+    ):
+        k2_exact = Fraction(k2_z, order) + sum(
+            (Fraction(c * num, den) for c, _, num, den in resolved), Fraction(0)
+        )
         raise InternalConsistencyError(
             f"canonical degree disagrees: {k2_noether} by Noether, {k2_exact} by resolution"
         )

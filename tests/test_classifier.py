@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import product
+from math import gcd
 from operator import mul
 
 import pytest
@@ -12,6 +13,7 @@ from isopencil import classifier, groups
 from isopencil.atlas import _actions_cell, abelian_groups_up_to
 from isopencil.classifier import (
     _branch_solutions,
+    _bucket_key,
     _canonical_solution,
     _stabilizer,
     _twist_interchangeable,
@@ -398,3 +400,42 @@ def test_generation_is_checked_once_per_branch_vector(monkeypatch):
     assert len(solutions) == 48
     assert calls["disconnected"] >= 1
     assert calls["generates"] == calls["make_cover"]
+
+
+def _per_solution_bucket_key(group, sol):
+    """The bucket key as fit_families once computed it, afresh for every solution."""
+    profile_f = eigen_profile(sol.cover_f)
+    constraint_chars = [
+        group.neg(chi)
+        for chi, dim in sorted(profile_f.items())
+        if dim and chi not in (group.identity, sol.chi0)
+    ]
+    target = group.neg(sol.chi0)
+    branch = dict(sol.cover_d.branch)
+    bounded = []
+    residues = []
+    for e in group.elements():
+        if e == group.identity:
+            continue
+        if any(group.pair_num(chi, e) for chi in constraint_chars):
+            if branch.get(e):
+                bounded.append((e, branch[e]))
+        else:
+            step = group.exponent // gcd(group.exponent, group.pair_num(target, e))
+            residues.append((e, branch.get(e, 0) % step))
+    return (sol.cover_f.branch, sol.cover_f.twist, sol.chi0, tuple(bounded), tuple(residues))
+
+
+@pytest.mark.parametrize("factors, genus_f, pg, least", [
+    ((2, 6), 2, (3, 30), 1452),
+    ((2, 2, 2), 3, (3, 8), 78),
+])
+def test_cached_bucket_split_matches_the_per_solution_key(factors, genus_f, pg, least):
+    group = make_group(factors)
+    checked = 0
+    for a in range(genus_f + 1):
+        for b in (0, 1):
+            for sol in classify_cell(factors, genus_f, a, b, pg):
+                assert _bucket_key(sol) == _per_solution_bucket_key(group, sol)
+                checked += 1
+    assert checked >= least

@@ -136,6 +136,8 @@ def test_compare_fans_every_cell_out_on_one_pool(capsys, monkeypatch):
     ("nosuch",),
     ("atlas", "--genus", "2", "--workers", "0"),
     ("compare", "tabelladue", "--workers", "x"),
+    ("covers", "--group", "4", "--base-genus", "0", "--max-branch-points", "-1"),
+    ("covers", "--group", "4", "--base-genus", "0", "--genus", "3", "--max-branch-points", "-1"),
 ])
 def test_invalid_inputs_exit_one(capsys, argv):
     code, _, err = run(capsys, *argv)

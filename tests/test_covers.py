@@ -1,7 +1,9 @@
 """Cover building data: validation, bundle degrees, eigenspace dims, genus."""
 
+import sys
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 
 import pytest
 
@@ -20,6 +22,7 @@ from isopencil.covers import (
 from isopencil.errors import (
     CapabilityError,
     DisconnectedCoverError,
+    InternalConsistencyError,
     InvalidInputError,
     InvalidMonodromyError,
 )
@@ -138,6 +141,27 @@ def test_cached_profile_matches_the_per_character_route(random_covers):
     first[c.group.identity] += 1
     first.clear()
     assert eigen_profile(c) == expected
+
+
+def _fraction_genus_rh(cover):
+    """Riemann-Hurwitz in Fractions, with element orders from the coordinates."""
+    g = cover.group
+    n = g.order
+    total = Fraction(1 + n * (cover.base_genus - 1))
+    for e, m in cover.branch:
+        o = lcm(*(k // gcd(a, k) for a, k in zip(e, g.factors)))
+        total += Fraction(n, 2) * m * Fraction(o - 1, o)
+    return total
+
+
+def test_integer_genus_rh_matches_the_fraction_formula(random_covers):
+    for c in random_covers:
+        assert genus_rh(c) == _fraction_genus_rh(c)
+    # Unchecked data with an odd ramification count: non-integral either way.
+    odd = CoverData(Z2, 0, (((1,), 1),), ())
+    assert _fraction_genus_rh(odd).denominator == 2
+    with pytest.raises(InternalConsistencyError):
+        genus_rh(odd)
 
 
 def test_pardini_carry_on_one_cover():
@@ -328,3 +352,57 @@ def test_enumerator_only_builds_closed_branch_vectors(monkeypatch):
     ]:
         list(enumerate_covers(make_group(factors), base_genus, up_to_aut=True, **bound))
     assert len(built) >= 100
+
+
+@pytest.mark.parametrize("base_genus, bounds", [
+    (True, {"genus": 3}),
+    (0, {"max_branch_points": -1}),
+    (0, {"genus": 3, "max_branch_points": -1}),
+    (0, {"max_branch_points": 2.5}),
+    (0, {"max_branch_points": True}),
+    (0, {"max_branch_points": "3"}),
+])
+def test_enumerate_covers_rejects_bad_bounds(base_genus, bounds):
+    with pytest.raises(InvalidInputError):
+        enumerate_covers(make_group([4]), base_genus, **bounds)
+
+
+def test_every_enumerator_frame_ends_in_a_leaf():
+    """The reachability table lets the enumerator enter only frames with a leaf below.
+
+    Frames are watched through the profiler hook: a generator frame that yields
+    fires a return event carrying the yielded branch, one that yields nothing
+    only fires return events carrying None.
+    """
+    frames = {}
+
+    def watch(frame, event, arg):
+        code = frame.f_code
+        if code.co_name == "leaves" and code.co_filename == covers_module.__file__:
+            seen = frames.setdefault(id(frame), [frame, False])
+            if event == "return" and arg is not None:
+                seen[1] = True
+
+    cases = [
+        ((2, 2, 2), 0, {"genus": 9}),
+        ((2, 4), 0, {"genus": 7}),
+        ((4, 4), 0, {"genus": 9}),
+        ((3, 3), 0, {"max_branch_points": 4}),
+        ((2, 2), 1, {"genus": 5}),
+        ((6,), 0, {"max_branch_points": 5}),
+    ]
+    previous = sys.getprofile()
+    sys.setprofile(watch)
+    try:
+        for factors, base_genus, bound in cases:
+            list(enumerate_covers(make_group(factors), base_genus, **bound))
+    finally:
+        sys.setprofile(previous)
+    assert len(frames) >= 100
+    assert [f.f_locals for f, leaf in frames.values() if not leaf] == []
+
+
+def test_one_nonzero_element_needs_no_reachability_table():
+    # The table has one bit per unit of weight; Z/2 closes by its one element alone.
+    (cover,) = enumerate_covers(Z2, 0, genus=10**9)
+    assert cover.branch == (((1,), 2 * 10**9 + 2),)

@@ -227,3 +227,25 @@ def test_index_tables_are_shared_by_groups_with_the_same_factors():
     assert first is not second
     assert first.index is second.index
     assert first.add_row((1, 3)) is second.add_row((1, 3))
+    assert first.elements() is second.elements()
+    assert first.orders is second.orders
+    assert first.neg_index is second.neg_index
+    assert first.pairing_row((1, 3)) is second.pairing_row((1, 3))
+    assert first.cyclic((1, 3)) is second.cyclic((1, 3))
+    assert make_group([4, 2]).orders is not first.orders
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [g.factors for g in abelian_groups_up_to(16)],
+    ids=lambda factors: ",".join(map(str, factors)) or "trivial",
+)
+def test_lookup_tables_match_the_coordinate_formulas(factors):
+    g = make_group(factors)
+    els = g.elements()
+    for i, x in enumerate(els):
+        multiples = _coordinate_closure(g, [x])
+        assert g.orders[i] == g.element_order(x) == len(multiples)
+        neg = tuple((-a) % n for a, n in zip(x, factors))
+        assert els[g.neg_index[i]] == g.neg(x) == neg
+        assert g.pairing_row(x) == tuple(g.pair_num(chi, x) for chi in els)

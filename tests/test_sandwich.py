@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import warnings
+from collections import Counter
+from math import gcd
 
 import pytest
 
 from isopencil import sandwich
-from isopencil.covers import eigen_profile, genus, make_cover
+from isopencil.atlas import abelian_groups_up_to
+from isopencil.covers import CoverData, eigen_profile, genus, make_cover
 from isopencil.errors import InvalidInputError, NotApplicableError
 from isopencil.groups import make_group
 from isopencil.sandwich import (
@@ -20,6 +23,7 @@ from isopencil.sandwich import (
     make_sandwich,
     singular_locus,
 )
+from isopencil.singularities import canonical_type
 
 
 def _klein_pair():
@@ -227,3 +231,118 @@ def test_invariants_builds_the_pairing_list_once(monkeypatch):
         assert report.p_g == geometric_genus(sw)
         if report.p_g >= 2:
             assert report.canonical_character == canonical_character(sw)
+
+
+def _coordinate_multiples(g, h):
+    """[0*h, 1*h, ..., (o-1)*h] by coordinate addition."""
+    out = [g.identity]
+    m = h
+    while m != g.identity:
+        out.append(m)
+        m = g.add(m, h)
+    return out
+
+
+def _oracle_point(g, h1, h2):
+    """The per-pair body singular_locus ran before the point-type table, on coordinates.
+
+    Returns (n, canonical (n, q), |G|/o1 * |G|/o2), or None when n == 1.
+    """
+    mult1 = _coordinate_multiples(g, h1)
+    mult2 = _coordinate_multiples(g, h2)
+    o1, o2 = len(mult1), len(mult2)
+    n = len(set(mult1) & set(mult2))
+    if n == 1:
+        return None
+    c = mult1[o1 // n]
+    k2 = next(k for k in range(1, o2) if mult2[k] == c)
+    assert k2 * n % o2 == 0
+    q = k2 * n // o2
+    assert 1 <= q < n and gcd(q, n) == 1
+    return n, canonical_type(n, q), (g.order // o1) * (g.order // o2)
+
+
+def _oracle_locus(sw):
+    """singular_locus with every point type recomputed for every pair."""
+    g = sw.group
+    classes = {}
+    for h1, d1 in sw.cover_f.branch:
+        for h2, d2 in sw.cover_d.branch:
+            point = _oracle_point(g, h1, h2)
+            if point is None:
+                continue
+            n, key, unit = point
+            z = d1 * d2 * unit
+            assert z * n % g.order == 0
+            bucket = classes.setdefault(key, [0, 0])
+            bucket[0] += z * n // g.order
+            bucket[1] += z
+    return tuple(SingularClass(n, q, c, z) for (n, q), (c, z) in sorted(classes.items()))
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [g.factors for g in abelian_groups_up_to(16)],
+    ids=lambda factors: ",".join(map(str, factors)) or "trivial",
+)
+def test_point_type_table_matches_the_per_pair_oracle(factors, monkeypatch):
+    monkeypatch.setattr(sandwich, "_POINT_TYPES", {})
+    g = make_group(factors)
+    nonzero = [e for e in g.elements() if e != g.identity]
+    for h1 in nonzero:
+        for h2 in nonzero:
+            assert sandwich._point_type(g, h1, h2) == _oracle_point(g, h1, h2), (h1, h2)
+    # Every ordered pair at once: singular_locus fills the table from both branches.
+    every = CoverData(g, 0, tuple((e, 1) for e in nonzero), ())
+    sw = sandwich.Sandwich(every, every)
+    assert singular_locus(sw) == _oracle_locus(sw)
+    table = sandwich._POINT_TYPES[g.factors]
+    assert set(table) == {(h1, h2) for h1 in nonzero for h2 in nonzero}
+    for (h1, h2), point in table.items():
+        assert point == _oracle_point(g, h1, h2), (h1, h2)
+
+
+def test_singular_locus_matches_the_per_pair_oracle(random_covers):
+    by_group = {}
+    for cover in random_covers:
+        by_group.setdefault(cover.group.factors, []).append(cover)
+    pairs = [(f, d) for covers in by_group.values() for f, d in zip(covers, covers[1:])]
+    assert len(pairs) >= 900
+    for f, d in pairs:
+        sw = sandwich.Sandwich(f, d)
+        assert singular_locus(sw) == _oracle_locus(sw)
+
+
+def test_each_point_type_is_computed_once_per_group_and_pair(random_covers, monkeypatch):
+    monkeypatch.setattr(sandwich, "_POINT_TYPES", {})
+    computed = Counter()
+    real = sandwich._point_type
+
+    def counting(g, h1, h2):
+        computed[g.factors, h1, h2] += 1
+        return real(g, h1, h2)
+
+    monkeypatch.setattr(sandwich, "_point_type", counting)
+    by_group = {}
+    for cover in random_covers:
+        by_group.setdefault(cover.group.factors, []).append(cover)
+    pairs = []
+    for factors, covers in by_group.items():
+        for f, d in zip(covers, covers[1:]):
+            # a fresh group object per pair, as parse_sandwich makes one per spec
+            g = make_group(factors)
+            pairs.append(
+                (
+                    make_cover(g, f.base_genus, f.branch, f.twist),
+                    make_cover(g, d.base_genus, d.branch, d.twist),
+                )
+            )
+    assert len(pairs) >= 900
+    for _ in range(2):
+        for f, d in pairs:
+            singular_locus(sandwich.Sandwich(f, d))
+    expected = {
+        (f.group.factors, h1, h2) for f, d in pairs for h1, _ in f.branch for h2, _ in d.branch
+    }
+    assert set(computed) == expected
+    assert set(computed.values()) == {1}
