@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
 
 from . import covers
-from .covers import CoverData, enumerate_covers
+from .covers import enumerate_covers
 from .errors import InvalidInputError
 from .groups import Element, FiniteAbelianGroup, make_group
 from .parallel import parallel_map, resolve_workers
+from .record import Record
 from .reference_tables import atlas_reference
 
 __all__ = [
@@ -28,14 +28,14 @@ ATLAS_TABLE_FOR_GENUS = {2: "tabelladue", 3: "tabellauno"}
 Profile = tuple[tuple[Element, int], ...]
 
 
-@dataclass(frozen=True)
-class AtlasRow:
-    genus: int
-    quotient_genus: int
-    group: FiniteAbelianGroup
-    profile: Profile
-    witness: CoverData
-    in_reference: bool | None = None
+class AtlasRow(Record):
+    """One action class: its canonical profile and a witness cover.
+
+    in_reference is None until atlas_table flags the row against the published table.
+    """
+
+    __slots__ = ("genus", "quotient_genus", "group", "profile", "witness", "in_reference")
+    _defaults = {"in_reference": None}
 
 
 def _partitions(n: int):
@@ -152,5 +152,14 @@ def atlas_table(genus: int, *, workers: int | None = None) -> list[AtlasRow]:
     for a in range(genus, -1, -1):
         for row in enumerate_actions(genus, a, workers=workers):
             key = (row.quotient_genus, row.group.factors, row.profile)
-            rows.append(replace(row, in_reference=key in listed))
+            rows.append(
+                AtlasRow(
+                    row.genus,
+                    row.quotient_genus,
+                    row.group,
+                    row.profile,
+                    row.witness,
+                    in_reference=key in listed,
+                )
+            )
     return rows

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
@@ -18,6 +17,7 @@ from .errors import (
 from .groups import Element, FiniteAbelianGroup, make_group
 from .linear import LinearForm
 from .parallel import parallel_map, resolve_workers
+from .record import Record, _set
 from .sandwich import InvariantReport, invariants, make_sandwich
 
 __all__ = [
@@ -33,32 +33,61 @@ __all__ = [
 FIBER_GENUS_RANGE = (2, 5)
 
 
-@dataclass(frozen=True)
-class SurfaceSolution:
+class SurfaceSolution(Record):
     """One pencil-bearing surface found at a specific section count."""
 
-    p_g: int
-    chi0: Element
-    cover_f: CoverData
-    cover_d: CoverData
-    genus_d: int
-    report: InvariantReport
+    __slots__ = ("p_g", "chi0", "cover_f", "cover_d", "genus_d", "report")
+
+    def __init__(
+        self,
+        p_g: int,
+        chi0: Element,
+        cover_f: CoverData,
+        cover_d: CoverData,
+        genus_d: int,
+        report: InvariantReport,
+    ):
+        _set(self, "p_g", p_g)
+        _set(self, "chi0", chi0)
+        _set(self, "cover_f", cover_f)
+        _set(self, "cover_d", cover_d)
+        _set(self, "genus_d", genus_d)
+        _set(self, "report", report)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p_g, self.chi0, self.cover_f, self.cover_d, self.genus_d, self.report) == (
+            other.p_g,
+            other.chi0,
+            other.cover_f,
+            other.cover_d,
+            other.genus_d,
+            other.report,
+        )
+
+    def __hash__(self):
+        return hash((self.p_g, self.chi0, self.cover_f, self.cover_d, self.genus_d, self.report))
 
 
-@dataclass(frozen=True)
-class FamilyRow:
-    """A fitted linear family, or an isolated solution, in one search cell."""
+class FamilyRow(Record):
+    """A fitted linear family, or an isolated solution, in one search cell.
 
-    factors: tuple[int, ...]
-    quotient_genus_a: int
-    quotient_genus_b: int
-    genus_f: int
-    chi0: Element
-    kind: str
-    pg_lo: int
-    pg_hi: int
-    forms: dict[str, LinearForm]
-    members: tuple[SurfaceSolution, ...]
+    forms maps column names to LinearForm; members holds the SurfaceSolutions.
+    """
+
+    __slots__ = (
+        "factors",
+        "quotient_genus_a",
+        "quotient_genus_b",
+        "genus_f",
+        "chi0",
+        "kind",
+        "pg_lo",
+        "pg_hi",
+        "forms",
+        "members",
+    )
 
 
 def _validate_pg_range(pg_range) -> tuple[int, int]:

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .atlas import atlas_table, canonical_profile
 from .classifier import FamilyRow
 from .errors import InvalidInputError
 from .groups import make_group
 from .linear import LinearForm
+from .record import Record
 from .reference_tables import (
     atlas_reference,
     atlas_table_ids,
@@ -33,69 +32,47 @@ Cell = tuple[tuple[int, ...], int, int, int]
 COMPARED_FIELDS = ("p_g", "g_D", "K2", "t_z")
 
 
-@dataclass(frozen=True)
-class Discrepancy:
+class Discrepancy(Record):
     """One field where a matched row disagrees with its reference row.
 
     The reference form is restated in the computed parameter, so equal slopes
     give an integer offset; a None delta marks a shape mismatch.
     """
 
-    table: str
-    index: int
-    field: str
-    reference: LinearForm
-    computed: LinearForm
-    delta: int | None
+    __slots__ = ("table", "index", "field", "reference", "computed", "delta")
 
 
-@dataclass(frozen=True)
-class MatchedRow:
+class MatchedRow(Record):
     """A reference row paired with a computed family, exact or not."""
 
-    table: str
-    index: int
-    cell: Cell
-    shift: int
-    discrepancies: tuple[Discrepancy, ...]
-    shared: bool = False
+    __slots__ = ("table", "index", "cell", "shift", "discrepancies", "shared")
+    _defaults = {"shared": False}
 
     @property
     def exact(self) -> bool:
         return not self.discrepancies
 
 
-@dataclass(frozen=True)
-class MissingRow:
+class MissingRow(Record):
     """A reference row inside the searched cells with no computed counterpart."""
 
-    table: str
-    index: int
-    cell: Cell
-    note: str
+    __slots__ = ("table", "index", "cell", "note")
 
 
-@dataclass(frozen=True)
-class ExtraRow:
-    """A computed family in a searched cell that matches no reference row."""
+class ExtraRow(Record):
+    """A computed family in a searched cell that matches no reference row.
 
-    cell: Cell
-    kind: str
-    forms: tuple[tuple[str, LinearForm], ...]
-    pg_lo: int
-    pg_hi: int
-    count: int
+    forms holds (column name, LinearForm) pairs in name order.
+    """
+
+    __slots__ = ("cell", "kind", "forms", "pg_lo", "pg_hi", "count")
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(Record):
     """Everything one table comparison produced, in reference-row order."""
 
-    table: str
-    matched: tuple[MatchedRow, ...]
-    missing: tuple[MissingRow, ...]
-    extra: tuple[ExtraRow, ...]
-    skipped: int = 0
+    __slots__ = ("table", "matched", "missing", "extra", "skipped")
+    _defaults = {"skipped": 0}
 
     @property
     def discrepancies(self) -> tuple[Discrepancy, ...]:
@@ -106,16 +83,10 @@ class ComparisonReport:
         return not (self.discrepancies or self.missing or self.extra)
 
 
-@dataclass(frozen=True)
-class _Group:
+class _Group(Record):
     """Computed rows sharing one cell and one printed set of column forms."""
 
-    cell: Cell
-    forms: dict[str, LinearForm]
-    kind: str
-    pg_lo: int
-    pg_hi: int
-    count: int
+    __slots__ = ("cell", "forms", "kind", "pg_lo", "pg_hi", "count")
 
 
 def _row_cell(row: FamilyRow) -> Cell:
@@ -298,15 +269,10 @@ def _miss_note(ref, families: list[_Group]) -> str:
     return "no computed family aligns with this row's g(D) column"
 
 
-@dataclass(frozen=True)
-class AtlasComparison:
+class AtlasComparison(Record):
     """Action-table comparison: matched and missing reference rows, extras kept."""
 
-    table: str
-    genus: int
-    matched: tuple[int, ...]
-    missing: tuple[int, ...]
-    extra_count: int
+    __slots__ = ("table", "genus", "matched", "missing", "extra_count")
 
     @property
     def exact(self) -> bool:

@@ -7,7 +7,6 @@ computed by exact integer arithmetic from that data alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
@@ -19,6 +18,7 @@ from .errors import (
     InvalidMonodromyError,
 )
 from .groups import Element, FiniteAbelianGroup
+from .record import Record, _set
 
 __all__ = [
     "CoverData",
@@ -35,14 +35,35 @@ __all__ = [
 TWIST_SPACE_BOUND = 100_000
 
 
-@dataclass(frozen=True)
-class CoverData:
+class CoverData(Record):
     """Cover data; its eigen-profile and genus are computed on first use and kept."""
 
-    group: FiniteAbelianGroup
-    base_genus: int
-    branch: tuple[tuple[Element, int], ...]
-    twist: tuple[Element, ...]
+    __slots__ = ("group", "base_genus", "branch", "twist", "__dict__")
+
+    def __init__(
+        self,
+        group: FiniteAbelianGroup,
+        base_genus: int,
+        branch: tuple[tuple[Element, int], ...],
+        twist: tuple[Element, ...],
+    ):
+        _set(self, "group", group)
+        _set(self, "base_genus", base_genus)
+        _set(self, "branch", branch)
+        _set(self, "twist", twist)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.group, self.base_genus, self.branch, self.twist) == (
+            other.group,
+            other.base_genus,
+            other.branch,
+            other.twist,
+        )
+
+    def __hash__(self):
+        return hash((self.group, self.base_genus, self.branch, self.twist))
 
     def branch_points(self) -> int:
         return sum(m for _, m in self.branch)

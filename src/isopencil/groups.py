@@ -11,31 +11,30 @@ pairing_row), each built on first use.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
 
 from .errors import CapabilityError, InvalidInputError
+from .record import Record, _set
 
 __all__ = [
     "Element",
     "FiniteAbelianGroup",
     "Automorphism",
     "make_group",
-    "element_order",
-    "generates",
-    "restriction_exponent",
-    "automorphisms",
     "parse_group",
-    "format_group",
-    "parse_element",
     "format_element",
 ]
 
 Element = tuple[int, ...]
 
 AUT_ORDER_BOUND = 64
+
+# Largest group order make_group accepts. Every search stays below
+# AUT_ORDER_BOUND; this bound keeps a spec file or --group naming Z/10**9 from
+# building element tables, and exhausting memory, before any other check runs.
+GROUP_ORDER_BOUND = 10_000
 
 _AUT_CACHE: dict[tuple[int, ...], tuple["Automorphism", ...]] = {}
 
@@ -262,15 +261,25 @@ class FiniteAbelianGroup:
         yield from extend([], frozenset({self.identity}))
 
 
-@dataclass(frozen=True)
-class Automorphism:
+class Automorphism(Record):
     """Group automorphism given by the images of the standard generators.
 
     Its lookup tables are built on first use and kept with the instance.
     """
 
-    group: FiniteAbelianGroup
-    images: tuple[Element, ...]
+    __slots__ = ("group", "images", "__dict__")
+
+    def __init__(self, group: FiniteAbelianGroup, images: tuple[Element, ...]):
+        _set(self, "group", group)
+        _set(self, "images", images)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.group, self.images) == (other.group, other.images)
+
+    def __hash__(self):
+        return hash((self.group, self.images))
 
     def _linear_table(self, basis_images) -> dict[Element, Element]:
         """g -> sum(g_i * basis_images[i]) for every g, in one pass over elements() order."""
@@ -319,27 +328,10 @@ def make_group(factors) -> FiniteAbelianGroup:
     for n in fs:
         if not isinstance(n, int) or isinstance(n, bool) or n < 2:
             raise InvalidInputError(f"cyclic factor {n!r} must be an integer >= 2")
+    order = prod(fs)
+    if order > GROUP_ORDER_BOUND:
+        raise InvalidInputError(f"group order {order} exceeds the bound {GROUP_ORDER_BOUND}")
     return FiniteAbelianGroup(fs)
-
-
-def element_order(group: FiniteAbelianGroup, g) -> int:
-    return group.element_order(group.validate(g))
-
-
-def generates(group: FiniteAbelianGroup, elems) -> bool:
-    return group.generates([group.validate(e) for e in elems])
-
-
-def restriction_exponent(group: FiniteAbelianGroup, chi, h) -> int:
-    return group.restriction_exponent(group.validate(chi), group.validate(h))
-
-
-def automorphisms(group: FiniteAbelianGroup) -> tuple[Automorphism, ...]:
-    return group.automorphisms()
-
-
-def format_group(group: FiniteAbelianGroup) -> str:
-    return ",".join(str(n) for n in group.factors)
 
 
 def parse_group(text: str) -> FiniteAbelianGroup:
@@ -355,13 +347,3 @@ def parse_group(text: str) -> FiniteAbelianGroup:
 
 def format_element(e: Element) -> str:
     return json.dumps(list(e), separators=(",", ":"))
-
-
-def parse_element(group: FiniteAbelianGroup, text: str) -> Element:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError:
-        raise InvalidInputError(f"element {text!r} is not a bracketed integer tuple") from None
-    if not isinstance(raw, list):
-        raise InvalidInputError(f"element {text!r} is not a bracketed integer tuple")
-    return group.validate(raw)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 
@@ -46,6 +45,8 @@ def _tabulate(header: list[str], body: list[list[str]]) -> str:
 
 
 def _csv(header: list[str], body: list[list[str]]) -> str:
+    import csv  # only CSV output needs it; keeps it out of every CLI start-up
+
     sink = io.StringIO()
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(header)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -15,6 +14,7 @@ from .errors import (
     NotApplicableError,
 )
 from .groups import Element, FiniteAbelianGroup
+from .record import Record, _set
 from .singularities import canonical_type, hj_expansion, k2_correction
 
 __all__ = [
@@ -30,40 +30,114 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Sandwich:
+class Sandwich(Record):
     """Two covers of the same group, multiplied and divided diagonally."""
 
-    cover_f: CoverData
-    cover_d: CoverData
+    __slots__ = ("cover_f", "cover_d")
+
+    def __init__(self, cover_f: CoverData, cover_d: CoverData):
+        _set(self, "cover_f", cover_f)
+        _set(self, "cover_d", cover_d)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.cover_f, self.cover_d) == (other.cover_f, other.cover_d)
+
+    def __hash__(self):
+        return hash((self.cover_f, self.cover_d))
 
     @property
     def group(self) -> FiniteAbelianGroup:
         return self.cover_f.group
 
 
-@dataclass(frozen=True)
-class SingularClass:
+class SingularClass(Record):
     """Aggregated cyclic quotient points of one type on the quotient surface."""
 
-    n: int
-    q: int
-    count: int
-    z_points: int
+    __slots__ = ("n", "q", "count", "z_points")
+
+    def __init__(self, n: int, q: int, count: int, z_points: int):
+        _set(self, "n", n)
+        _set(self, "q", q)
+        _set(self, "count", count)
+        _set(self, "z_points", z_points)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.q, self.count, self.z_points) == (
+            other.n,
+            other.q,
+            other.count,
+            other.z_points,
+        )
+
+    def __hash__(self):
+        return hash((self.n, self.q, self.count, self.z_points))
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(Record):
     """Numerical invariants of the minimal resolution of the quotient."""
 
-    p_g: int
-    q: int
-    chi: int
-    euler_e: int
-    K2: int
-    t_z: int
-    sing: tuple[SingularClass, ...]
-    canonical_character: Element | None
+    __slots__ = ("p_g", "q", "chi", "euler_e", "K2", "t_z", "sing", "canonical_character")
+
+    def __init__(
+        self,
+        p_g: int,
+        q: int,
+        chi: int,
+        euler_e: int,
+        K2: int,
+        t_z: int,
+        sing: tuple[SingularClass, ...],
+        canonical_character: Element | None,
+    ):
+        _set(self, "p_g", p_g)
+        _set(self, "q", q)
+        _set(self, "chi", chi)
+        _set(self, "euler_e", euler_e)
+        _set(self, "K2", K2)
+        _set(self, "t_z", t_z)
+        _set(self, "sing", sing)
+        _set(self, "canonical_character", canonical_character)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.p_g,
+            self.q,
+            self.chi,
+            self.euler_e,
+            self.K2,
+            self.t_z,
+            self.sing,
+            self.canonical_character,
+        ) == (
+            other.p_g,
+            other.q,
+            other.chi,
+            other.euler_e,
+            other.K2,
+            other.t_z,
+            other.sing,
+            other.canonical_character,
+        )
+
+    def __hash__(self):
+        return hash(
+            (
+                self.p_g,
+                self.q,
+                self.chi,
+                self.euler_e,
+                self.K2,
+                self.t_z,
+                self.sing,
+                self.canonical_character,
+            )
+        )
 
 
 def make_sandwich(cover_f: CoverData, cover_d: CoverData) -> Sandwich:

@@ -138,6 +138,7 @@ def test_compare_fans_every_cell_out_on_one_pool(capsys, monkeypatch):
     ("compare", "tabelladue", "--workers", "x"),
     ("covers", "--group", "4", "--base-genus", "0", "--max-branch-points", "-1"),
     ("covers", "--group", "4", "--base-genus", "0", "--genus", "3", "--max-branch-points", "-1"),
+    ("covers", "--group", "200000", "--base-genus", "0"),
 ])
 def test_invalid_inputs_exit_one(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -173,3 +174,12 @@ def test_cli_import_leaves_the_process_pool_unloaded():
         [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "False"
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = "import sys, isopencil.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"

@@ -1,5 +1,6 @@
 """Exact-arithmetic group layer: orders, pairings, generation, automorphisms."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -7,17 +8,7 @@ import pytest
 
 from isopencil.atlas import abelian_groups_up_to
 from isopencil.errors import CapabilityError, InvalidInputError
-from isopencil.groups import (
-    automorphisms,
-    element_order,
-    format_element,
-    format_group,
-    generates,
-    make_group,
-    parse_element,
-    parse_group,
-    restriction_exponent,
-)
+from isopencil.groups import _TABLES, GROUP_ORDER_BOUND, format_element, make_group, parse_group
 
 
 def test_make_group_orders():
@@ -47,28 +38,28 @@ def test_element_validation():
 
 def test_element_order():
     g = make_group([2, 8])
-    assert element_order(g, (1, 4)) == 2
-    assert element_order(g, (1, 5)) == 8
-    assert element_order(make_group([2, 2]), (0, 0)) == 1
+    assert g.element_order((1, 4)) == 2
+    assert g.element_order((1, 5)) == 8
+    assert make_group([2, 2]).element_order((0, 0)) == 1
 
 
 def test_generates():
-    assert generates(make_group([2, 2]), [(1, 0), (0, 1)])
-    assert generates(make_group([2, 8]), [(0, 7), (1, 4), (1, 5)])
-    assert not generates(make_group([2, 2]), [(1, 1)])
-    assert generates(make_group([]), [])
-    assert not generates(make_group([3]), [])
+    assert make_group([2, 2]).generates([(1, 0), (0, 1)])
+    assert make_group([2, 8]).generates([(0, 7), (1, 4), (1, 5)])
+    assert not make_group([2, 2]).generates([(1, 1)])
+    assert make_group([]).generates([])
+    assert not make_group([3]).generates([])
 
 
 def test_restriction_exponent():
-    assert restriction_exponent(make_group([4]), (2,), (1,)) == 2
-    assert restriction_exponent(make_group([2, 8]), (0, 1), (0, 7)) == 7
-    assert restriction_exponent(make_group([2, 8]), (0, 0), (1, 5)) == 0
+    assert make_group([4]).restriction_exponent((2,), (1,)) == 2
+    assert make_group([2, 8]).restriction_exponent((0, 1), (0, 7)) == 7
+    assert make_group([2, 8]).restriction_exponent((0, 0), (1, 5)) == 0
 
 
 def test_restriction_exponent_rejects_identity():
     with pytest.raises(InvalidInputError):
-        restriction_exponent(make_group([2, 2]), (1, 0), (0, 0))
+        make_group([2, 2]).restriction_exponent((1, 0), (0, 0))
 
 
 def test_pairing_values():
@@ -101,23 +92,23 @@ def test_pairing_nondegenerate():
 def test_restriction_exponent_additive():
     g = make_group([2, 8])
     h = (1, 5)
-    o = element_order(g, h)
+    o = g.element_order(h)
     for chi in g.elements():
         for psi in g.elements():
-            lhs = restriction_exponent(g, g.add(chi, psi), h)
-            rhs = (restriction_exponent(g, chi, h) + restriction_exponent(g, psi, h)) % o
+            lhs = g.restriction_exponent(g.add(chi, psi), h)
+            rhs = (g.restriction_exponent(chi, h) + g.restriction_exponent(psi, h)) % o
             assert lhs == rhs
 
 
 def test_automorphism_counts():
-    assert len(automorphisms(make_group([2]))) == 1
-    assert len(automorphisms(make_group([3]))) == 2
-    assert len(automorphisms(make_group([2, 2]))) == 6
+    assert len(make_group([2]).automorphisms()) == 1
+    assert len(make_group([3]).automorphisms()) == 2
+    assert len(make_group([2, 2]).automorphisms()) == 6
 
 
 def test_automorphisms_are_bijective_homomorphisms():
     g = make_group([2, 4])
-    auts = automorphisms(g)
+    auts = g.automorphisms()
     assert len(auts) == 8
     for alpha in auts:
         seen = {alpha.apply(x) for x in g.elements()}
@@ -129,7 +120,7 @@ def test_automorphisms_are_bijective_homomorphisms():
 
 def test_automorphism_character_action_compatible():
     g = make_group([2, 8])
-    for alpha in automorphisms(g):
+    for alpha in g.automorphisms():
         for chi in g.elements():
             pulled = alpha.apply_char(chi)
             for x in g.elements():
@@ -143,7 +134,7 @@ def test_automorphism_character_action_compatible():
 )
 def test_automorphism_tables_match_coordinate_formulas(factors):
     g = make_group(factors)
-    for alpha in automorphisms(g):
+    for alpha in g.automorphisms():
         assert list(alpha.table) == g.elements()
         for x in g.elements():
             image = g.identity
@@ -157,13 +148,14 @@ def test_automorphism_tables_match_coordinate_formulas(factors):
 
 def test_automorphism_bound():
     with pytest.raises(CapabilityError):
-        automorphisms(make_group([72]))
+        make_group([72]).automorphisms()
 
 
 def test_group_serialization_round_trip():
     g = make_group([2, 8])
-    assert format_group(g) == "2,8"
-    assert parse_group("2,8") == g
+    text = ",".join(map(str, g.factors))  # how render spells a group
+    assert text == "2,8"
+    assert parse_group(text) == g
     assert parse_group(" 2, 8 ") == g
     with pytest.raises(InvalidInputError):
         parse_group("")
@@ -173,17 +165,27 @@ def test_group_serialization_round_trip():
         parse_group("2,1")
 
 
+def test_group_order_is_bounded_before_any_table_is_built():
+    assert parse_group(str(GROUP_ORDER_BOUND)).order == GROUP_ORDER_BOUND
+    for text in (str(GROUP_ORDER_BOUND + 1), "1000,1000", str(10**9)):
+        with pytest.raises(InvalidInputError, match="exceeds the bound"):
+            parse_group(text)
+    with pytest.raises(InvalidInputError, match="exceeds the bound"):
+        make_group([2, GROUP_ORDER_BOUND])
+    assert not {(GROUP_ORDER_BOUND + 1,), (1000, 1000), (10**9,), (2, GROUP_ORDER_BOUND)} & set(_TABLES)
+
+
 def test_element_serialization_round_trip():
     g = make_group([2, 8])
     assert format_element((1, 4)) == "[1,4]"
-    assert parse_element(g, "[1,4]") == (1, 4)
-    assert parse_element(g, " [ 1 , 4 ] ") == (1, 4)
+    assert g.validate(json.loads("[1,4]")) == (1, 4)
+    assert g.validate(json.loads(" [ 1 , 4 ] ")) == (1, 4)
     with pytest.raises(InvalidInputError):
-        parse_element(g, "[1]")
+        g.validate(json.loads("[1]"))
     with pytest.raises(InvalidInputError):
-        parse_element(g, "[1,9]")
+        g.validate(json.loads("[1,9]"))
     with pytest.raises(InvalidInputError):
-        parse_element(g, "nope")
+        g.validate("nope")
 
 
 def _coordinate_closure(g, elems):

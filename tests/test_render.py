@@ -68,6 +68,18 @@ def test_bad_specs_are_rejected(mangle):
         parse_sandwich(data)
 
 
+def test_spec_group_order_is_bounded_before_any_table_is_built():
+    from isopencil.groups import _TABLES, GROUP_ORDER_BOUND
+
+    order = 200_000
+    assert order > GROUP_ORDER_BOUND
+    point = {"elem": [1], "mult": 1}
+    cover = {"base_genus": 0, "branch": [point, {"elem": [order - 1], "mult": 1}], "twist": []}
+    with pytest.raises(InvalidInputError, match="exceeds the bound"):
+        parse_sandwich({"group": [order], "coverF": cover, "coverD": cover})
+    assert (order,) not in _TABLES
+
+
 def test_load_sandwich_file_errors(tmp_path):
     with pytest.raises(InvalidInputError, match="cannot read"):
         load_sandwich(str(tmp_path / "absent.json"))
