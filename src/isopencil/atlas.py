@@ -94,7 +94,7 @@ def canonical_profile(group: FiniteAbelianGroup, profile) -> Profile:
         profile = profile.items()
     items = []
     for chi, dim in profile:
-        if not isinstance(dim, int) or dim < 0:
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
             raise InvalidInputError(f"eigenspace dimension must be an integer >= 0, got {dim!r}")
         if dim:
             items.append((group.validate(chi), dim))

@@ -207,10 +207,12 @@ def _complete_twist(group: FiniteAbelianGroup, base_genus: int, elems) -> tuple 
     if base_genus == 0:
         return ()
     pool = group.elements()
-    fixed = list(elems)
+    kernel_mask = group.kernel_mask
+    fixed = group.common_kernel(elems)
     for t1 in pool:
+        left = fixed & kernel_mask(t1)
         for t2 in pool:
-            if group.generates(fixed + [t1, t2]):
+            if left & kernel_mask(t2) == 1:  # the same test as group.generates
                 return (t1, t2)
     return None
 

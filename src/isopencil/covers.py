@@ -101,7 +101,7 @@ def make_cover(group: FiniteAbelianGroup, base_genus, branch, twist=()) -> Cover
     merged: dict[Element, int] = {}
     points = 0
     for elem, mult in entries:
-        e = group.validate(elem)
+        e = _element(group, elem)
         if not isinstance(mult, int) or isinstance(mult, bool) or mult < 0:
             raise InvalidInputError(f"branch multiplicity {mult!r} must be an integer >= 0")
         if mult == 0:
@@ -112,7 +112,7 @@ def make_cover(group: FiniteAbelianGroup, base_genus, branch, twist=()) -> Cover
         points += mult
     branch_t = tuple(sorted(merged.items()))
 
-    twist_t = tuple(group.validate(t) for t in twist)
+    twist_t = tuple(_element(group, t) for t in twist)
     if len(twist_t) != 2 * base_genus:
         raise InvalidInputError(
             f"twist must list {2 * base_genus} elements for base genus {base_genus}, got {len(twist_t)}"
@@ -138,6 +138,21 @@ def make_cover(group: FiniteAbelianGroup, base_genus, branch, twist=()) -> Cover
         raise DisconnectedCoverError("branch and twist data do not generate the group")
 
     return CoverData(group, base_genus, branch_t, twist_t)
+
+
+def _element(group: FiniteAbelianGroup, x) -> Element:
+    """x itself when it is one of the group's own element tuples, else group.validate(x).
+
+    Only the very object skips the coordinate check: an equal tuple such as
+    (True, 1) is a different object, so it is validated, and rejected.
+    """
+    try:
+        i = group.index.get(x)
+    except TypeError:  # unhashable, such as a list
+        i = None
+    if i is not None and group.elements()[i] is x:
+        return x
+    return group.validate(x)
 
 
 def _degree_of_num(grp: FiniteAbelianGroup, chi: Element, num: int) -> int:
@@ -242,7 +257,7 @@ def enumerate_covers(
     if dims is not None:
         dims = {group.validate(k): v for k, v in dims.items()}
         for v in dims.values():
-            if not isinstance(v, int) or v < 0:
+            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise InvalidInputError(f"dimension constraint {v!r} must be an integer >= 0")
         if genus is None and len(dims) == group.order:
             genus = sum(dims.values())
@@ -380,9 +395,16 @@ def _iter_covers(group, base_genus, target_genus, max_branch_points, dims, up_to
             branches = leaves(0, 0, target, count_budget, [])
     else:
         branches = [()] if target in (None, 0) else []
-    least: dict[tuple, tuple] = {}  # key of every orbit member met -> orbit minimum
+    # Key of every orbit member met -> orbit minimum. A leaf's (branch, twist)
+    # is already in make_cover's normal form (branch sorted by element, no zero
+    # multiplicity), so a known non-minimal orbit member is skipped unbuilt.
+    least: dict[tuple, tuple] = {}
     for branch in branches:
         for twist in twists:
+            key = (branch, twist)
+            known = least.get(key) if up_to_aut else None
+            if known is not None and known != key:
+                continue
             try:
                 cover = make_cover(group, base_genus, branch, twist)
             except InvalidInputError:
@@ -391,11 +413,13 @@ def _iter_covers(group, base_genus, target_genus, max_branch_points, dims, up_to
                 profile = eigen_profile(cover)
                 if any(profile[k] != v for k, v in dims.items()):
                     continue
-            if up_to_aut:
-                key = (cover.branch, cover.twist)
-                if key not in least:
-                    orbit = _aut_orbit(cover)
-                    least.update(dict.fromkeys(orbit, min(orbit)))
+            if up_to_aut and known is None:
+                if key != (cover.branch, cover.twist):
+                    raise InternalConsistencyError(
+                        f"enumerator leaf {key} is not in normal form {(cover.branch, cover.twist)}"
+                    )
+                orbit = _aut_orbit(cover)
+                least.update(dict.fromkeys(orbit, min(orbit)))
                 if least[key] != key:
                     continue
             yield cover

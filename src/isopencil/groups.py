@@ -5,7 +5,7 @@ factors; the pairing <chi, g> = sum(chi[i]*g[i]/n_i) mod 1 is carried as an
 integer numerator over the group exponent, so no floats appear anywhere.
 Hot loops also number the elements by their position in elements() and read
 per-group lookup tables by that index (index, add_row, orders, neg_index,
-pairing_row), each built on first use.
+pairing_row, kernel_mask), each built on first use.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class _Tables:
     group per parsed spec reads the tables the previous one built.
     """
 
-    __slots__ = ("elements", "index", "orders", "neg", "rows", "pairing", "cyclic")
+    __slots__ = ("elements", "index", "orders", "neg", "rows", "pairing", "kernel", "cyclic")
 
     def __init__(self):
         self.elements: list[Element] | None = None
@@ -55,6 +55,7 @@ class _Tables:
         self.neg: tuple[int, ...] | None = None  # index of -x, by index of x
         self.rows: dict[int, tuple[int, ...]] = {}  # index of x -> add_row(x)
         self.pairing: dict[int, tuple[int, ...]] = {}  # index of g -> pairing_row(g)
+        self.kernel: dict[int, int] = {}  # index of g -> kernel_mask(g)
         self.cyclic: dict[Element, frozenset[Element]] = {}
 
 
@@ -85,6 +86,10 @@ class FiniteAbelianGroup:
 
     def __repr__(self) -> str:
         return f"FiniteAbelianGroup({list(self.factors)})"
+
+    def __reduce__(self):
+        # Pickle the factors only: the unpickled group re-attaches to _TABLES.
+        return (FiniteAbelianGroup, (self.factors,))
 
     @property
     def identity(self) -> Element:
@@ -180,6 +185,23 @@ class FiniteAbelianGroup:
             row = pairing[i] = tuple(values)
         return row
 
+    def kernel_mask(self, g: Element) -> int:
+        """Bit j set when the j-th character (elements() order) vanishes on g; built on first use."""
+        kernel = self._tables.kernel
+        i = self.index[g]
+        mask = kernel.get(i)
+        if mask is None:
+            row = self.pairing_row(g)
+            mask = kernel[i] = int("".join("0" if v else "1" for v in reversed(row)), 2)
+        return mask
+
+    def common_kernel(self, elems) -> int:
+        """Mask of the characters vanishing on every element (all of them for none)."""
+        mask = (1 << self.order) - 1
+        for x in elems:
+            mask &= self.kernel_mask(x)
+        return mask
+
     def pairing(self, chi: Element, g: Element) -> Fraction:
         return Fraction(self.pair_num(chi, g), self.exponent)
 
@@ -212,7 +234,12 @@ class FiniteAbelianGroup:
         return frozenset(els[i] for i in self._span(elems))
 
     def generates(self, elems) -> bool:
-        return len(self._span(elems)) == self.order
+        """True when only the trivial character (bit 0) vanishes on all elems.
+
+        A subgroup of a finite Abelian group is the whole group exactly when
+        its annihilator in the character group is trivial.
+        """
+        return self.common_kernel(elems) == 1
 
     def cyclic(self, h: Element) -> frozenset[Element]:
         cyclic = self._tables.cyclic

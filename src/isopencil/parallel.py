@@ -3,16 +3,13 @@
 from __future__ import annotations
 
 import os
-from typing import Callable, Iterable, Sequence, TypeVar
+from collections.abc import Callable, Iterable, Sequence
 
 from .errors import InvalidInputError
 
 __all__ = ["WORKERS_ENV", "parallel_map", "resolve_workers"]
 
 WORKERS_ENV = "ISOPENCIL_WORKERS"
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -35,7 +32,7 @@ def resolve_workers(workers: int | None = None) -> int:
     return workers
 
 
-def parallel_map(fn: Callable[[_T], _R], items: Iterable[_T], workers: int) -> Sequence[_R]:
+def parallel_map(fn: Callable, items: Iterable, workers: int) -> Sequence:
     """Map fn over items, preserving order; results match the sequential run."""
     cells = list(items)
     if workers <= 1 or len(cells) <= 1:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 from .covers import CoverData, make_cover
 from .errors import InvalidInputError
@@ -96,9 +95,9 @@ def parse_sandwich(data) -> Sandwich:
 
 def load_sandwich(path: str) -> Sandwich:
     """Read and validate a spec file from disk."""
-    spot = Path(path)
     try:
-        text = spot.read_text()
+        with open(path) as handle:
+            text = handle.read()
     except OSError as err:
         raise InvalidInputError(f"cannot read spec file {path!r}: {err.strerror}")
     try:

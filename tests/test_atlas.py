@@ -63,6 +63,12 @@ def test_canonical_profile_drops_zero_dims():
     assert canonical_profile(g2, {(0,): 0, (1,): 2}) == (((1,), 2),)
 
 
+@pytest.mark.parametrize("profile", [{(1,): True}, {(0,): 0, (1,): False}, [((1,), True)]])
+def test_canonical_profile_rejects_bool_dims(profile):
+    with pytest.raises(InvalidInputError, match="eigenspace dimension"):
+        canonical_profile(make_group([2]), profile)
+
+
 def test_genus_two_base_one():
     rows = enumerate_actions(2, 1)
     assert len(rows) == 1

@@ -183,3 +183,12 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
         [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_cli_import_without_site_loads_neither_typing_nor_pathlib():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = "import sys, isopencil.cli; print(sorted({'typing', 'pathlib'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"

@@ -196,6 +196,30 @@ def test_enumerate_covers_respects_dims_constraint():
     assert [c.branch for c in covers] == [(((1,), 6),)]
 
 
+def test_make_cover_validates_every_element_but_the_groups_own_tuples():
+    els = Z28.elements()
+    own_branch = [(els[Z28.index[(0, 7)]], 1), (els[Z28.index[(1, 4)]], 1), (els[Z28.index[(1, 5)]], 1)]
+    copy_branch = [(tuple(list(e)), m) for e, m in own_branch]
+    assert all(c is not o for (c, _), (o, _) in zip(copy_branch, own_branch))
+    assert make_cover(Z28, 0, own_branch) == make_cover(Z28, 0, copy_branch)
+    assert make_cover(Z28, 0, [([0, 7], 1), ([1, 4], 1), ([1, 5], 1)]) == make_cover(Z28, 0, own_branch)
+    twist = (Z2.elements()[1], Z2.elements()[0])
+    assert make_cover(Z2, 1, {}, twist) == make_cover(Z2, 1, {}, ((1,), tuple([0])))
+    bad_branches = [
+        [((True, 1), 1), ((1, 7), 1)],  # equal to (1, 1), but a bool coordinate
+        [([1, 9], 1), ([1, 7], 1)],  # list with an out-of-range coordinate
+        [((2, 0), 1), ((0, 0), 1)],  # out-of-range tuple
+        [((1, 4, 0), 2)],  # wrong length
+        [(([1], 0), 1)],  # unhashable coordinates
+    ]
+    for branch in bad_branches:
+        with pytest.raises(InvalidInputError):
+            make_cover(Z28, 0, branch)
+    for twist in [((True,), (0,)), ([2], (0,)), ((1,), (-1,))]:
+        with pytest.raises(InvalidInputError):
+            make_cover(Z2, 1, {}, twist)
+
+
 def test_enumerate_covers_requires_a_bound():
     with pytest.raises(CapabilityError):
         list(enumerate_covers(Z22, 0))
@@ -354,6 +378,38 @@ def test_enumerator_only_builds_closed_branch_vectors(monkeypatch):
     assert len(built) >= 100
 
 
+def test_up_to_aut_builds_only_yielded_covers_and_first_orbit_members(monkeypatch):
+    built = []
+
+    def recording_make_cover(*args, **kwargs):
+        cover = make_cover(*args, **kwargs)
+        built.append(cover)
+        return cover
+
+    monkeypatch.setattr(covers_module, "make_cover", recording_make_cover)
+    skipped = 0
+    for factors, base_genus, bound in [
+        ((2, 2, 2), 0, {"genus": 7}),
+        ((2, 4), 0, {"genus": 9}),
+        ((4, 4), 0, {"genus": 9}),
+        ((3, 3), 0, {"max_branch_points": 4}),
+        ((2, 2), 1, {"genus": 5}),
+        ((3,), 1, {"max_branch_points": 3}),
+    ]:
+        every = list(enumerate_covers(make_group(factors), base_genus, **bound))
+        built.clear()
+        yielded = list(enumerate_covers(make_group(factors), base_genus, up_to_aut=True, **bound))
+        assert set(yielded) <= set(built)
+        met = set()  # (branch, twist) of every orbit member of a cover built so far
+        for cover in built:
+            key = (cover.branch, cover.twist)
+            assert cover in yielded or key not in met, f"{key} was built after its orbit was known"
+            met |= covers_module._aut_orbit(cover)
+        assert len(built) == len(set(built))
+        skipped += len(every) - len(built)
+    assert skipped >= 100
+
+
 @pytest.mark.parametrize("base_genus, bounds", [
     (True, {"genus": 3}),
     (0, {"max_branch_points": -1}),
@@ -361,6 +417,9 @@ def test_enumerator_only_builds_closed_branch_vectors(monkeypatch):
     (0, {"max_branch_points": 2.5}),
     (0, {"max_branch_points": True}),
     (0, {"max_branch_points": "3"}),
+    (0, {"genus": 3, "dims": {(1,): True}}),
+    (0, {"max_branch_points": 4, "dims": {(2,): False}}),
+    (0, {"dims": {(0,): 0, (1,): True, (2,): 0, (3,): 1}}),
 ])
 def test_enumerate_covers_rejects_bad_bounds(base_genus, bounds):
     with pytest.raises(InvalidInputError):

@@ -1,6 +1,7 @@
 """Exact-arithmetic group layer: orders, pairings, generation, automorphisms."""
 
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -215,13 +216,35 @@ def test_index_subgroup_matches_the_coordinate_closure(factors):
     assert [g.index[x] for x in els] == list(range(g.order))
     for x in els:
         assert [els[j] for j in g.add_row(x)] == [g.add(y, x) for y in els]
+        assert g.kernel_mask(x) == sum(1 << j for j, v in enumerate(g.pairing_row(x)) if v == 0)
+    sets = [[], [g.identity], list(els)]
     for _ in range(40):
         gens = [rng.choice(els) for _ in range(rng.randrange(4))]
+        if rng.random() < 0.3:
+            gens.append(g.identity)
+        sets.append(gens)
+    for gens in sets:
         span = _coordinate_closure(g, gens)
         assert g.subgroup(gens) == span
         assert g.generates(gens) == (len(span) == g.order)
+        assert g.generates([tuple(list(x)) for x in gens]) == g.generates(gens)
     for x in els:
         assert g.cyclic(x) == _coordinate_closure(g, [x])
+
+
+def test_pickled_group_reattaches_to_the_shared_tables():
+    from isopencil.covers import eigen_profile, make_cover
+
+    g = make_group([2, 6])
+    cover = make_cover(g, 0, {(1, 0): 2, (0, 1): 1, (0, 5): 1, (1, 3): 2})
+    eigen_profile(cover)  # fills the shared tables that a pool result used to carry
+    data = pickle.dumps(cover)
+    assert b"_Tables" not in data
+    assert len(data) < len(pickle.dumps(g._tables))
+    back = pickle.loads(data)
+    assert back == cover
+    assert back.group._tables is _TABLES[(2, 6)]
+    assert pickle.loads(pickle.dumps(make_group([3])))._tables is _TABLES[(3,)]
 
 
 def test_index_tables_are_shared_by_groups_with_the_same_factors():

@@ -1,6 +1,7 @@
 """Spec-file schema and the three output formats stay stable and reversible."""
 
 import json
+import time
 
 import pytest
 
@@ -78,6 +79,21 @@ def test_spec_group_order_is_bounded_before_any_table_is_built():
     with pytest.raises(InvalidInputError, match="exceeds the bound"):
         parse_sandwich({"group": [order], "coverF": cover, "coverD": cover})
     assert (order,) not in _TABLES
+
+
+def test_two_point_spec_over_the_largest_cyclic_group_is_rejected_quickly():
+    from isopencil.groups import GROUP_ORDER_BOUND
+
+    order = GROUP_ORDER_BOUND
+    cover = {
+        "base_genus": 0,
+        "branch": [{"elem": [1], "mult": 1}, {"elem": [order - 1], "mult": 1}],
+        "twist": [],
+    }
+    start = time.monotonic()
+    with pytest.raises(InvalidInputError, match="genus >= 2"):
+        parse_sandwich({"group": [order], "coverF": cover, "coverD": cover})
+    assert time.monotonic() - start < 2.0
 
 
 def test_load_sandwich_file_errors(tmp_path):
