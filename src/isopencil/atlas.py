@@ -20,6 +20,7 @@ __all__ = [
     "abelian_groups_up_to",
     "atlas_table",
     "canonical_profile",
+    "check_genera",
     "enumerate_actions",
 ]
 
@@ -92,16 +93,22 @@ def canonical_profile(group: FiniteAbelianGroup, profile) -> Profile:
     """Smallest relabeling of a character-dimension table over group symmetry."""
     if isinstance(profile, dict):
         profile = profile.items()
-    items = []
+    index = group.index
+    chars = []
+    dims = []
     for chi, dim in profile:
         if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
             raise InvalidInputError(f"eigenspace dimension must be an integer >= 0, got {dim!r}")
         if dim:
-            items.append((group.validate(chi), dim))
-    return min(
-        tuple(sorted((alpha.char_table[chi], dim) for chi, dim in items))
+            chars.append(index[group.validate(chi)])
+            dims.append(dim)
+    # Index order is element order, so the minimum is taken over indices.
+    low = min(
+        tuple(sorted(zip(map(alpha.char_perm.__getitem__, chars), dims)))
         for alpha in group.automorphisms()
     )
+    els = group.elements()
+    return tuple((els[i], dim) for i, dim in low)
 
 
 @lru_cache(maxsize=None)
@@ -119,18 +126,23 @@ def _actions_cell_star(args: tuple[int, int, tuple[int, ...]]) -> tuple[AtlasRow
     return _actions_cell(*args)
 
 
-def enumerate_actions(genus: int, quotient_genus: int, *, workers: int | None = None) -> list[AtlasRow]:
-    """All actions with the given curve genus and quotient genus, one row per class.
-
-    Two actions land in the same row when a group symmetry carries one cover to
-    the other; the row keeps the canonical eigenspace profile and one witness.
-    """
+def check_genera(genus: int, quotient_genus: int) -> None:
+    """Raise InvalidInputError unless 2 <= genus <= 5 and 0 <= quotient_genus <= genus."""
     if not isinstance(genus, int) or not 2 <= genus <= 5:
         raise InvalidInputError(f"curve genus must be an integer in 2..5, got {genus!r}")
     if not isinstance(quotient_genus, int) or not 0 <= quotient_genus <= genus:
         raise InvalidInputError(
             f"quotient genus must be an integer in 0..{genus}, got {quotient_genus!r}"
         )
+
+
+def enumerate_actions(genus: int, quotient_genus: int, *, workers: int | None = None) -> list[AtlasRow]:
+    """All actions with the given curve genus and quotient genus, one row per class.
+
+    Two actions land in the same row when a group symmetry carries one cover to
+    the other; the row keeps the canonical eigenspace profile and one witness.
+    """
+    check_genera(genus, quotient_genus)
     cells = [(genus, quotient_genus, g.factors) for g in abelian_groups_up_to(4 * genus + 4)]
     merged = parallel_map(_actions_cell_star, cells, resolve_workers(workers))
     rows = [row for cell in merged for row in cell]

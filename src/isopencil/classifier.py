@@ -243,18 +243,29 @@ def _stabilizer(cover: CoverData):
 
     When the twist is not interchangeable, only automorphisms fixing the twist
     tuple itself are kept: a subgroup of the cover's symmetries, so no two
-    distinct solutions are merged, though one may be listed twice.
+    distinct solutions are merged, though one may be listed twice. Each kept
+    automorphism alpha comes as two element maps: character chi -> chi o alpha,
+    and alpha(g) -> g.
     """
     group = cover.group
+    els = group.elements()
+    index = group.index
     loose_twist = not cover.twist or _twist_interchangeable(cover)
+    branch = tuple((index[e], m) for e, m in cover.branch)
+    indices = [i for i, _ in branch]
+    mults = [m for _, m in branch]
+    twist = tuple(index[t] for t in cover.twist)
     kept = []
     for alpha in group.automorphisms():
-        image = alpha.table
-        if tuple(sorted((image[e], m) for e, m in cover.branch)) != cover.branch:
+        image = alpha.perm.__getitem__
+        if tuple(sorted(zip(map(image, indices), mults))) != branch:
             continue
-        if not loose_twist and tuple(image[t] for t in cover.twist) != cover.twist:
+        if not loose_twist and tuple(map(image, twist)) != twist:
             continue
-        kept.append(alpha)
+        kept.append((
+            dict(zip(els, [els[j] for j in alpha.char_perm])),
+            dict(zip([els[j] for j in alpha.perm], els)),
+        ))
     return tuple(kept)
 
 
@@ -266,11 +277,11 @@ def _canonical_solution(stab, chi0: Element, branch: dict[Element, int]):
     character decides first, so only the automorphisms carrying chi0 to the
     smallest image need their branch image.
     """
-    low = min(alpha.char_table[chi0] for alpha in stab)
+    low = min(pull[chi0] for pull, _ in stab)
     return low, min(
-        tuple(sorted(zip(map(alpha.preimage.__getitem__, branch), branch.values())))
-        for alpha in stab
-        if alpha.char_table[chi0] == low
+        tuple(sorted(zip(map(preimage.__getitem__, branch), branch.values())))
+        for pull, preimage in stab
+        if pull[chi0] == low
     )
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .atlas import ATLAS_TABLE_FOR_GENUS, atlas_table
+from .atlas import ATLAS_TABLE_FOR_GENUS, atlas_table, check_genera
 from .classifier import classify, classify_cells, search_cells
 from .covers import enumerate_covers
 from .compare import compare_atlas_with_reference, compare_with_reference
@@ -101,6 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_atlas(args) -> str:
+    if args.quotient_genus is not None:
+        check_genera(args.genus, args.quotient_genus)
     rows = atlas_table(args.genus, workers=args.workers)
     if args.quotient_genus is not None:
         rows = [row for row in rows if row.quotient_genus == args.quotient_genus]

@@ -8,7 +8,6 @@ computed by exact integer arithmetic from that data alone.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product
 
 from .errors import (
     CapabilityError,
@@ -215,14 +214,35 @@ def genus(cover: CoverData) -> int:
     return cover._genus
 
 
+def _index_orbit(group: FiniteAbelianGroup, branch: tuple, twist: tuple) -> set[tuple]:
+    """Every image of an index-space (branch, twist) under Aut(G), in index space.
+
+    branch holds (index, multiplicity) pairs sorted by index, twist indices;
+    index order is element order, since elements() is lexicographic.
+    """
+    indices = [i for i, _ in branch]
+    mults = [m for _, m in branch]
+    orbit = set()
+    for alpha in group.automorphisms():
+        image = alpha.perm.__getitem__
+        orbit.add((tuple(sorted(zip(map(image, indices), mults))), tuple(map(image, twist))))
+    return orbit
+
+
 def _aut_orbit(cover: CoverData) -> set[tuple]:
     """Every (branch, twist) that an automorphism of the group carries the cover to."""
-    orbit = set()
-    for alpha in cover.group.automorphisms():
-        image = alpha.table
-        branch = tuple(sorted((image[e], m) for e, m in cover.branch))
-        orbit.add((branch, tuple(image[x] for x in cover.twist)))
-    return orbit
+    grp = cover.group
+    els = grp.elements()
+    index = grp.index
+    orbit = _index_orbit(
+        grp,
+        tuple((index[e], m) for e, m in cover.branch),
+        tuple(index[t] for t in cover.twist),
+    )
+    return {
+        (tuple((els[i], m) for i, m in branch), tuple(els[t] for t in twist))
+        for branch, twist in orbit
+    }
 
 
 def canonical_cover_form(cover: CoverData) -> tuple:
@@ -271,14 +291,18 @@ def enumerate_covers(
         raise CapabilityError(
             f"twist space of size {group.order ** (2 * base_genus)} exceeds the supported bound"
         )
+    if up_to_aut:
+        group.check_aut_size()
     return _iter_covers(group, base_genus, genus, max_branch_points, dims, up_to_aut)
 
 
 def _iter_covers(group, base_genus, target_genus, max_branch_points, dims, up_to_aut):
     n = group.order
     m_exp = group.exponent
-    nonzero = [e for e in group.elements() if e != group.identity]
-    scaled_weight = [m_exp - m_exp // group.element_order(e) for e in nonzero]
+    els = group.elements()
+    nonzero = els[1:]  # elements() starts at the identity: nonzero[i] has index i + 1
+    orders = group.orders
+    scaled_weight = [m_exp - m_exp // o for o in orders[1:]]
 
     if target_genus is not None:
         weight = 2 * (target_genus - 1 - n * (base_genus - 1)) * m_exp
@@ -297,7 +321,7 @@ def _iter_covers(group, base_genus, target_genus, max_branch_points, dims, up_to
     index = group.index
     last = len(nonzero) - 1
     if nonzero:
-        last_order = group.element_order(nonzero[last])
+        last_order = orders[last + 1]
         # index of -(m * e_last) -> m: the sums that m copies of e_last close
         closing = {
             index[group.neg(group.scale(m, nonzero[last]))]: m for m in range(last_order)
@@ -329,7 +353,7 @@ def _iter_covers(group, base_genus, target_genus, max_branch_points, dims, up_to
         for i in range(last - 1, -1, -1):
             row = rows[i]
             w = steps[i]
-            order = group.element_order(nonzero[i])
+            order = orders[i + 1]
             below = reach[-1]
             level = []
             for s in range(n):
@@ -353,60 +377,112 @@ def _iter_covers(group, base_genus, target_genus, max_branch_points, dims, up_to
             return 0 <= fewest[i][s] <= count_left  # fewest branch points that close s
         return reach[i][s][remaining >> 3] >> (remaining & 7) & 1
 
-    def leaves(i, s, remaining, count_left, chosen):
-        if i == last:
-            m0 = closing.get(s)
-            if m0 is None:
-                return
-            w = scaled_weight[i]
-            if remaining is None:
-                ms = range(m0, count_left + 1, last_order)
-            else:
-                # a genus target forces the last multiplicity
-                m, rest = divmod(remaining, w)
-                ms = (m,) if rest == 0 and m <= count_left and m % last_order == m0 else ()
-            for m in ms:
-                yield tuple(chosen) + (((nonzero[i], m),) if m else ())
+    def closing_mults(s, remaining, count_left):
+        """Multiplicities of the last nonzero element that close the sum s."""
+        m0 = closing.get(s)
+        if m0 is None:
+            return ()
+        if remaining is None:
+            return range(m0, count_left + 1, last_order)
+        # a genus target forces the last multiplicity
+        m, rest = divmod(remaining, scaled_weight[last])
+        return (m,) if rest == 0 and m <= count_left and m % last_order == m0 else ()
+
+    # Connectedness by character kernels: a (branch, twist) generates G exactly
+    # when only the trivial character (bit 0) vanishes on all of its elements.
+    masks = [group.kernel_mask(e) for e in els]
+    every_char = masks[0]  # every character vanishes on the identity
+    kernel = masks[1:]
+    twists = [((), every_char)]  # (indices, mask), in product(range(n), ...) order
+    for _ in range(2 * base_genus):
+        twists = [(t + (j,), mask & masks[j]) for t, mask in twists for j in range(n)]
+    # need[i]: characters vanishing on nonzero[i:] and on every twist. A path
+    # whose mask keeps more than bit 0 of need[i] cannot generate G below.
+    # A twist may hold any element, so with base genus >= 1 only the trivial
+    # character vanishes on every twist and nothing is cut.
+    need = [0] * (last + 2)
+    need[-1] = every_char if base_genus == 0 else 1
+    for i in range(last, -1, -1):
+        need[i] = need[i + 1] & kernel[i]
+
+    def branch_vectors():
+        """(branch, mask) of every closed branch vector, from this one frame.
+
+        branch holds (index, multiplicity) pairs by index, without zero
+        multiplicities; mask is the common kernel of its elements. An explicit
+        stack replaces recursion: one entry per open level i < last holding
+        [m, s, remaining, count_left, entry mask, top], where m is the next
+        multiplicity of nonzero[i] to try and s, remaining, count_left
+        already count m copies of it. The last level is closed inline.
+        """
+        if not nonzero:
+            if target in (None, 0):
+                yield (), every_char
             return
-        row = rows[i]
-        w = scaled_weight[i]
-        top = count_left
-        if remaining is not None:
-            top = min(top, remaining // w)
-        for m in range(top + 1):
-            rest = None if remaining is None else remaining - m * w
-            if closable(i + 1, s, rest, count_left - m):
-                if m:
-                    chosen.append((nonzero[i], m))
-                yield from leaves(i + 1, s, rest, count_left - m, chosen)
-                if m:
+        if last == 0:
+            for m in closing_mults(0, target, count_budget):
+                yield (((1, m),), kernel[0]) if m else ((), every_char)
+            return
+        if not closable(0, 0, target, count_budget):
+            return
+        chosen = []  # (index, multiplicity) of every nonzero choice on the path
+        top = count_budget if target is None else min(count_budget, target // scaled_weight[0])
+        stack = [[0, 0, target, count_budget, every_char, top]]
+        while stack:
+            frame = stack[-1]
+            m, s, remaining, count_left, mask, top = frame
+            i = len(stack) - 1
+            if m > top:
+                stack.pop()
+                if top:
                     chosen.pop()
-            s = row[s]
+                continue
+            frame[0] = m + 1
+            frame[1] = rows[i][s]
+            if remaining is not None:
+                frame[2] = remaining - scaled_weight[i]
+            frame[3] = count_left - 1
+            if m:
+                mask &= kernel[i]
+                if m == 1:
+                    chosen.append((i + 1, 1))
+                else:
+                    chosen[-1] = (i + 1, m)
+            j = i + 1
+            if mask & need[j] != 1:
+                continue
+            if j < last:
+                if closable(j, s, remaining, count_left):
+                    top = count_left
+                    if remaining is not None:
+                        top = min(top, remaining // scaled_weight[j])
+                    stack.append([0, s, remaining, count_left, mask, top])
+                continue
+            for m in closing_mults(s, remaining, count_left):
+                if m:
+                    yield tuple(chosen) + ((j + 1, m),), mask & kernel[j]
+                else:
+                    yield tuple(chosen), mask
 
-    twists = (
-        [()]
-        if base_genus == 0
-        else list(product(group.elements(), repeat=2 * base_genus))
-    )
-
-    if nonzero:
-        branches = ()
-        if last == 0 or closable(0, 0, target, count_budget):
-            branches = leaves(0, 0, target, count_budget, [])
-    else:
-        branches = [()] if target in (None, 0) else []
-    # Key of every orbit member met -> orbit minimum. A leaf's (branch, twist)
-    # is already in make_cover's normal form (branch sorted by element, no zero
-    # multiplicity), so a known non-minimal orbit member is skipped unbuilt.
+    # Key of every orbit member met -> orbit minimum, all in index space. A
+    # leaf's (branch, twist) is already in make_cover's normal form (branch
+    # sorted by element, no zero multiplicity), so a known non-minimal orbit
+    # member is skipped unbuilt, and so is a disconnected one.
     least: dict[tuple, tuple] = {}
-    for branch in branches:
-        for twist in twists:
+    for branch, branch_mask in branch_vectors():
+        elem_branch = None
+        for twist, twist_mask in twists:
+            if branch_mask & twist_mask != 1:
+                continue
             key = (branch, twist)
             known = least.get(key) if up_to_aut else None
             if known is not None and known != key:
                 continue
+            if elem_branch is None:
+                elem_branch = tuple([(els[j], m) for j, m in branch])
+            elem_twist = tuple([els[j] for j in twist])
             try:
-                cover = make_cover(group, base_genus, branch, twist)
+                cover = make_cover(group, base_genus, elem_branch, elem_twist)
             except InvalidInputError:
                 continue
             if dims is not None:
@@ -414,11 +490,12 @@ def _iter_covers(group, base_genus, target_genus, max_branch_points, dims, up_to
                 if any(profile[k] != v for k, v in dims.items()):
                     continue
             if up_to_aut and known is None:
-                if key != (cover.branch, cover.twist):
+                if (elem_branch, elem_twist) != (cover.branch, cover.twist):
                     raise InternalConsistencyError(
-                        f"enumerator leaf {key} is not in normal form {(cover.branch, cover.twist)}"
+                        f"enumerator leaf {(elem_branch, elem_twist)} is not in normal form "
+                        f"{(cover.branch, cover.twist)}"
                     )
-                orbit = _aut_orbit(cover)
+                orbit = _index_orbit(group, branch, twist)
                 least.update(dict.fromkeys(orbit, min(orbit)))
                 if least[key] != key:
                     continue

@@ -5,7 +5,8 @@ factors; the pairing <chi, g> = sum(chi[i]*g[i]/n_i) mod 1 is carried as an
 integer numerator over the group exponent, so no floats appear anywhere.
 Hot loops also number the elements by their position in elements() and read
 per-group lookup tables by that index (index, add_row, orders, neg_index,
-pairing_row, kernel_mask), each built on first use.
+pairing_row, kernel_mask), each built on first use. An automorphism is a
+permutation of those indices.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ __all__ = [
 Element = tuple[int, ...]
 
 AUT_ORDER_BOUND = 64
+
+# Largest |Aut(G)| that automorphisms() builds (see check_aut_size).
+AUT_SIZE_BOUND = 50_000
 
 # Largest group order make_group accepts. Every search stays below
 # AUT_ORDER_BOUND; this bound keeps a spec file or --group naming Z/10**9 from
@@ -248,6 +252,45 @@ class FiniteAbelianGroup:
             span = cyclic[h] = self.subgroup([h])
         return span
 
+    def automorphism_count(self) -> int:
+        """|Aut(G)| in closed form, without building a single automorphism.
+
+        Aut(G) is the product of the automorphism groups of the p-parts. For
+        a p-part Z/p^e_1 x ... x Z/p^e_k with e_1 <= ... <= e_k, let d_j and
+        c_j be the last and first positions holding the value e_j; then
+        |Aut| = prod_j (p^d_j - p^(j-1)) * p^(e_j (k - d_j)) * p^((e_j - 1)(k - c_j + 1))
+        (Hillar and Rhea, Automorphisms of finite abelian groups, 2007).
+        """
+        exponents: dict[int, list[int]] = {}
+        for n in self.factors:
+            p = 2
+            while n > 1:
+                e = 0
+                while n % p == 0:
+                    n //= p
+                    e += 1
+                if e:
+                    exponents.setdefault(p, []).append(e)
+                p += 1
+        count = 1
+        for p, es in exponents.items():
+            es.sort()
+            k = len(es)
+            for j, e in enumerate(es, 1):
+                d = k - es[::-1].index(e)
+                c = es.index(e) + 1
+                count *= (p**d - p ** (j - 1)) * p ** (e * (k - d)) * p ** ((e - 1) * (k - c + 1))
+        return count
+
+    def check_aut_size(self) -> None:
+        """Raise CapabilityError when Aut(G) has more than AUT_SIZE_BOUND elements."""
+        size = self.automorphism_count()
+        if size > AUT_SIZE_BOUND:
+            raise CapabilityError(
+                f"automorphism enumeration limited to {AUT_SIZE_BOUND} automorphisms, "
+                f"group {list(self.factors)} has {size}"
+            )
+
     def automorphisms(self) -> tuple["Automorphism", ...]:
         if self.order > AUT_ORDER_BOUND:
             raise CapabilityError(
@@ -255,43 +298,86 @@ class FiniteAbelianGroup:
             )
         cached = _AUT_CACHE.get(self.factors)
         if cached is None:
-            cached = tuple(
-                Automorphism(self, images) for images in self._automorphism_images()
-            )
-            _AUT_CACHE[self.factors] = cached
+            self.check_aut_size()
+            perms = dict(self._automorphism_search())
+            auts = []
+            for images, perm in perms.items():
+                alpha = Automorphism(self, images)
+                # Characters add coordinate-wise like elements, so chi -> chi o alpha
+                # is itself an automorphism; its perm is alpha's char_perm.
+                alpha.__dict__.update(perm=perm, char_perm=perms[_dual_images(images, self.factors)])
+                auts.append(alpha)
+            cached = _AUT_CACHE[self.factors] = tuple(auts)
         return cached
 
-    def _automorphism_images(self):
-        """All generator-image tuples defining a bijective endomorphism."""
-        if not self.factors:
-            yield ()
+    def _automorphism_search(self):
+        """(images, perm) of every automorphism, in search order.
+
+        images are the images of the standard generators; the i-th runs over
+        the elements whose order divides n_i. The chosen images span a
+        subgroup of order |G| / popcount(common kernel mask), so a prefix is
+        extended only while the remaining factors can still fill the group; at
+        the last factor that means the span is G.
+
+        perm is built along the way: after i factors, values[p] is the index
+        of sum(g_j * images[j]) for the p-th prefix (g_0, .., g_i) in
+        lexicographic order, so the last factor's values are the permutation.
+        """
+        fs = self.factors
+        if not fs:
+            yield (), (0,)
             return
+        order = self.order
         els = self.elements()
-        candidates = [
-            [x for x in els if self.scale(n, x) == self.identity] for n in self.factors
-        ]
-        tail_bound = [prod(self.factors[i:]) for i in range(len(self.factors))] + [1]
+        rows = [self.add_row(x) for x in els]
+        candidates = []
+        for n in fs:
+            level = []
+            for j, o in enumerate(self.orders):
+                if n % o == 0:
+                    multiples = [0]  # indices of c * x for c = 0 .. n-1, x = els[j]
+                    for _ in range(n - 1):
+                        multiples.append(rows[j][multiples[-1]])
+                    level.append((els[j], self.kernel_mask(els[j]), [rows[m] for m in multiples]))
+            candidates.append(level)
+        tail_bound = [prod(fs[i + 1 :]) for i in range(len(fs))]
+        chosen: list[Element] = []
 
-        def extend(chosen: list[Element], span: frozenset[Element]):
-            i = len(chosen)
-            if i == len(self.factors):
-                if len(span) == self.order:
-                    yield tuple(chosen)
-                return
-            for x in candidates[i]:
-                chosen.append(x)
-                new_span = span if x in span else self.subgroup(chosen)
-                if len(new_span) * tail_bound[i + 1] >= self.order:
-                    yield from extend(chosen, new_span)
-                chosen.pop()
+        def extend(i: int, mask: int, values: list[int]):
+            last = i == len(fs) - 1
+            for x, kernel, shifts in candidates[i]:
+                common = mask & kernel
+                if order // common.bit_count() * tail_bound[i] >= order:
+                    chosen.append(x)
+                    extended = [row[v] for v in values for row in shifts]
+                    if last:
+                        yield tuple(chosen), tuple(extended)
+                    else:
+                        yield from extend(i + 1, common, extended)
+                    chosen.pop()
 
-        yield from extend([], frozenset({self.identity}))
+        yield from extend(0, (1 << order) - 1, [0])
+
+
+def _dual_images(images, factors) -> tuple[Element, ...]:
+    """Images of the standard characters e_i under chi -> chi o alpha.
+
+    The j-th coordinate of e_i o alpha is <e_i, images[j]> * n_j, that is
+    images[j][i] * n_j / n_i.
+    """
+    return tuple(
+        tuple(img[i] * m // n for img, m in zip(images, factors)) for i, n in enumerate(factors)
+    )
 
 
 class Automorphism(Record):
-    """Group automorphism given by the images of the standard generators.
+    """Group automorphism alpha, given by the images of the standard generators.
 
-    Its lookup tables are built on first use and kept with the instance.
+    perm[i] is the index (position in elements()) of alpha(g) for the g at
+    index i, and char_perm[i] the index of the pulled-back character
+    chi o alpha for the chi at index i. Both are built from images on first
+    use and kept with the instance; FiniteAbelianGroup.automorphisms() fills
+    them in from its search.
     """
 
     __slots__ = ("group", "images", "__dict__")
@@ -308,10 +394,9 @@ class Automorphism(Record):
     def __hash__(self):
         return hash((self.group, self.images))
 
-    def _linear_table(self, basis_images) -> dict[Element, Element]:
-        """g -> sum(g_i * basis_images[i]) for every g, in one pass over elements() order."""
+    def _linear_perm(self, basis_images) -> tuple[int, ...]:
+        """Index of sum(g_i * basis_images[i]) for every g, in elements() order."""
         grp = self.group
-        els = grp.elements()
         values = [0]  # indices of the partial sums
         for n, img in zip(grp.factors, basis_images):
             step = grp.add_row(img)
@@ -321,33 +406,24 @@ class Automorphism(Record):
                     extended.append(v)
                     v = step[v]
             values = extended
-        return dict(zip(els, [els[v] for v in values]))
+        return tuple(values)
 
     @cached_property
-    def table(self) -> dict[Element, Element]:
-        """Element -> its image."""
-        return self._linear_table(self.images)
+    def perm(self) -> tuple[int, ...]:
+        return self._linear_perm(self.images)
 
     @cached_property
-    def char_table(self) -> dict[Element, Element]:
-        """Character chi -> the pulled-back character chi o alpha."""
-        # The j-th coordinate of e_i o alpha is <e_i, images[j]> * n_j.
-        fs = self.group.factors
-        return self._linear_table(
-            [tuple(img[i] * m // n for img, m in zip(self.images, fs)) for i, n in enumerate(fs)]
-        )
-
-    @cached_property
-    def preimage(self) -> dict[Element, Element]:
-        """Image -> the element it comes from."""
-        return {img: g for g, img in self.table.items()}
+    def char_perm(self) -> tuple[int, ...]:
+        return self._linear_perm(_dual_images(self.images, self.group.factors))
 
     def apply(self, g: Element) -> Element:
-        return self.table[g]
+        grp = self.group
+        return grp.elements()[self.perm[grp.index[g]]]
 
     def apply_char(self, chi: Element) -> Element:
         """The character chi o alpha, as coordinates."""
-        return self.char_table[chi]
+        grp = self.group
+        return grp.elements()[self.char_perm[grp.index[chi]]]
 
 
 def make_group(factors) -> FiniteAbelianGroup:

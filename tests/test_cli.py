@@ -139,6 +139,9 @@ def test_compare_fans_every_cell_out_on_one_pool(capsys, monkeypatch):
     ("covers", "--group", "4", "--base-genus", "0", "--max-branch-points", "-1"),
     ("covers", "--group", "4", "--base-genus", "0", "--genus", "3", "--max-branch-points", "-1"),
     ("covers", "--group", "200000", "--base-genus", "0"),
+    ("covers", "--group", "2,2,2,2,2", "--base-genus", "0", "--genus", "17"),
+    ("atlas", "--genus", "3", "--quotient-genus", "9"),
+    ("atlas", "--genus", "3", "--quotient-genus", "-1"),
 ])
 def test_invalid_inputs_exit_one(capsys, argv):
     code, _, err = run(capsys, *argv)

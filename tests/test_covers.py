@@ -291,6 +291,46 @@ def test_enumerate_covers_up_to_aut_matches_brute_force(factors, base_genus, gen
     assert yielded >= 3
 
 
+_DICT_TABLES = {}
+
+
+def _dict_route_orbit(cover):
+    """Every (branch, twist) image of the cover, through one element-to-image dict per automorphism.
+
+    Each dict is filled by coordinate arithmetic on alpha.images; this is the
+    route the orbit took before automorphisms carried index permutations.
+    """
+    grp = cover.group
+    tables = _DICT_TABLES.get(grp.factors)
+    if tables is None:
+        tables = _DICT_TABLES[grp.factors] = []
+        for alpha in grp.automorphisms():
+            table = {}
+            for g in grp.elements():
+                image = grp.identity
+                for coeff, img in zip(g, alpha.images):
+                    image = grp.add(image, grp.scale(coeff, img))
+                table[g] = image
+            tables.append(table)
+    return {
+        (tuple(sorted((table[e], m) for e, m in cover.branch)), tuple(table[t] for t in cover.twist))
+        for table in tables
+    }
+
+
+def test_index_orbit_matches_the_dict_route(random_covers):
+    # (2,2,2,2), whose 20,160 permutations test_groups checks on a sample, is left out.
+    checked = 0
+    for cover in random_covers:
+        if len(cover.group.automorphisms()) > 2000:
+            continue
+        orbit = covers_module._aut_orbit(cover)
+        assert orbit == _dict_route_orbit(cover)
+        assert canonical_cover_form(cover) == min(orbit)
+        checked += 1
+    assert checked >= 900
+
+
 def test_cover_data_is_hashable_and_frozen():
     c = make_cover(Z2, 0, {(1,): 6})
     assert isinstance(hash(c), int)
@@ -374,7 +414,10 @@ def test_enumerator_only_builds_closed_branch_vectors(monkeypatch):
         ((2, 2), 1, {"genus": 5}),
         ((3,), 1, {"max_branch_points": 3}),
     ]:
-        list(enumerate_covers(make_group(factors), base_genus, up_to_aut=True, **bound))
+        # Up to Aut(G) the enumerator builds a few covers per orbit only, so
+        # the full listing is checked too.
+        for up_to_aut in (False, True):
+            list(enumerate_covers(make_group(factors), base_genus, up_to_aut=up_to_aut, **bound))
     assert len(built) >= 100
 
 
@@ -426,21 +469,104 @@ def test_enumerate_covers_rejects_bad_bounds(base_genus, bounds):
         enumerate_covers(make_group([4]), base_genus, **bounds)
 
 
-def test_every_enumerator_frame_ends_in_a_leaf():
-    """The reachability table lets the enumerator enter only frames with a leaf below.
+def _completions(group, base_genus):
+    """Oracle for enumerator states, by plain recursion over element tuples.
 
-    Frames are watched through the profiler hook: a generator frame that yields
-    fires a return event carrying the yielded branch, one that yields nothing
-    only fires return events carrying None.
+    The returned count(i, s, remaining, count_left, path) counts the
+    multiplicity vectors of the nonzero elements from the i-th on that close
+    the running sum (the element at index s): with a genus target they add
+    scaled weight exactly `remaining`, without one at most count_left branch
+    points. It returns (closing, connected): how many there are, and how
+    many of them, with the elements of path, can still give a connected
+    cover. A twist may hold any element, so with base genus >= 1 every
+    closing completion counts as connected; with base genus 0 the branch
+    elements must span the group (subgroup closure).
     """
-    frames = {}
+    els = group.elements()
+    nonzero = els[1:]
+    m_exp = group.exponent
+    weights = [m_exp - m_exp // group.element_order(e) for e in nonzero]
+    memo = {}
+
+    def search(k, total, rest, left, span):
+        key = (k, total, rest, left, span)
+        if key not in memo:
+            if k == len(nonzero):
+                closes = int(total == group.identity and rest in (None, 0))
+                memo[key] = (closes, closes if base_genus > 0 or len(span) == group.order else 0)
+            else:
+                closing = connected = 0
+                m = 0
+                while m <= left and (rest is None or m * weights[k] <= rest):
+                    below = search(
+                        k + 1,
+                        group.add(total, group.scale(m, nonzero[k])),
+                        None if rest is None else rest - m * weights[k],
+                        left - m,
+                        span if m == 0 or nonzero[k] in span else group.subgroup([*span, nonzero[k]]),
+                    )
+                    closing += below[0]
+                    connected += below[1]
+                    m += 1
+                memo[key] = (closing, connected)
+        return memo[key]
+
+    def count(i, s, remaining, count_left, path):
+        return search(i, els[s], remaining, count_left, group.subgroup(path))
+
+    return count
+
+
+def test_every_enumerator_frame_ends_in_a_leaf():
+    """Every state the enumerator enters closes, and yields unless the connectivity cut ends it.
+
+    branch_vectors keeps one stack entry per open element position i,
+    [m, s, remaining, count_left, mask, top], pushed only after closable()
+    accepts (i, s, remaining, count_left); chosen holds the path's nonzero
+    (index, multiplicity) pairs. The search frame is traced line by line, so
+    every entry is seen from its push to its pop together with the branch
+    vectors yielded in between, and each entry is checked against a plain
+    recursive count of its completions: it has one that closes the sum, its
+    mask is the common kernel of the path, and it yields at least every
+    closing completion that can still generate the group and at most every
+    closing one. With base genus 0 the kernel-mask cut may therefore end an
+    entry whose closing completions are all disconnected; with a twist
+    nothing is cut, so every entry yields.
+    """
+    entries = []  # [group, base_genus, i, state, path, mask, yields] per stack entry
+    open_entries = []  # (stack entry, its record), in stack order
+
+    def sync(stack):
+        k = 0
+        while k < len(open_entries) and k < len(stack) and open_entries[k][0] is stack[k]:
+            k += 1
+        del open_entries[k:]
+        for i in range(k, len(stack)):
+            m, s, remaining, count_left, mask, _ = stack[i]
+            assert m == 0  # seen before its first multiplicity is tried
+            path = [(index, mult) for index, mult in chosen_now]
+            record = [*case, i, (s, remaining, count_left), path, mask, 0]
+            entries.append(record)
+            open_entries.append((stack[i], record))
+
+    def local(frame, event, arg):
+        loc = frame.f_locals
+        stack = loc.get("stack")
+        if stack is not None:
+            chosen_now[:] = loc["chosen"]
+            sync(stack)
+            if event == "return" and arg is not None:  # a yielded branch vector
+                for _, record in open_entries:
+                    record[-1] += 1
+        elif event == "return":
+            sync([])
+        return local
 
     def watch(frame, event, arg):
         code = frame.f_code
-        if code.co_name == "leaves" and code.co_filename == covers_module.__file__:
-            seen = frames.setdefault(id(frame), [frame, False])
-            if event == "return" and arg is not None:
-                seen[1] = True
+        if code.co_name == "branch_vectors" and code.co_filename == covers_module.__file__:
+            return local
+        return None
 
     cases = [
         ((2, 2, 2), 0, {"genus": 9}),
@@ -450,15 +576,38 @@ def test_every_enumerator_frame_ends_in_a_leaf():
         ((2, 2), 1, {"genus": 5}),
         ((6,), 0, {"max_branch_points": 5}),
     ]
-    previous = sys.getprofile()
-    sys.setprofile(watch)
+    chosen_now = []
+    previous = sys.gettrace()
     try:
         for factors, base_genus, bound in cases:
-            list(enumerate_covers(make_group(factors), base_genus, **bound))
+            case = (make_group(factors), base_genus)
+            sys.settrace(watch)
+            try:
+                list(enumerate_covers(*case, **bound))
+            finally:
+                sys.settrace(previous)
+            assert open_entries == []
     finally:
-        sys.setprofile(previous)
-    assert len(frames) >= 100
-    assert [f.f_locals for f, leaf in frames.values() if not leaf] == []
+        sys.settrace(previous)
+    assert len(entries) >= 100
+    oracles = {}
+    closes_nowhere, kernel_wrong, miscounted, empty = [], [], [], []
+    for group, base_genus, i, state, path, mask, yields in entries:
+        count = oracles.setdefault((group, base_genus), _completions(group, base_genus))
+        elems = [group.elements()[index] for index, _ in path]
+        closing, connected = count(i, *state, elems)
+        if not closing:
+            closes_nowhere.append((group, i, state, path))
+        if mask != group.common_kernel(elems):
+            kernel_wrong.append((group, i, path, mask))
+        if not connected <= yields <= closing:
+            miscounted.append((group, i, state, path, connected, yields, closing))
+        if not yields:
+            empty.append((group, base_genus, i, state, path))
+    assert closes_nowhere == []
+    assert kernel_wrong == []
+    assert miscounted == []
+    assert [entry for entry in empty if entry[1] > 0] == []
 
 
 def test_one_nonzero_element_needs_no_reachability_table():

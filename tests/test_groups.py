@@ -1,6 +1,7 @@
 """Exact-arithmetic group layer: orders, pairings, generation, automorphisms."""
 
 import json
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -9,7 +10,17 @@ import pytest
 
 from isopencil.atlas import abelian_groups_up_to
 from isopencil.errors import CapabilityError, InvalidInputError
-from isopencil.groups import _TABLES, GROUP_ORDER_BOUND, format_element, make_group, parse_group
+from isopencil.groups import (
+    _AUT_CACHE,
+    _TABLES,
+    AUT_ORDER_BOUND,
+    AUT_SIZE_BOUND,
+    GROUP_ORDER_BOUND,
+    Automorphism,
+    format_element,
+    make_group,
+    parse_group,
+)
 
 
 def test_make_group_orders():
@@ -130,26 +141,97 @@ def test_automorphism_character_action_compatible():
 
 @pytest.mark.parametrize(
     "factors",
-    [g.factors for g in abelian_groups_up_to(16) if g.factors != (2, 2, 2, 2)],
+    [g.factors for g in abelian_groups_up_to(16)],
     ids=lambda factors: ",".join(map(str, factors)),
 )
 def test_automorphism_tables_match_coordinate_formulas(factors):
     g = make_group(factors)
-    for alpha in g.automorphisms():
-        assert list(alpha.table) == g.elements()
-        for x in g.elements():
-            image = g.identity
-            for coeff, img in zip(x, alpha.images):
-                image = g.add(image, g.scale(coeff, img))
-            pulled = tuple(g.pair_num(x, img) * n // g.exponent for img, n in zip(alpha.images, g.factors))
-            assert alpha.apply(x) == alpha.table[x] == image
-            assert alpha.apply_char(x) == alpha.char_table[x] == pulled
-            assert alpha.preimage[alpha.apply(x)] == x
+    els = g.elements()
+    fs = g.factors
+    auts = g.automorphisms()
+    assert len(auts) == g.automorphism_count()
+    if len(auts) > 2000:  # (2,2,2,2): a fixed sample keeps the test fast
+        auts = random.Random(repr(factors)).sample(auts, 1500)
+    for alpha in auts:
+        assert len(alpha.perm) == len(alpha.char_perm) == g.order
+        for x, image_index, pulled_index in zip(els, alpha.perm, alpha.char_perm):
+            image = tuple(sum(c * img[j] for c, img in zip(x, alpha.images)) % n for j, n in enumerate(fs))
+            pulled = tuple(g.pair_num(x, img) * n // g.exponent for img, n in zip(alpha.images, fs))
+            assert alpha.apply(x) == els[image_index] == image
+            assert alpha.apply_char(x) == els[pulled_index] == pulled
+        assert sorted(alpha.perm) == sorted(alpha.char_perm) == list(range(g.order))
+        # The public constructor derives both permutations from the images alone.
+        rebuilt = Automorphism(g, alpha.images)
+        assert rebuilt == alpha and hash(rebuilt) == hash(alpha)
+        assert (rebuilt.perm, rebuilt.char_perm) == (alpha.perm, alpha.char_perm)
 
 
 def test_automorphism_bound():
     with pytest.raises(CapabilityError):
         make_group([72]).automorphisms()
+
+
+def _closure_automorphism_images(g):
+    """Generator images of every automorphism, by the subgroup-closure search.
+
+    The i-th image runs over the elements killed by n_i, in elements() order;
+    a prefix is extended while its span times the remaining factors can still
+    reach the group order.
+    """
+    fs = g.factors
+    if not fs:
+        return [()]
+    candidates = [[x for x in g.elements() if g.scale(n, x) == g.identity] for n in fs]
+    tail_bound = [math.prod(fs[i:]) for i in range(len(fs))] + [1]
+    found = []
+
+    def extend(chosen, span):
+        i = len(chosen)
+        if i == len(fs):
+            if len(span) == g.order:
+                found.append(tuple(chosen))
+            return
+        for x in candidates[i]:
+            new_span = span if x in span else g.subgroup(chosen + [x])
+            if len(new_span) * tail_bound[i + 1] >= g.order:
+                extend(chosen + [x], new_span)
+
+    extend([], frozenset({g.identity}))
+    return found
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [g.factors for g in abelian_groups_up_to(16)] + [(3, 3, 3)],
+    ids=lambda factors: ",".join(map(str, factors)),
+)
+def test_kernel_mask_search_lists_the_closure_search_images(factors):
+    g = make_group(factors)
+    expected = _closure_automorphism_images(g)
+    assert [images for images, _ in g._automorphism_search()] == expected
+    assert [alpha.images for alpha in g.automorphisms()] == expected
+
+
+def test_automorphism_count_closed_form():
+    for g in abelian_groups_up_to(16) + [make_group((3, 3, 3))]:
+        assert g.automorphism_count() == len(g.automorphisms()), g.factors
+    # |GL(k, p)| for elementary abelian groups, and a few mixed orders.
+    assert make_group((2, 2, 2, 2, 2)).automorphism_count() == 9_999_360
+    assert make_group((2, 2, 2, 2, 2, 2)).automorphism_count() == 20_158_709_760
+    assert make_group((5, 5)).automorphism_count() == 480
+    assert make_group((6,)).automorphism_count() == 2
+    assert make_group((2, 3, 4)).automorphism_count() == make_group((4, 6)).automorphism_count() == 16
+    assert make_group((2, 4, 8)).automorphism_count() == 2048
+
+
+def test_automorphism_size_bound():
+    make_group((2, 2, 2, 2)).check_aut_size()  # 20,160 automorphisms
+    for factors in [(2, 2, 2, 2, 2), (4, 4, 4), (2, 2, 4, 4)]:
+        g = make_group(factors)
+        assert g.order <= AUT_ORDER_BOUND and g.automorphism_count() > AUT_SIZE_BOUND
+        with pytest.raises(CapabilityError, match="automorphisms"):
+            g.automorphisms()
+        assert factors not in _AUT_CACHE
 
 
 def test_group_serialization_round_trip():

@@ -246,9 +246,9 @@ def test_cached_properties_are_kept_and_pickled():
     assert back == cover and hash(back) == hash(cover)
 
     alpha = KLEIN.automorphisms()[1]
-    table = alpha.table
-    assert alpha.table is table
-    assert pickle.loads(pickle.dumps(alpha)).table == table
+    perm = alpha.perm
+    assert alpha.perm is perm
+    assert pickle.loads(pickle.dumps(alpha)).perm == perm
 
 
 def test_linear_form_total_order():
