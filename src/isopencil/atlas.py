@@ -10,7 +10,7 @@ from . import covers
 from .covers import enumerate_covers
 from .errors import InvalidInputError
 from .groups import Element, FiniteAbelianGroup, make_group
-from .parallel import parallel_map, resolve_workers
+from .parallel import parallel_map
 from .record import Record
 from .reference_tables import atlas_reference
 
@@ -122,10 +122,6 @@ def _actions_cell(genus: int, quotient_genus: int, factors: tuple[int, ...]) -> 
     return tuple(rows[key] for key in sorted(rows))
 
 
-def _actions_cell_star(args: tuple[int, int, tuple[int, ...]]) -> tuple[AtlasRow, ...]:
-    return _actions_cell(*args)
-
-
 def check_genera(genus: int, quotient_genus: int) -> None:
     """Raise InvalidInputError unless 2 <= genus <= 5 and 0 <= quotient_genus <= genus."""
     if not isinstance(genus, int) or not 2 <= genus <= 5:
@@ -136,7 +132,7 @@ def check_genera(genus: int, quotient_genus: int) -> None:
         )
 
 
-def enumerate_actions(genus: int, quotient_genus: int, *, workers: int | None = None) -> list[AtlasRow]:
+def enumerate_actions(genus: int, quotient_genus: int) -> list[AtlasRow]:
     """All actions with the given curve genus and quotient genus, one row per class.
 
     Two actions land in the same row when a group symmetry carries one cover to
@@ -144,13 +140,13 @@ def enumerate_actions(genus: int, quotient_genus: int, *, workers: int | None = 
     """
     check_genera(genus, quotient_genus)
     cells = [(genus, quotient_genus, g.factors) for g in abelian_groups_up_to(4 * genus + 4)]
-    merged = parallel_map(_actions_cell_star, cells, resolve_workers(workers))
+    merged = parallel_map(lambda cell: _actions_cell(*cell), cells)
     rows = [row for cell in merged for row in cell]
     rows.sort(key=lambda r: (r.group.order, r.group.factors, r.profile))
     return rows
 
 
-def atlas_table(genus: int, *, workers: int | None = None) -> list[AtlasRow]:
+def atlas_table(genus: int) -> list[AtlasRow]:
     """Full atlas for one curve genus, rows flagged against the published table."""
     if genus not in ATLAS_TABLE_FOR_GENUS:
         supported = ", ".join(str(g) for g in sorted(ATLAS_TABLE_FOR_GENUS))
@@ -162,7 +158,7 @@ def atlas_table(genus: int, *, workers: int | None = None) -> list[AtlasRow]:
     }
     rows = []
     for a in range(genus, -1, -1):
-        for row in enumerate_actions(genus, a, workers=workers):
+        for row in enumerate_actions(genus, a):
             key = (row.quotient_genus, row.group.factors, row.profile)
             rows.append(
                 AtlasRow(

@@ -16,7 +16,7 @@ from .errors import (
 )
 from .groups import Element, FiniteAbelianGroup, make_group
 from .linear import LinearForm
-from .parallel import parallel_map, resolve_workers
+from .parallel import parallel_map
 from .record import Record, _set
 from .sandwich import InvariantReport, invariants, make_sandwich
 
@@ -518,21 +518,19 @@ def classify(
     quotient_genus_a="any",
     quotient_genus_b="any",
     pg_range=(3, 8),
-    *,
-    workers: int | None = None,
 ) -> list[FamilyRow]:
     """Fitted families over every requested (group, quotient genera) cell."""
     _validate_pg_range(pg_range)
     triples = search_cells(genus_f, groups, quotient_genus_a, quotient_genus_b)
     cells = [(factors, a, b, genus_f) for factors, a, b in triples]
-    return classify_cells(cells, pg_range, workers=workers)
+    return classify_cells(cells, pg_range)
 
 
-def classify_cells(cells, pg_range, *, workers: int | None = None) -> list[FamilyRow]:
-    """Fitted families over (factors, a, b, genus_f) cells, fanned out on one pool."""
+def classify_cells(cells, pg_range) -> list[FamilyRow]:
+    """Fitted families over (factors, a, b, genus_f) cells, run in order in this process."""
     lo, hi = _validate_pg_range(pg_range)
     jobs = [(factors, genus_f, a, b, (lo, hi)) for factors, a, b, genus_f in cells]
-    merged = parallel_map(_cell_rows, jobs, resolve_workers(workers))
+    merged = parallel_map(_cell_rows, jobs)
     rows = [row for cell in merged for row in cell]
     rows.sort(key=_row_order)
     return rows

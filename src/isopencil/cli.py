@@ -69,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     atlas.add_argument("--genus", type=int, required=True, choices=sorted(ATLAS_TABLE_FOR_GENUS))
     atlas.add_argument("--quotient-genus", type=int, default=None)
     atlas.add_argument("--format", choices=FORMATS, default="table")
-    atlas.add_argument("--workers", type=int, default=None)
 
     covers = sub.add_parser("covers", help="enumerate covers for one group and base")
     covers.add_argument("--group", type=_parse_factors, required=True)
@@ -86,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     classify_cmd.add_argument("--pg", type=_parse_pg, default=(3, 8))
     classify_cmd.add_argument("--compare", default=None, metavar="TABLE_ID")
     classify_cmd.add_argument("--format", choices=FORMATS, default="table")
-    classify_cmd.add_argument("--workers", type=int, default=None)
 
     inv = sub.add_parser("invariants", help="compute invariants from a spec file")
     inv.add_argument("spec", help="path to a JSON cover-pair spec")
@@ -96,14 +94,13 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("table", help="reference table id")
     comp.add_argument("--pg", type=_parse_pg, default=(3, 8))
     comp.add_argument("--format", choices=FORMATS, default="table")
-    comp.add_argument("--workers", type=int, default=None)
     return parser
 
 
 def _run_atlas(args) -> str:
     if args.quotient_genus is not None:
         check_genera(args.genus, args.quotient_genus)
-    rows = atlas_table(args.genus, workers=args.workers)
+    rows = atlas_table(args.genus)
     if args.quotient_genus is not None:
         rows = [row for row in rows if row.quotient_genus == args.quotient_genus]
     return render_atlas_rows(rows, args.format)
@@ -132,7 +129,6 @@ def _run_classify(args) -> str:
         quotient_genus_a=args.base_a,
         quotient_genus_b=args.base_b,
         pg_range=args.pg,
-        workers=args.workers,
     )
     if args.compare is None:
         return render_family_rows(rows, args.format)
@@ -150,7 +146,7 @@ def _run_invariants(args) -> str:
 
 def _run_compare(args) -> str:
     if args.table in atlas_table_ids():
-        report = compare_atlas_with_reference(args.table, workers=args.workers)
+        report = compare_atlas_with_reference(args.table)
         return render_atlas_comparison(report, args.format)
     if args.table not in family_table_ids():
         known = ", ".join(atlas_table_ids() + family_table_ids())
@@ -159,7 +155,7 @@ def _run_compare(args) -> str:
         (ref.factors, ref.quotient_genus_a, ref.quotient_genus_b, ref.genus_f)
         for ref in family_reference(args.table)
     }
-    rows = classify_cells(sorted(cells), args.pg, workers=args.workers)
+    rows = classify_cells(sorted(cells), args.pg)
     report = compare_with_reference(rows, args.table, cells=cells)
     return render_family_comparison(report, args.format)
 

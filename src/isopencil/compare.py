@@ -279,13 +279,13 @@ class AtlasComparison(Record):
         return not self.missing
 
 
-def compare_atlas_with_reference(table_id: str, *, workers: int | None = None) -> AtlasComparison:
+def compare_atlas_with_reference(table_id: str) -> AtlasComparison:
     """Check one action table against the full enumeration for its genus."""
     if table_id not in atlas_table_ids():
         known = ", ".join(atlas_table_ids())
         raise InvalidInputError(f"unknown atlas table {table_id!r}; known ids: {known}")
     genus, reference = atlas_reference(table_id)
-    rows = atlas_table(genus, workers=workers)
+    rows = atlas_table(genus)
     have = {(row.quotient_genus, row.group.factors, row.profile) for row in rows}
     matched = []
     missing = []

@@ -128,13 +128,20 @@ class FiniteAbelianGroup:
         return tables.index
 
     def add_row(self, x: Element) -> tuple[int, ...]:
-        """Index of y + x for every y, in elements() order; built by add on first use."""
+        """Index of y + x for every y, in elements() order; built on first use.
+
+        The index of an element is its mixed-radix number over the factors,
+        so the row is built digit by digit, each digit shifted by x's.
+        """
         rows = self._tables.rows
-        index = self.index
-        i = index[x]
+        i = self.index[x]
         row = rows.get(i)
         if row is None:
-            row = rows[i] = tuple(index[self.add(y, x)] for y in self.elements())
+            values = [0]
+            for n, a in zip(self.factors, x):
+                digits = [(c + a) % n for c in range(n)]
+                values = [v * n + d for v in values for d in digits]
+            row = rows[i] = tuple(values)
         return row
 
     @property
@@ -300,12 +307,14 @@ class FiniteAbelianGroup:
         if cached is None:
             self.check_aut_size()
             perms = dict(self._automorphism_search())
+            columns = {}
             auts = []
             for images, perm in perms.items():
                 alpha = Automorphism(self, images)
                 # Characters add coordinate-wise like elements, so chi -> chi o alpha
                 # is itself an automorphism; its perm is alpha's char_perm.
-                alpha.__dict__.update(perm=perm, char_perm=perms[_dual_images(images, self.factors)])
+                dual = _dual_images(images, self.factors, columns)
+                alpha.__dict__.update(perm=perm, char_perm=perms[dual])
                 auts.append(alpha)
             cached = _AUT_CACHE[self.factors] = tuple(auts)
         return cached
@@ -359,15 +368,21 @@ class FiniteAbelianGroup:
         yield from extend(0, (1 << order) - 1, [0])
 
 
-def _dual_images(images, factors) -> tuple[Element, ...]:
+def _dual_images(images, factors, columns: dict) -> tuple[Element, ...]:
     """Images of the standard characters e_i under chi -> chi o alpha.
 
     The j-th coordinate of e_i o alpha is <e_i, images[j]> * n_j, that is
-    images[j][i] * n_j / n_i.
+    images[j][i] * n_j / n_i. That column depends only on (j, images[j]), so
+    it is cached in columns, which the caller keeps across automorphisms.
     """
-    return tuple(
-        tuple(img[i] * m // n for img, m in zip(images, factors)) for i, n in enumerate(factors)
-    )
+    cols = []
+    for j, img in enumerate(images):
+        col = columns.get((j, img))
+        if col is None:
+            m = factors[j]
+            col = columns[(j, img)] = tuple(c * m // n for c, n in zip(img, factors))
+        cols.append(col)
+    return tuple(zip(*cols))
 
 
 class Automorphism(Record):
@@ -414,7 +429,7 @@ class Automorphism(Record):
 
     @cached_property
     def char_perm(self) -> tuple[int, ...]:
-        return self._linear_perm(_dual_images(self.images, self.group.factors))
+        return self._linear_perm(_dual_images(self.images, self.group.factors, {}))
 
     def apply(self, g: Element) -> Element:
         grp = self.group

@@ -137,12 +137,12 @@ def check_discrepancy_interval(rows) -> None:
                 assert all(Fraction(-1) < d <= 0 for d in discrepancies(s.n, s.q))
 
 
-def check_worker_determinism() -> None:
-    """The classifier output is byte-identical for any worker count."""
+def check_repeat_determinism() -> None:
+    """The classifier output is identical when the searches run again, in reverse order, on warm caches."""
     searches = (
         dict(genus_f=2, groups=[(2, 2)], quotient_genus_a=0, pg_range=(3, 6)),
         dict(genus_f=3, groups=[(2, 2, 2)], quotient_genus_a=0, quotient_genus_b=0, pg_range=(3, 5)),
     )
-    for kwargs in searches:
-        runs = [classify(workers=n, **kwargs) for n in (1, 2, 3)]
-        assert runs[0] == runs[1] == runs[2]
+    first = [classify(**kwargs) for kwargs in searches]
+    again = [classify(**kwargs) for kwargs in reversed(searches)][::-1]
+    assert all(first) and first == again

@@ -20,7 +20,7 @@ from conftest import (
     check_eigenspace_totals,
     check_hj_roundtrip,
     check_node_shortcut,
-    check_worker_determinism,
+    check_repeat_determinism,
 )
 from isopencil.atlas import atlas_table, canonical_profile
 from isopencil.classifier import classify
@@ -281,7 +281,7 @@ def test_criterion_08f_resolution_discrepancies_in_interval(classified_rows):
 
 
 def test_criterion_08g_worker_count_determinism():
-    check_worker_determinism()
+    check_repeat_determinism()
 
 
 CONTROL_GROUPS = ((3,), (4,), (7,), (8,), (9,), (12,), (14,), (4, 4))

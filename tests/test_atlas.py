@@ -139,10 +139,6 @@ def test_atlas_rejects_other_genera():
         atlas_table(4)
 
 
-def test_atlas_parallel_matches_sequential():
-    assert atlas_table(2, workers=2) == atlas_table(2, workers=1)
-
-
 def test_large_group_action_exists_in_genus_three():
     g28 = make_group([2, 8])
     rows = [r for r in enumerate_actions(3, 0) if r.group.factors == (2, 8)]

@@ -101,25 +101,17 @@ def test_identical_invocations_are_byte_identical(capsys):
     assert first == second
 
 
-def test_worker_count_does_not_change_stdout(capsys):
-    argv = ("classify", "--genus-f", "2", "--group", "2,2", "--pg", "3..5")
-    code_one, one, _ = run(capsys, *argv, "--workers", "1")
-    code_two, two, _ = run(capsys, *argv, "--workers", "2")
-    assert code_one == code_two == 0
-    assert one and one == two
-
-
-def test_compare_fans_every_cell_out_on_one_pool(capsys, monkeypatch):
+def test_compare_maps_every_cell_in_one_call(capsys, monkeypatch):
     batches = []
     real = classifier.parallel_map
 
-    def recording(fn, items, workers):
+    def recording(fn, items):
         items = list(items)
         batches.append(len(items))
-        return real(fn, items, 1)
+        return real(fn, items)
 
     monkeypatch.setattr(classifier, "parallel_map", recording)
-    code, _, _ = run(capsys, "compare", "zero", "--pg", "3..4", "--workers", "2")
+    code, _, _ = run(capsys, "compare", "zero", "--pg", "3..4")
     assert code == 0
     assert len(batches) == 1 and batches[0] > 1
 
@@ -134,6 +126,7 @@ def test_compare_fans_every_cell_out_on_one_pool(capsys, monkeypatch):
     ("covers", "--group", "2", "--base-genus", "1"),
     ("compare", "nosuch"),
     ("nosuch",),
+    # --workers was removed: every search runs in one process.
     ("atlas", "--genus", "2", "--workers", "0"),
     ("compare", "tabelladue", "--workers", "x"),
     ("covers", "--group", "4", "--base-genus", "0", "--max-branch-points", "-1"),
@@ -177,6 +170,24 @@ def test_cli_import_leaves_the_process_pool_unloaded():
         [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "False"
+
+
+def test_workers_variable_is_ignored_and_no_pool_is_loaded():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = (
+        "import sys, isopencil.cli\n"
+        "code = isopencil.cli.main(['classify', '--genus-f', '2', '--group', '2,2', '--pg', '3..5'])\n"
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)), file=sys.stderr)\n"
+        "sys.exit(code)"
+    )
+    env = {key: value for key, value in os.environ.items() if key != "ISOPENCIL_WORKERS"}
+    env["PYTHONPATH"] = src
+    runs = [
+        subprocess.run([sys.executable, "-c", probe], env=extra, capture_output=True, text=True, check=True)
+        for extra in (env, {**env, "ISOPENCIL_WORKERS": "2"})
+    ]
+    assert runs[0].stdout and runs[0].stdout == runs[1].stdout
+    assert [r.stderr.strip() for r in runs] == ["[]", "[]"]
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

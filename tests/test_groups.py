@@ -166,6 +166,21 @@ def test_automorphism_tables_match_coordinate_formulas(factors):
         assert (rebuilt.perm, rebuilt.char_perm) == (alpha.perm, alpha.char_perm)
 
 
+@pytest.mark.parametrize("factors", [(2, 2, 2, 2), (2, 2, 4)], ids=lambda factors: ",".join(map(str, factors)))
+def test_every_char_perm_pulls_characters_back_by_the_pairing(factors):
+    # Unsampled: every automorphism, against chi o alpha read off the pairing,
+    # <chi o alpha, e_j> = <chi, alpha(e_j)>, so coordinate j is pair_num(chi, images[j]) / w_j.
+    g = make_group(factors)
+    index = g.index
+    weights = [g.exponent // n for n in factors]
+    for alpha in g.automorphisms():
+        rows = [g.pairing_row(img) for img in alpha.images]
+        pulled = [
+            index[tuple(row[i] // w for row, w in zip(rows, weights))] for i in range(g.order)
+        ]
+        assert list(alpha.char_perm) == pulled
+
+
 def test_automorphism_bound():
     with pytest.raises(CapabilityError):
         make_group([72]).automorphisms()
@@ -312,6 +327,20 @@ def test_index_subgroup_matches_the_coordinate_closure(factors):
         assert g.generates([tuple(list(x)) for x in gens]) == g.generates(gens)
     for x in els:
         assert g.cyclic(x) == _coordinate_closure(g, [x])
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [(2, 2, 2, 2), (2, 6), (3, 9), (2, 2, 2, 4), (2, 4, 8), (7,)],
+    ids=lambda factors: ",".join(map(str, factors)),
+)
+def test_add_rows_match_the_coordinate_sum(factors):
+    g = make_group(factors)
+    els = g.elements()
+    for x in els:
+        row = g.add_row(x)
+        assert row == tuple(g.index[g.add(y, x)] for y in els)
+        assert g.add_row(x) is row
 
 
 def test_pickled_group_reattaches_to_the_shared_tables():

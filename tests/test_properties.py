@@ -9,7 +9,7 @@ from conftest import (
     check_eigenspace_totals,
     check_hj_roundtrip,
     check_node_shortcut,
-    check_worker_determinism,
+    check_repeat_determinism,
 )
 
 
@@ -39,4 +39,4 @@ def test_resolution_discrepancies_stay_in_the_exceptional_interval(classified_ro
 
 
 def test_classification_is_deterministic_across_worker_counts():
-    check_worker_determinism()
+    check_repeat_determinism()
