@@ -7,7 +7,7 @@ from functools import lru_cache
 from itertools import product
 
 from . import covers
-from .covers import enumerate_covers
+from .covers import FIBER_GENUS_RANGE, enumerate_covers
 from .errors import InvalidInputError
 from .groups import Element, FiniteAbelianGroup, make_group
 from .parallel import parallel_map
@@ -122,10 +122,19 @@ def _actions_cell(genus: int, quotient_genus: int, factors: tuple[int, ...]) -> 
     return tuple(rows[key] for key in sorted(rows))
 
 
+def groups_acting_on(genus: int) -> list[FiniteAbelianGroup]:
+    """Every abelian group that can act faithfully on a curve of this genus >= 2.
+
+    Such a group has order at most 4 * genus + 4 (Maclachlan, 1965).
+    """
+    return abelian_groups_up_to(4 * genus + 4)
+
+
 def check_genera(genus: int, quotient_genus: int) -> None:
-    """Raise InvalidInputError unless 2 <= genus <= 5 and 0 <= quotient_genus <= genus."""
-    if not isinstance(genus, int) or not 2 <= genus <= 5:
-        raise InvalidInputError(f"curve genus must be an integer in 2..5, got {genus!r}")
+    """Raise InvalidInputError unless genus is in FIBER_GENUS_RANGE and quotient_genus in 0..genus."""
+    lo, hi = FIBER_GENUS_RANGE
+    if not isinstance(genus, int) or not lo <= genus <= hi:
+        raise InvalidInputError(f"curve genus must be an integer in {lo}..{hi}, got {genus!r}")
     if not isinstance(quotient_genus, int) or not 0 <= quotient_genus <= genus:
         raise InvalidInputError(
             f"quotient genus must be an integer in 0..{genus}, got {quotient_genus!r}"
@@ -139,7 +148,7 @@ def enumerate_actions(genus: int, quotient_genus: int) -> list[AtlasRow]:
     the other; the row keeps the canonical eigenspace profile and one witness.
     """
     check_genera(genus, quotient_genus)
-    cells = [(genus, quotient_genus, g.factors) for g in abelian_groups_up_to(4 * genus + 4)]
+    cells = [(genus, quotient_genus, g.factors) for g in groups_acting_on(genus)]
     merged = parallel_map(lambda cell: _actions_cell(*cell), cells)
     rows = [row for cell in merged for row in cell]
     rows.sort(key=lambda r: (r.group.order, r.group.factors, r.profile))

@@ -5,8 +5,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from .atlas import _actions_cell
-from .covers import CoverData, genus, make_cover
+from .atlas import _actions_cell, groups_acting_on
+from .covers import FIBER_GENUS_RANGE, CoverData, genus, make_cover
 from .errors import (
     CapabilityError,
     DisconnectedCoverError,
@@ -30,8 +30,6 @@ __all__ = [
     "classify_cells",
 ]
 
-FIBER_GENUS_RANGE = (2, 5)
-
 
 class SurfaceSolution(Record):
     """One pencil-bearing surface found at a specific section count."""
@@ -53,21 +51,6 @@ class SurfaceSolution(Record):
         _set(self, "cover_d", cover_d)
         _set(self, "genus_d", genus_d)
         _set(self, "report", report)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.p_g, self.chi0, self.cover_f, self.cover_d, self.genus_d, self.report) == (
-            other.p_g,
-            other.chi0,
-            other.cover_f,
-            other.cover_d,
-            other.genus_d,
-            other.report,
-        )
-
-    def __hash__(self):
-        return hash((self.p_g, self.chi0, self.cover_f, self.cover_d, self.genus_d, self.report))
 
 
 class FamilyRow(Record):
@@ -300,14 +283,19 @@ def _pencil_requirements(cover_f: CoverData, chi0: Element, b: int):
     return fixed, group.neg(chi0)
 
 
+def _check_genus_f(genus_f) -> None:
+    lo, hi = FIBER_GENUS_RANGE
+    if not isinstance(genus_f, int) or not lo <= genus_f <= hi:
+        raise InvalidInputError(f"fiber genus must be in {lo}..{hi}, got {genus_f!r}")
+
+
 def classify_cell(
     factors, genus_f: int, quotient_genus_a: int, quotient_genus_b: int, pg_range
 ) -> list[SurfaceSolution]:
     """All pencil solutions in one (group, base genera, fiber genus) cell."""
     group = make_group(factors)
     lo, hi = _validate_pg_range(pg_range)
-    if not isinstance(genus_f, int) or not FIBER_GENUS_RANGE[0] <= genus_f <= FIBER_GENUS_RANGE[1]:
-        raise InvalidInputError(f"fiber genus must be in 2..5, got {genus_f!r}")
+    _check_genus_f(genus_f)
     for name, value in (("a", quotient_genus_a), ("b", quotient_genus_b)):
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise InvalidInputError(f"quotient genus {name} must be an integer >= 0")
@@ -493,12 +481,9 @@ def search_cells(
     quotient_genus_b="any",
 ) -> list[tuple[tuple[int, ...], int, int]]:
     """The (factors, a, b) combinations a classify call with these arguments visits."""
-    if not isinstance(genus_f, int) or not FIBER_GENUS_RANGE[0] <= genus_f <= FIBER_GENUS_RANGE[1]:
-        raise InvalidInputError(f"fiber genus must be in 2..5, got {genus_f!r}")
+    _check_genus_f(genus_f)
     if groups == "all":
-        from .atlas import abelian_groups_up_to
-
-        factor_list = [g.factors for g in abelian_groups_up_to(4 * genus_f + 4)]
+        factor_list = [g.factors for g in groups_acting_on(genus_f)]
     else:
         factor_list = [make_group(f).factors for f in groups]
     if quotient_genus_a == "any":

@@ -183,7 +183,8 @@ def compare_with_reference(
     consumed: set[int] = set()
     outcome: dict[int, MatchedRow] = {}
 
-    def candidates(ref, pool):
+    def closest(ref, pool, exact_only):
+        """The (pos, shift, records) of ref's least mismatched family in pool, or None."""
         found = []
         for pos in pool:
             group = families[pos]
@@ -192,8 +193,14 @@ def compare_with_reference(
             shift = _anchor(group, ref)
             if shift is None:
                 continue
-            found.append((pos, shift, _field_records(table_id, ref, group, shift)))
-        return found
+            records = _field_records(table_id, ref, group, shift)
+            if not (exact_only and records):
+                found.append((pos, shift, records))
+        return min(
+            found,
+            key=lambda c: (_mismatch_weight(c[2]), _group_sort_key(families[c[0]])),
+            default=None,
+        )
 
     # Pass 1 takes only perfect matches, pass 2 settles the remaining rows on
     # the closest available family, pass 3 lets a reference row repeat an
@@ -203,31 +210,22 @@ def compare_with_reference(
         for ref in in_scope:
             if ref.index in outcome:
                 continue
-            found = candidates(ref, remaining)
-            if exact_only:
-                found = [c for c in found if not c[2]]
-            if not found:
+            best = closest(ref, remaining, exact_only)
+            if best is None:
                 continue
-            pos, shift, records = min(
-                found,
-                key=lambda c: (_mismatch_weight(c[2]), _group_sort_key(families[c[0]])),
-            )
+            pos, shift, records = best
             outcome[ref.index] = MatchedRow(table_id, ref.index, _ref_cell(ref), shift, records)
             remaining.remove(pos)
             consumed.add(pos)
     for ref in in_scope:
         if ref.index in outcome:
             continue
-        found = [c for c in candidates(ref, sorted(consumed)) if not c[2]]
-        if not found:
-            continue
-        pos, shift, records = min(
-            found,
-            key=lambda c: (_mismatch_weight(c[2]), _group_sort_key(families[c[0]])),
-        )
-        outcome[ref.index] = MatchedRow(
-            table_id, ref.index, _ref_cell(ref), shift, records, shared=True
-        )
+        best = closest(ref, sorted(consumed), True)
+        if best is not None:
+            _, shift, records = best
+            outcome[ref.index] = MatchedRow(
+                table_id, ref.index, _ref_cell(ref), shift, records, shared=True
+            )
 
     matched = tuple(outcome[ref.index] for ref in in_scope if ref.index in outcome)
     missing = tuple(
@@ -235,16 +233,13 @@ def compare_with_reference(
         for ref in in_scope
         if ref.index not in outcome
     )
+    leftover = [g for i, g in enumerate(families) if i not in consumed]
+    leftover += [g for g in groups if g.kind != "family"]
     extra = tuple(
         ExtraRow(g.cell, g.kind, tuple(sorted(g.forms.items())), g.pg_lo, g.pg_hi, g.count)
-        for i, g in enumerate(families)
-        if i not in consumed
-    ) + tuple(
-        ExtraRow(g.cell, g.kind, tuple(sorted(g.forms.items())), g.pg_lo, g.pg_hi, g.count)
-        for g in groups
-        if g.kind != "family"
+        for g in leftover
     )
-    return ComparisonReport(table_id, matched, missing, tuple(extra), skipped)
+    return ComparisonReport(table_id, matched, missing, extra, skipped)
 
 
 def _miss_note(ref, families: list[_Group]) -> str:

@@ -33,6 +33,10 @@ __all__ = [
 
 TWIST_SPACE_BOUND = 100_000
 
+# Curve genera of the atlas and fibre genera of the pencil search: a canonical
+# pencil has fibres of genus at most 5 once chi is large enough (Beauville, 1979).
+FIBER_GENUS_RANGE = (2, 5)
+
 
 class CoverData(Record):
     """Cover data; its eigen-profile and genus are computed on first use and kept."""
@@ -50,19 +54,6 @@ class CoverData(Record):
         _set(self, "base_genus", base_genus)
         _set(self, "branch", branch)
         _set(self, "twist", twist)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.group, self.base_genus, self.branch, self.twist) == (
-            other.group,
-            other.base_genus,
-            other.branch,
-            other.twist,
-        )
-
-    def __hash__(self):
-        return hash((self.group, self.base_genus, self.branch, self.twist))
 
     def branch_points(self) -> int:
         return sum(m for _, m in self.branch)

@@ -401,14 +401,6 @@ class Automorphism(Record):
         _set(self, "group", group)
         _set(self, "images", images)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.group, self.images) == (other.group, other.images)
-
-    def __hash__(self):
-        return hash((self.group, self.images))
-
     def _linear_perm(self, basis_images) -> tuple[int, ...]:
         """Index of sum(g_i * basis_images[i]) for every g, in elements() order."""
         grp = self.group

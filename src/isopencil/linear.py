@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from functools import total_ordering
+
 from .record import Record, _set
 
 __all__ = ["LinearForm"]
 
 
+@total_ordering
 class LinearForm(Record):
     """slope * m + intercept, ordered by (slope, intercept)."""
 
@@ -16,33 +19,10 @@ class LinearForm(Record):
         _set(self, "slope", slope)
         _set(self, "intercept", intercept)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.slope == other.slope and self.intercept == other.intercept
-
-    def __hash__(self):
-        return hash((self.slope, self.intercept))
-
     def __lt__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.slope, self.intercept) < (other.slope, other.intercept)
-
-    def __le__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.slope, self.intercept) <= (other.slope, other.intercept)
-
-    def __gt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.slope, self.intercept) > (other.slope, other.intercept)
-
-    def __ge__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.slope, self.intercept) >= (other.slope, other.intercept)
 
     def __call__(self, m: int) -> int:
         return self.slope * m + self.intercept

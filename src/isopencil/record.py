@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 __all__ = ["Record"]
 
 # Sets a field past Record.__setattr__; the __init__ of every record uses it.
@@ -19,8 +21,14 @@ class Record:
     (with any cached values). Assigning or deleting a field raises
     AttributeError.
 
-    Records built in hot loops write ``__init__``, ``__eq__`` and
-    ``__hash__`` by hand: the generic ones here cost several times as much.
+    Equality, hashing and pickling read the field tuple through one
+    ``operator.attrgetter`` per class, the same for every record. Of the
+    methods here, subclasses write only ``__init__`` by hand, and only for
+    records built in hot loops (the two ``classify`` runs of fibre genus 2
+    and 3 build about 17,600 records, ``Aut((2,2,2,2))`` 20,160). On Python
+    3.11 the generic ``__init__`` here takes 2.8 us per ``CoverData`` against
+    1.1 us by hand, and compiling an ``__init__`` per class with ``exec``
+    would add about 2 ms, a tenth of ``import isopencil.cli``, to every process.
     """
 
     __slots__ = ()
@@ -29,7 +37,10 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields = tuple(f for f in cls.__dict__.get("__slots__", ()) if f != "__dict__")
+        if "__slots__" in cls.__dict__:  # else a subclass keeps its base's fields
+            cls._fields = tuple(f for f in cls.__slots__ if f != "__dict__")
+            # Every record has at least two fields, so the getter returns a tuple.
+            cls._get_fields = attrgetter(*cls._fields)
 
     def __init__(self, *args, **kwargs):
         name, fields = type(self).__name__, self._fields
@@ -48,9 +59,6 @@ class Record:
             else:
                 raise TypeError(f"{name} is missing the field {field!r}")
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, field) for field in self._fields])
-
     def __setattr__(self, field, value):
         raise AttributeError(f"cannot assign to field {field!r} of {type(self).__name__}")
 
@@ -60,10 +68,11 @@ class Record:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        get = self._get_fields
+        return get(self) == get(other)
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._get_fields(self))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{field}={getattr(self, field)!r}" for field in self._fields)
@@ -71,4 +80,4 @@ class Record:
 
     def __reduce__(self):
         # Unpickling writes the state dict straight into __dict__, past __setattr__.
-        return self.__class__, self._values(), getattr(self, "__dict__", None) or None
+        return self.__class__, self._get_fields(self), getattr(self, "__dict__", None) or None

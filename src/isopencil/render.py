@@ -153,7 +153,7 @@ def render_atlas_rows(rows: list[AtlasRow], fmt: str) -> str:
     """Action rows; listed says whether the reference table carries the class."""
     _check_format(fmt)
     listed = {True: "yes", False: "no", None: ""}
-    if fmt == "table":
+    if fmt != "json":
         body = [
             [
                 str(row.genus),
@@ -164,18 +164,8 @@ def render_atlas_rows(rows: list[AtlasRow], fmt: str) -> str:
             ]
             for row in rows
         ]
-        return _tabulate(["genus", "quot", "G", "profile", "listed"], body)
-    if fmt == "csv":
-        body = [
-            [
-                str(row.genus),
-                str(row.quotient_genus),
-                ",".join(str(f) for f in row.group.factors),
-                _profile_text(row.profile),
-                listed[row.in_reference],
-            ]
-            for row in rows
-        ]
+        if fmt == "table":
+            return _tabulate(["genus", "quot", "G", "profile", "listed"], body)
         return _csv(["genus", "quotient_genus", "group", "profile", "listed"], body)
     payload = [
         {

@@ -7,7 +7,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .covers import CoverData, genus
+from .covers import FIBER_GENUS_RANGE, CoverData, genus
 from .errors import (
     InternalConsistencyError,
     InvalidInputError,
@@ -39,14 +39,6 @@ class Sandwich(Record):
         _set(self, "cover_f", cover_f)
         _set(self, "cover_d", cover_d)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.cover_f, self.cover_d) == (other.cover_f, other.cover_d)
-
-    def __hash__(self):
-        return hash((self.cover_f, self.cover_d))
-
     @property
     def group(self) -> FiniteAbelianGroup:
         return self.cover_f.group
@@ -62,19 +54,6 @@ class SingularClass(Record):
         _set(self, "q", q)
         _set(self, "count", count)
         _set(self, "z_points", z_points)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.q, self.count, self.z_points) == (
-            other.n,
-            other.q,
-            other.count,
-            other.z_points,
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.q, self.count, self.z_points))
 
 
 class InvariantReport(Record):
@@ -101,43 +80,6 @@ class InvariantReport(Record):
         _set(self, "t_z", t_z)
         _set(self, "sing", sing)
         _set(self, "canonical_character", canonical_character)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.p_g,
-            self.q,
-            self.chi,
-            self.euler_e,
-            self.K2,
-            self.t_z,
-            self.sing,
-            self.canonical_character,
-        ) == (
-            other.p_g,
-            other.q,
-            other.chi,
-            other.euler_e,
-            other.K2,
-            other.t_z,
-            other.sing,
-            other.canonical_character,
-        )
-
-    def __hash__(self):
-        return hash(
-            (
-                self.p_g,
-                self.q,
-                self.chi,
-                self.euler_e,
-                self.K2,
-                self.t_z,
-                self.sing,
-                self.canonical_character,
-            )
-        )
 
 
 def make_sandwich(cover_f: CoverData, cover_d: CoverData) -> Sandwich:
@@ -310,7 +252,8 @@ def invariants(sw: Sandwich) -> InvariantReport:
     if canonical is not None and p_g >= 11:
         a = sw.cover_f.base_genus
         b = sw.cover_d.base_genus
-        shape_ok = 2 <= g_f <= 5 and ((b == 0 and a <= 2) or (b == 1 and a == 0))
+        lo, hi = FIBER_GENUS_RANGE
+        shape_ok = lo <= g_f <= hi and ((b == 0 and a <= 2) or (b == 1 and a == 0))
         if not shape_ok:
             raise InternalConsistencyError(
                 f"canonical pencil with p_g={p_g} violates the shape bounds"

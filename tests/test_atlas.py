@@ -12,8 +12,10 @@ from isopencil.atlas import (
     atlas_table,
     canonical_profile,
     enumerate_actions,
+    groups_acting_on,
 )
-from isopencil.covers import eigen_profile, genus
+from isopencil.classifier import search_cells
+from isopencil.covers import FIBER_GENUS_RANGE, eigen_profile, genus
 from isopencil.errors import InvalidInputError
 from isopencil.groups import make_group
 
@@ -112,14 +114,23 @@ def test_rows_carry_valid_witnesses():
 
 
 def test_action_preconditions():
-    with pytest.raises(InvalidInputError):
-        enumerate_actions(1, 0)
-    with pytest.raises(InvalidInputError):
-        enumerate_actions(6, 0)
+    for bad in (1, 6):
+        with pytest.raises(InvalidInputError):
+            enumerate_actions(bad, 0)
+        with pytest.raises(InvalidInputError):
+            search_cells(bad)
     with pytest.raises(InvalidInputError):
         enumerate_actions(3, 4)
     with pytest.raises(InvalidInputError):
         enumerate_actions(3, -1)
+
+
+def test_atlas_and_classifier_share_the_genus_range_and_order_bound():
+    assert FIBER_GENUS_RANGE == (2, 5)
+    for g in range(FIBER_GENUS_RANGE[0], FIBER_GENUS_RANGE[1] + 1):
+        groups = groups_acting_on(g)
+        assert max(grp.order for grp in groups) == 4 * g + 4
+        assert {factors for factors, _, _ in search_cells(g)} == factor_set(groups)
 
 
 def test_atlas_genus_two_flags():

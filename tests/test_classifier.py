@@ -20,6 +20,7 @@ from isopencil.classifier import (
     classify,
     classify_cell,
     fit_families,
+    search_cells,
 )
 from isopencil.covers import eigen_profile, genus, make_cover
 from isopencil.errors import CapabilityError, DisconnectedCoverError, InvalidInputError
@@ -49,8 +50,11 @@ def test_rejects_bad_inputs():
         classify_cell([2, 2], 2, 0, 0, (1, 4))
     with pytest.raises(InvalidInputError):
         classify_cell([2, 2], 2, 0, 0, ("3", 8))
-    with pytest.raises(InvalidInputError):
-        classify_cell([2, 2], 6, 0, 0, (3, 8))
+    for bad_genus_f in (1, 6):
+        with pytest.raises(InvalidInputError):
+            classify_cell([2, 2], bad_genus_f, 0, 0, (3, 8))
+        with pytest.raises(InvalidInputError):
+            search_cells(bad_genus_f)
     with pytest.raises(InvalidInputError):
         classify_cell([2, 2], 2, -1, 0, (3, 8))
     with pytest.raises(InvalidInputError):

@@ -19,6 +19,7 @@ from isopencil.compare import (
 from isopencil.covers import CoverData, genus, make_cover
 from isopencil.groups import Automorphism, make_group
 from isopencil.linear import LinearForm
+from isopencil.record import Record
 from isopencil.reference_tables import AtlasReferenceRow, FamilyReferenceRow
 from isopencil.sandwich import InvariantReport, Sandwich, SingularClass, invariants, make_sandwich
 
@@ -157,6 +158,10 @@ DEFAULTS = [
 ids = [cls.__name__ for cls, _ in CASES]
 
 
+class LabelledForm(LinearForm):
+    """A subclass with no slots of its own; pickling needs it at module level."""
+
+
 @pytest.mark.parametrize("cls, fields", CASES, ids=ids)
 def test_construction_by_position_and_keyword(cls, fields):
     by_position = cls(*fields.values())
@@ -263,6 +268,23 @@ def test_linear_form_total_order():
         assert getattr(low, op)((1, -2)) is NotImplemented
     with pytest.raises(TypeError):
         low < (1, 5)
+
+
+def test_every_record_shares_the_generic_equality_and_hash():
+    assert set(Record.__subclasses__()) == {cls for cls, _ in CASES}
+    for cls, _ in CASES:
+        assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls), cls.__name__
+    assert vars(LinearForm)["__lt__"].__module__ == LinearForm.__module__
+    for op in ("__le__", "__gt__", "__ge__"):
+        assert vars(LinearForm)[op].__module__ == "functools", op
+
+
+def test_a_subclass_without_slots_keeps_its_base_fields():
+    form = LabelledForm(8, -4)
+    assert repr(form) == "LabelledForm(slope=8, intercept=-4)"
+    assert form == LabelledForm(8, -4) and form != LabelledForm(8, 0) and form != FORM
+    assert hash(form) == hash(FORM)
+    assert pickle.loads(pickle.dumps(form)) == form
 
 
 def test_atlas_rows_flag_the_enumerated_rows_without_changing_them():
