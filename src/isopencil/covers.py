@@ -2,7 +2,9 @@
 
 A cover is stored as (group, base_genus, branch multiset, twist tuple).
 Every derived quantity (bundle degrees, eigenspace dimensions, genus) is
-computed by exact integer arithmetic from that data alone.
+computed by exact integer arithmetic from that data alone. make_cover validates
+each element once and records the eigen-profile from the same pass over the
+character numerators sum(m * <chi, e>) that checks that the branch sum closes.
 """
 
 from __future__ import annotations
@@ -55,21 +57,10 @@ class CoverData(Record):
         _set(self, "branch", branch)
         _set(self, "twist", twist)
 
-    def branch_points(self) -> int:
-        return sum(m for _, m in self.branch)
-
     @cached_property
     def _dims(self) -> tuple[int, ...]:
         """Eigenspace dimension of every character, in elements() order."""
-        grp = self.group
-        nums = [0] * grp.order
-        for e, m in self.branch:
-            nums = [x + m * p for x, p in zip(nums, grp.pairing_row(e))]
-        b = self.base_genus
-        dims = [b]  # elements() starts at the identity, whose eigenspace is the base's
-        for chi, num in zip(grp.elements()[1:], nums[1:]):
-            dims.append(_dim_of_degree(_degree_of_num(grp, chi, num), b, chi))
-        return tuple(dims)
+        return _profile(self.group, self.base_genus, _numerators(self.group, self.branch))
 
     @cached_property
     def _genus(self) -> int:
@@ -87,38 +78,39 @@ def make_cover(group: FiniteAbelianGroup, base_genus, branch, twist=()) -> Cover
         raise InvalidInputError(f"base genus must be an integer >= 0, got {base_genus!r}")
 
     entries = branch.items() if hasattr(branch, "items") else branch
-    identity = group.identity
-    merged: dict[Element, int] = {}
+    index, els = group.index, group.elements()
+    merged: dict[int, int] = {}  # element index -> multiplicity
     points = 0
     for elem, mult in entries:
-        e = _element(group, elem)
+        i = _index(group, index, els, elem)
         if not isinstance(mult, int) or isinstance(mult, bool) or mult < 0:
             raise InvalidInputError(f"branch multiplicity {mult!r} must be an integer >= 0")
         if mult == 0:
             continue
-        if e == identity:
+        if i == 0:
             raise InvalidInputError("the identity cannot be a branch element")
-        merged[e] = merged.get(e, 0) + mult
+        merged[i] = merged.get(i, 0) + mult
         points += mult
-    branch_t = tuple(sorted(merged.items()))
+    # index order is element order, since elements() is lexicographic
+    branch_t = tuple([(els[i], m) for i, m in sorted(merged.items())])
 
-    twist_t = tuple(_element(group, t) for t in twist)
+    twist_t = tuple([els[_index(group, index, els, t)] for t in twist])
     if len(twist_t) != 2 * base_genus:
         raise InvalidInputError(
             f"twist must list {2 * base_genus} elements for base genus {base_genus}, got {len(twist_t)}"
         )
 
-    orders = group.orders
-    index = group.index
-    total = 0  # index of the running sum of m * e
-    for e, m in branch_t:
-        row = group.add_row(e)
-        for _ in range(m % orders[index[e]]):
-            total = row[total]
-    if total:
-        raise InvalidMonodromyError(
-            f"branch monodromies sum to {group.elements()[total]}, not the identity"
-        )
+    # Characters separate elements, so the branch sum is 0 exactly when every
+    # character's numerator is a multiple of the exponent (Pardini, 1991).
+    nums = _numerators(group, branch_t)
+    exponent = group.exponent
+    if any([num % exponent for num in nums]):
+        total = 0  # index of the running sum of m * e, walked only to name it
+        for e, m in branch_t:
+            row = group.add_row(e)
+            for _ in range(m % group.element_order(e)):
+                total = row[total]
+        raise InvalidMonodromyError(f"branch monodromies sum to {els[total]}, not the identity")
 
     if base_genus == 0 and group.order > 1 and points < 2:
         raise InvalidMonodromyError("a cover of a rational base needs at least two branch points")
@@ -127,22 +119,41 @@ def make_cover(group: FiniteAbelianGroup, base_genus, branch, twist=()) -> Cover
     if not group.generates(gens):
         raise DisconnectedCoverError("branch and twist data do not generate the group")
 
-    return CoverData(group, base_genus, branch_t, twist_t)
+    cover = CoverData(group, base_genus, branch_t, twist_t)
+    cover.__dict__["_dims"] = _profile(group, base_genus, nums)
+    return cover
 
 
-def _element(group: FiniteAbelianGroup, x) -> Element:
-    """x itself when it is one of the group's own element tuples, else group.validate(x).
-
-    Only the very object skips the coordinate check: an equal tuple such as
-    (True, 1) is a different object, so it is validated, and rejected.
-    """
+def _index(group: FiniteAbelianGroup, index: dict, els: list, x) -> int:
+    """Position of x in els; group.validate(x) runs unless x is a known tuple of
+    plain ints, so an equal tuple such as (True, 1) is validated, and rejected."""
     try:
-        i = group.index.get(x)
+        i = index.get(x)
     except TypeError:  # unhashable, such as a list
         i = None
-    if i is not None and group.elements()[i] is x:
-        return x
-    return group.validate(x)
+    if i is None or x is not els[i] and not all([type(c) is int for c in x]):
+        return index[group.validate(x)]
+    return i
+
+
+def _numerators(grp: FiniteAbelianGroup, branch) -> list[int]:
+    """sum(m * pair_num(chi, e)) over the branch for every character chi, in elements() order."""
+    nums = [0] * grp.order
+    for e, m in branch:
+        nums = [x + m * p for x, p in zip(nums, grp.pairing_row(e))]
+    return nums
+
+
+def _profile(grp: FiniteAbelianGroup, b: int, nums: list[int]) -> tuple[int, ...]:
+    """Eigenspace dimension of every character from its branch numerator (see _numerators)."""
+    exponent = grp.exponent
+    dims = [b]  # elements() starts at the identity, whose eigenspace is the base's
+    for chi, num in zip(grp.elements()[1:], nums[1:]):
+        if num < exponent or num % exponent:  # a degree below 1, or not integral
+            dims.append(_dim_of_degree(_degree_of_num(grp, chi, num), b, chi))
+        else:
+            dims.append(num // exponent + b - 1)
+    return tuple(dims)
 
 
 def _degree_of_num(grp: FiniteAbelianGroup, chi: Element, num: int) -> int:

@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 FORMATS = ("table", "csv", "json")
+_JSON = json.JSONEncoder(indent=2)  # the encoder json.dumps(payload, indent=2) builds per call
 
 
 def _check_format(fmt: str) -> None:
@@ -55,7 +56,7 @@ def _csv(header: list[str], body: list[list[str]]) -> str:
 
 
 def _json(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    return _JSON.encode(payload) + "\n"
 
 
 def _form_fields(row: FamilyRow) -> dict[str, str]:
@@ -211,6 +212,8 @@ def render_covers(covers: list[CoverData], fmt: str) -> str:
 def render_invariants(report: InvariantReport, fmt: str) -> str:
     """One invariant report as aligned text, a CSV row, or a JSON object."""
     _check_format(fmt)
+    if fmt == "json":
+        return _json(_invariant_payload(report))
     sing_text = " ".join(
         f"{s.count}x(1/{s.n})(1,{s.q})[z={s.z_points}]" for s in report.sing
     )
@@ -239,7 +242,6 @@ def render_invariants(report: InvariantReport, fmt: str) -> str:
             str(report.K2), str(report.t_z), sing_text, chi0_text,
         ]
         return _csv(header, [row])
-    return _json(_invariant_payload(report))
 
 
 def _form_pair(form) -> dict:

@@ -33,41 +33,58 @@ def _expect(record: dict, key: str, where: str):
     return record[key]
 
 
-def _int_list(value, where: str) -> list[int]:
-    if not isinstance(value, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in value
+_PLAIN_INT = frozenset([int])
+
+
+def _int_list(value, path: str, *parts) -> list[int]:
+    """value when it is a list of integers; path.format(*parts) names it in the error."""
+    if not isinstance(value, list) or not (
+        _PLAIN_INT.issuperset(map(type, value))  # the common case, checked in C
+        or all(isinstance(v, int) and not isinstance(v, bool) for v in value)
     ):
-        raise InvalidInputError(f"{where} must be a list of integers, got {value!r}")
+        raise InvalidInputError(f"{path.format(*parts)} must be a list of integers, got {value!r}")
     return value
+
+
+def _element(index: dict, els: list, value: list) -> tuple:
+    """The checked coordinates as the group's own element tuple when they name one,
+    which make_cover takes without checking the coordinates again."""
+    t = tuple(value)
+    i = index.get(t)
+    return t if i is None else els[i]
 
 
 def parse_cover(group: FiniteAbelianGroup, record, where: str) -> CoverData:
     """Rebuild one cover from its JSON record, validating every field."""
     if not isinstance(record, dict):
         raise InvalidInputError(f"{where} must be an object, got {type(record).__name__}")
-    base_genus = _expect(record, "base_genus", where)
-    raw_branch = _expect(record, "branch", where)
-    raw_twist = _expect(record, "twist", where)
+    try:
+        base_genus, raw_branch, raw_twist = record["base_genus"], record["branch"], record["twist"]
+    except KeyError as err:
+        raise InvalidInputError(f"{where} is missing the {err.args[0]!r} field") from None
     extra = set(record) - {"base_genus", "branch", "twist"}
     if extra:
         raise InvalidInputError(f"{where} has unknown fields: {', '.join(sorted(extra))}")
     if not isinstance(raw_branch, list):
         raise InvalidInputError(f"{where}.branch must be a list, got {raw_branch!r}")
+    index, els = group.index, group.elements()
     branch = {}
     for i, entry in enumerate(raw_branch):
-        spot = f"{where}.branch[{i}]"
-        if not isinstance(entry, dict) or set(entry) != {"elem", "mult"}:
-            raise InvalidInputError(f"{spot} must be an object with elem and mult")
-        elem = tuple(_int_list(entry["elem"], f"{spot}.elem"))
+        if not isinstance(entry, dict) or entry.keys() != {"elem", "mult"}:
+            raise InvalidInputError(f"{where}.branch[{i}] must be an object with elem and mult")
+        elem = _element(index, els, _int_list(entry["elem"], "{}.branch[{}].elem", where, i))
         if elem in branch:
-            raise InvalidInputError(f"{spot} repeats element {list(elem)}")
+            raise InvalidInputError(f"{where}.branch[{i}] repeats element {list(elem)}")
         branch[elem] = entry["mult"]
     if not isinstance(raw_twist, list):
         raise InvalidInputError(f"{where}.twist must be a list, got {raw_twist!r}")
-    twist = tuple(
-        tuple(_int_list(e, f"{where}.twist[{i}]")) for i, e in enumerate(raw_twist)
-    )
-    return make_cover(group, base_genus, branch, twist)
+    twist = []
+    for i, t in enumerate(raw_twist):
+        twist.append(_element(index, els, _int_list(t, "{}.twist[{}]", where, i)))
+    try:
+        return make_cover(group, base_genus, branch, twist)
+    except InvalidInputError as err:
+        raise type(err)(f"{where}: {err}") from None
 
 
 def sandwich_record(sw: Sandwich) -> dict:

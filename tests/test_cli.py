@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,9 @@ from isopencil.errors import InternalConsistencyError
 from isopencil.groups import make_group
 from isopencil.sandwich import make_sandwich
 from isopencil.specfile import parse_sandwich, sandwich_record
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -206,3 +210,17 @@ def test_cli_import_without_site_loads_neither_typing_nor_pathlib():
         [sys.executable, "-S", "-c", probe], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_readme_invariants_examples_match_the_cli_byte_for_byte(tmp_path, capsys, monkeypatch):
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```$", README.read_text(), flags=re.M | re.S)
+    (spec,) = [body for info, body in blocks if info == "json" and '"coverF"' in body]
+    (tmp_path / "surface.json").write_text(spec)
+    monkeypatch.chdir(tmp_path)
+    examples = [body for _, body in blocks if body.startswith("$ isopencil invariants ")]
+    assert len(examples) == 2
+    for body in examples:
+        command, expected = body.split("\n", 1)
+        code, out, err = run(capsys, *command.split()[2:])
+        assert (code, err) == (0, "")
+        assert out == expected, command

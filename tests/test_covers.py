@@ -2,12 +2,13 @@
 
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import gcd, lcm
 
 import pytest
 
 from isopencil import covers as covers_module
+from isopencil.atlas import abelian_groups_up_to
 from isopencil.covers import (
     CoverData,
     bundle_degree,
@@ -218,6 +219,103 @@ def test_make_cover_validates_every_element_but_the_groups_own_tuples():
     for twist in [((True,), (0,)), ([2], (0,)), ((1,), (-1,))]:
         with pytest.raises(InvalidInputError):
             make_cover(Z2, 1, {}, twist)
+
+
+def _reference_make_cover(group, base_genus, branch, twist):
+    """make_cover written the old way: validate every element, add the branch
+    sum with group.add, test generation by the spanned subgroup."""
+    if not isinstance(base_genus, int) or isinstance(base_genus, bool) or base_genus < 0:
+        raise InvalidInputError("base genus")
+    merged = {}
+    points = 0
+    for elem, mult in branch.items() if isinstance(branch, dict) else branch:
+        e = group.validate(elem)
+        if not isinstance(mult, int) or isinstance(mult, bool) or mult < 0:
+            raise InvalidInputError("multiplicity")
+        if mult == 0:
+            continue
+        if e == group.identity:
+            raise InvalidInputError("identity")
+        merged[e] = merged.get(e, 0) + mult
+        points += mult
+    twist_t = tuple(group.validate(t) for t in twist)
+    if len(twist_t) != 2 * base_genus:
+        raise InvalidInputError("twist length")
+    total = group.identity
+    for e, m in merged.items():
+        total = group.add(total, group.scale(m, e))
+    if total != group.identity:
+        raise InvalidMonodromyError("sum")
+    if base_genus == 0 and group.order > 1 and points < 2:
+        raise InvalidMonodromyError("two points")
+    if group.subgroup(list(merged) + list(twist_t)) != frozenset(group.elements()):
+        raise DisconnectedCoverError("generation")
+    return tuple(sorted(merged.items())), twist_t
+
+
+def _branch_variants(points):
+    """The multiset as (element, count) pairs, unmerged, as a dict, and with a
+    zero, a negative or a malformed entry: a bool coordinate equal to a valid
+    one, a list, a wrong length, an out-of-range coordinate."""
+    counted = {}
+    for e in points:
+        counted[e] = counted.get(e, 0) + 1
+    branch = list(counted.items())
+    yield branch
+    yield [(e, 1) for e in points]
+    yield counted
+    if not branch:
+        return
+    (first, m0), (last, m1) = branch[0], branch[-1]
+    yield [(first, 0)] + branch[1:]
+    yield branch[:-1] + [(last, -m1)]
+    yield [(list(first), m0)] + branch[1:]
+    yield branch[:-1] + [(last + (0,), m1)]
+    if last:
+        yield branch[:-1] + [((True,) + last[1:], m1)]
+        yield branch[:-1] + [((99,) + last[1:], m1)]
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except InvalidInputError as err:
+        return type(err)
+
+
+def test_make_cover_matches_the_element_reference_on_a_bounded_box():
+    """Every branch multiset of <= 4 points over every group of order <= 8,
+    rational base; elliptic base with every twist on order <= 4."""
+    checked = built = 0
+    for group in [make_group([])] + abelian_groups_up_to(8):
+        els = group.elements()
+        twists = [((), 0)]
+        if group.order <= 4:
+            twists += [(pair, 1) for pair in product(els, repeat=2)]
+            twists += [((els[-1],), 1), (((True,) * len(els[-1]), els[0]), 1)]
+        for size in range(5):
+            for points in combinations_with_replacement(els, size):
+                for branch in _branch_variants(points):
+                    for twist, base_genus in twists:
+                        args = (group, base_genus, branch, twist)
+                        expected = _outcome(_reference_make_cover, *args)
+                        got = _outcome(make_cover, *args)
+                        checked += 1
+                        if isinstance(expected, type):
+                            assert got is expected, (args, got, expected)
+                            continue
+                        assert (got.branch, got.twist) == expected, args
+                        built += 1
+                        assert "_dims" in got.__dict__  # recorded by make_cover
+                        assert got._dims == tuple(eigen_dim(got, chi) for chi in els)
+                        assert genus(got) == genus_rh(got)
+                        direct = CoverData(group, base_genus, got.branch, got.twist)
+                        assert "_dims" not in direct.__dict__
+                        assert direct._dims == got._dims
+    for base_genus in (-1, True, 1.0, "0"):
+        assert _outcome(make_cover, Z2, base_genus, {(1,): 2}) is InvalidInputError
+        assert _outcome(_reference_make_cover, Z2, base_genus, {(1,): 2}, ()) is InvalidInputError
+    assert checked > 20_000 and built > 1_000
 
 
 def test_enumerate_covers_requires_a_bound():

@@ -1,6 +1,7 @@
 """Spec-file schema and the three output formats stay stable and reversible."""
 
 import json
+import re
 import time
 
 import pytest
@@ -49,23 +50,48 @@ def test_sandwich_record_round_trip():
     assert back.cover_f == F_COVER and back.cover_d == D_COVER
 
 
-@pytest.mark.parametrize("mangle", [
-    lambda d: d.pop("group"),
-    lambda d: d.pop("coverF"),
-    lambda d: d.update(surprise=1),
-    lambda d: d["coverF"].pop("twist"),
-    lambda d: d["coverF"].update(color="red"),
-    lambda d: d["coverF"]["branch"].append({"elem": [1, 1], "mult": "two"}),
-    lambda d: d["coverF"]["branch"].append({"elem": [0, 1], "mult": 1}),
-    lambda d: d["coverF"]["branch"].append({"elem": [0, True], "mult": 1}),
-    lambda d: d["coverD"].update(twist=[[1, 0]]),
-    lambda d: d.update(group="2,2"),
-])
+# Each mangled spec with the start of its message, which names the offending path.
+BAD_SPECS = [
+    (lambda d: d.pop("group"), "spec is missing the 'group' field"),
+    (lambda d: d.pop("coverF"), "spec is missing the 'coverF' field"),
+    (lambda d: d.update(surprise=1), "spec has unknown fields: surprise"),
+    (lambda d: d["coverF"].pop("twist"), "spec.coverF is missing the 'twist' field"),
+    (lambda d: d["coverF"].update(color="red"), "spec.coverF has unknown fields: color"),
+    (
+        lambda d: d["coverF"]["branch"].append({"elem": [1, 1], "mult": "two"}),
+        "spec.coverF.branch[3] repeats element [1, 1]",
+    ),
+    (
+        lambda d: d["coverF"]["branch"].append({"elem": [0, 1], "mult": 1}),
+        "spec.coverF.branch[3] repeats element [0, 1]",
+    ),
+    (
+        lambda d: d["coverF"]["branch"].append({"elem": [0, True], "mult": 1}),
+        "spec.coverF.branch[3].elem must be a list of integers",
+    ),
+    (lambda d: d["coverD"].update(twist=[[1, 0]]), "spec.coverD: twist must list 2 elements"),
+    (lambda d: d.update(group="2,2"), "spec.group must be a list of integers"),
+    (lambda d: d["coverF"]["branch"][2].update(mult=2), "spec.coverF: branch monodromies sum to"),
+    (
+        lambda d: d["coverD"]["twist"].__setitem__(0, [0, 1]),
+        "spec.coverD: branch and twist data do not generate",
+    ),
+    (lambda d: d["coverD"]["twist"].__setitem__(1, [0, 2]), "spec.coverD: coordinate 2 out of range"),
+    (lambda d: d["coverD"]["twist"].__setitem__(1, "01"), "spec.coverD.twist[1] must be a list"),
+    (lambda d: d["coverF"]["branch"][1].update(mult="two"), "spec.coverF: branch multiplicity 'two'"),
+    (lambda d: d["coverF"]["branch"][0].pop("mult"), "spec.coverF.branch[0] must be an object"),
+    (lambda d: d["coverD"].update(branch={}), "spec.coverD.branch must be a list"),
+    (lambda d: d.update(coverD=[]), "spec.coverD must be an object"),
+]
+
+
+@pytest.mark.parametrize("mangle", [mangle for mangle, _ in BAD_SPECS])
 def test_bad_specs_are_rejected(mangle):
+    message = dict(BAD_SPECS)[mangle]
     data = sandwich_record(make_sandwich(F_COVER, D_COVER))
     data = json.loads(json.dumps(data))
     mangle(data)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="^" + re.escape(message)):
         parse_sandwich(data)
 
 
