@@ -6,7 +6,14 @@ from functools import lru_cache
 from math import gcd
 
 from .atlas import _actions_cell, groups_acting_on
-from .covers import FIBER_GENUS_RANGE, CoverData, genus, make_cover
+from .covers import (
+    FIBER_GENUS_RANGE,
+    CoverData,
+    _multiplicity_vectors,
+    _twist_table,
+    genus,
+    make_cover,
+)
 from .errors import (
     CapabilityError,
     DisconnectedCoverError,
@@ -85,101 +92,40 @@ def _validate_pg_range(pg_range) -> tuple[int, int]:
     return lo, hi
 
 
-@lru_cache(maxsize=None)
-def _bounded_part(group: FiniteAbelianGroup, fixed: tuple, target: Element):
-    """Split the nonzero elements against fixed requirements and a target character.
+def _branch_solutions(
+    group: FiniteAbelianGroup, fixed: tuple, target: Element, degrees: range
+) -> list[tuple[int, dict[Element, int]]]:
+    """(degree, branch) for every branch multiplicity vector with the fixed
+    (character, degree) requirements and a degree in `degrees` (a range of
+    nonnegative integers) on the target.
 
-    An element pairing nontrivially with a fixed character is bounded by that
-    requirement; the other (free) elements pair only with the target. Returns
-    the nonzero elements, the free ones as (index, target coefficient), and
-    every multiplicity vector on the bounded elements that meets the fixed
-    requirements exactly, as ((index, multiplicity) pairs, its share of the
-    target). None of these depends on the target's degree.
+    Every nonzero element must pair nontrivially with some listed character,
+    otherwise its multiplicity is unconstrained and the cell has no finite list.
+    One search covers the whole window: its state is the numerators of the
+    fixed degrees still to be met, its weight the target's numerator. Vectors
+    come by ascending degree, then in ascending lexicographic order of the
+    multiplicity vector in elements() order.
     """
-    nonzero = [e for e in group.elements() if e != group.identity]
-    bounded = []
-    free = []
-    for i, e in enumerate(nonzero):
-        cs = tuple(group.pair_num(chi, e) for chi, _ in fixed)
-        t = group.pair_num(target, e)
-        if any(cs):
-            bounded.append((i, cs, t))
-        elif t:
-            free.append((i, t))
-        else:
+    exponent = group.exponent
+    els = group.elements()
+    coeffs = [tuple([group.pair_num(chi, e) for chi, _ in fixed]) for e in els]
+    weights = [group.pair_num(target, e) for e in els]
+    for e, cs, t in zip(els[1:], coeffs[1:], weights[1:]):
+        if not (any(cs) or t):
             raise CapabilityError(
                 f"element {e} escapes every degree constraint; the search is unbounded"
             )
 
-    vectors = []
+    def step(i, remaining):
+        left = tuple([r - c for r, c in zip(remaining, coeffs[i])])
+        return left if min(left, default=0) >= 0 else None
 
-    def rec(k: int, remaining: tuple[int, ...], acc: tuple, share: int):
-        if k == len(bounded):
-            if not any(remaining):
-                vectors.append((acc, share))
-            return
-        i, cs, t = bounded[k]
-        cap = min(r // c for c, r in zip(cs, remaining) if c)
-        for d in range(cap + 1):
-            nxt = tuple(r - d * c for c, r in zip(cs, remaining))
-            rec(k + 1, nxt, acc + ((i, d),) if d else acc, share + d * t)
-
-    rec(0, tuple(deg * group.exponent for _, deg in fixed), (), 0)
-    return tuple(nonzero), tuple(free), tuple(vectors)
-
-
-def _branch_solutions(
-    group: FiniteAbelianGroup, requirements: list[tuple[Element, int]]
-) -> list[dict[Element, int]]:
-    """Branch multiplicity vectors with exact degrees on the given characters.
-
-    Every nonzero element must pair nontrivially with some listed character,
-    otherwise its multiplicity is unconstrained and the cell has no finite list.
-    The last requirement is the target whose degree grows with p_g; the bounded
-    part is solved once per (group, other requirements, target character), the
-    free part per call. Vectors come in ascending lexicographic order of the
-    multiplicity vector in elements() order.
-    """
-    target, degree = requirements[-1]
-    nonzero, free, bounded = _bounded_part(group, tuple(requirements[:-1]), target)
-    budget = degree * group.exponent
-    if budget < 0:
-        return []
-    # reach[k]: bit r is set when the free elements k.. can make exactly r.
-    reach = [1]
-    for _, t in reversed(free):
-        mask = reach[-1]
-        step = t
-        while step <= budget:
-            mask |= mask << step
-            step *= 2
-        reach.append(mask & ((2 << budget) - 1))
-    reach.reverse()
-
-    def fill(k: int, rest: int, acc: tuple):
-        if k == len(free):
-            yield acc
-            return
-        i, t = free[k]
-        for d in range(rest // t + 1):
-            if reach[k + 1] >> (rest - d * t) & 1:
-                yield from fill(k + 1, rest - d * t, acc + ((i, d),) if d else acc)
-
-    filled: dict[int, list[tuple]] = {}
-    vectors = []
-    for part, share in bounded:
-        rest = budget - share
-        if rest < 0 or not reach[0] >> rest & 1:
-            continue
-        if rest not in filled:
-            filled[rest] = list(fill(0, rest, ()))
-        for tail in filled[rest]:
-            vec = [0] * len(nonzero)
-            for i, d in part + tail:
-                vec[i] = d
-            vectors.append(vec)
-    vectors.sort()
-    return [{nonzero[i]: d for i, d in enumerate(vec) if d} for vec in vectors]
+    goal = range(degrees.start * exponent, (degrees.stop - 1) * exponent + 1, exponent)
+    start = tuple([degree * exponent for _, degree in fixed])
+    found: dict[int, list] = {degree: [] for degree in degrees}
+    for vector, weight in _multiplicity_vectors(step, weights, start, (0,) * len(fixed), goal):
+        found[weight // exponent].append({els[i]: m for i, m in vector})
+    return [(degree, branch) for degree in degrees for branch in found[degree]]
 
 
 def _complete_twist(group: FiniteAbelianGroup, base_genus: int, elems) -> tuple | None:
@@ -189,14 +135,11 @@ def _complete_twist(group: FiniteAbelianGroup, base_genus: int, elems) -> tuple 
     """
     if base_genus == 0:
         return ()
-    pool = group.elements()
-    kernel_mask = group.kernel_mask
-    fixed = group.common_kernel(elems)
-    for t1 in pool:
-        left = fixed & kernel_mask(t1)
-        for t2 in pool:
-            if left & kernel_mask(t2) == 1:  # the same test as group.generates
-                return (t1, t2)
+    kernel = group.common_kernel(elems)
+    els = group.elements()
+    for twist, mask in _twist_table(group, base_genus):
+        if kernel & mask == 1:  # the same test as group.generates
+            return tuple([els[j] for j in twist])
     return None
 
 
@@ -319,37 +262,37 @@ def classify_cell(
         ]
         for chi0 in candidates:
             fixed, target = _pencil_requirements(cover_f, chi0, b)
-            for p_g in range(lo, hi + 1):
-                requirements = [*fixed, (target, p_g + 1 - b)]
-                for branch in _branch_solutions(group, requirements):
-                    canon = _canonical_solution(stab, chi0, branch)
-                    if canon in seen:
-                        continue
-                    seen.add(canon)
-                    chi0_c, branch_c = canon
-                    twist = _complete_twist(group, b, [e for e, _ in branch_c])
-                    if twist is None:
-                        continue
-                    try:
-                        cover_d = make_cover(group, b, branch_c, twist)
-                    except (InvalidMonodromyError, DisconnectedCoverError):
-                        continue
-                    g_d = genus(cover_d)
-                    if g_d < 2:
-                        continue
-                    report = invariants(make_sandwich(cover_f, cover_d))
-                    if report.canonical_character != chi0_c:
-                        raise InternalConsistencyError(
-                            f"solution for {chi0_c} reports pencil character "
-                            f"{report.canonical_character}"
-                        )
-                    if report.p_g != p_g:
-                        raise InternalConsistencyError(
-                            f"solution built for p_g={p_g} reports p_g={report.p_g}"
-                        )
-                    solutions.append(
-                        SurfaceSolution(p_g, chi0_c, cover_f, cover_d, g_d, report)
+            window = range(lo + 1 - b, hi + 2 - b)  # target degree p_g + 1 - b
+            for degree, branch in _branch_solutions(group, fixed, target, window):
+                p_g = degree - 1 + b
+                canon = _canonical_solution(stab, chi0, branch)
+                if canon in seen:
+                    continue
+                seen.add(canon)
+                chi0_c, branch_c = canon
+                twist = _complete_twist(group, b, [e for e, _ in branch_c])
+                if twist is None:
+                    continue
+                try:
+                    cover_d = make_cover(group, b, branch_c, twist)
+                except (InvalidMonodromyError, DisconnectedCoverError):
+                    continue
+                g_d = genus(cover_d)
+                if g_d < 2:
+                    continue
+                report = invariants(make_sandwich(cover_f, cover_d))
+                if report.canonical_character != chi0_c:
+                    raise InternalConsistencyError(
+                        f"solution for {chi0_c} reports pencil character "
+                        f"{report.canonical_character}"
                     )
+                if report.p_g != p_g:
+                    raise InternalConsistencyError(
+                        f"solution built for p_g={p_g} reports p_g={report.p_g}"
+                    )
+                solutions.append(
+                    SurfaceSolution(p_g, chi0_c, cover_f, cover_d, g_d, report)
+                )
     return solutions
 
 
@@ -357,18 +300,21 @@ def classify_cell(
 def _bucket_split(cover_f: CoverData, chi0: Element, b: int):
     """The bounded elements and the free ones with their growth steps, for one pencil.
 
-    This is _bounded_part's split. A free element pairs only with the target
-    -chi0, with numerator t over the exponent, so as p_g grows its
-    multiplicity moves along a progression of step exponent / gcd(exponent, t).
+    An element pairing nontrivially with a character other than the pencil's
+    is bounded by that character's degree, which does not move with p_g. A
+    free element pairs only with the target -chi0, with numerator t over the
+    exponent, so as p_g grows its multiplicity moves along a progression of
+    step exponent / gcd(exponent, t).
     """
     group = cover_f.group
-    nonzero, free, _ = _bounded_part(group, *_pencil_requirements(cover_f, chi0, b))
-    free_index = dict(free)
-    bounded = tuple(e for i, e in enumerate(nonzero) if i not in free_index)
-    steps = tuple(
-        (nonzero[i], group.exponent // gcd(group.exponent, t)) for i, t in free
-    )
-    return bounded, steps
+    fixed, target = _pencil_requirements(cover_f, chi0, b)
+    bounded, steps = [], []
+    for e in group.elements()[1:]:
+        if any([group.pair_num(chi, e) for chi, _ in fixed]):
+            bounded.append(e)
+        else:
+            steps.append((e, group.exponent // gcd(group.exponent, group.pair_num(target, e))))
+    return tuple(bounded), tuple(steps)
 
 
 def _bucket_key(sol: SurfaceSolution):

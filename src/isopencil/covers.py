@@ -5,11 +5,13 @@ Every derived quantity (bundle degrees, eigenspace dimensions, genus) is
 computed by exact integer arithmetic from that data alone. make_cover validates
 each element once and records the eigen-profile from the same pass over the
 character numerators sum(m * <chi, e>) that checks that the branch sum closes.
+_multiplicity_vectors is the one search for branch multiplicities: it closes
+the branch sum for enumerate_covers and meets the classifier's degree equations.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import (
     CapabilityError,
@@ -258,35 +260,20 @@ def enumerate_covers(
     *,
     genus: int | None = None,
     max_branch_points: int | None = None,
-    dims=None,
     up_to_aut: bool = False,
 ):
     """Yield every valid cover meeting the constraints, once per branch multiset.
 
-    At least one of genus, max_branch_points, or a dims map covering every
-    character must be supplied, otherwise the search space is unbounded.
+    At least one of genus or max_branch_points must be supplied, otherwise the
+    search space is unbounded.
     """
     if not isinstance(base_genus, int) or isinstance(base_genus, bool) or base_genus < 0:
         raise InvalidInputError(f"base genus must be an integer >= 0, got {base_genus!r}")
-    if max_branch_points is not None and (
-        not isinstance(max_branch_points, int)
-        or isinstance(max_branch_points, bool)
-        or max_branch_points < 0
-    ):
-        raise InvalidInputError(
-            f"max_branch_points must be an integer >= 0, got {max_branch_points!r}"
-        )
-    if dims is not None:
-        dims = {group.validate(k): v for k, v in dims.items()}
-        for v in dims.values():
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise InvalidInputError(f"dimension constraint {v!r} must be an integer >= 0")
-        if genus is None and len(dims) == group.order:
-            genus = sum(dims.values())
+    for name, bound in (("genus", genus), ("max_branch_points", max_branch_points)):
+        if bound is not None and (not isinstance(bound, int) or isinstance(bound, bool) or bound < 0):
+            raise InvalidInputError(f"{name} must be an integer >= 0, got {bound!r}")
     if genus is None and max_branch_points is None:
-        raise CapabilityError(
-            "unbounded constraint set: give genus, max_branch_points, or a full dims map"
-        )
+        raise CapabilityError("unbounded constraint set: give genus or max_branch_points")
     if genus is not None and genus < 1 + group.order * (base_genus - 1):
         return iter(())
     if base_genus >= 1 and group.order ** (2 * base_genus) > TWIST_SPACE_BOUND:
@@ -295,183 +282,152 @@ def enumerate_covers(
         )
     if up_to_aut:
         group.check_aut_size()
-    return _iter_covers(group, base_genus, genus, max_branch_points, dims, up_to_aut)
+    return _iter_covers(group, base_genus, genus, max_branch_points, up_to_aut)
 
 
-def _iter_covers(group, base_genus, target_genus, max_branch_points, dims, up_to_aut):
+def _multiplicity_vectors(step, weights, start, final, goal: range):
+    """Yield (vector, weight) for every multiplicity vector on the nonzero
+    elements that carries the state from start to final with weight in goal.
+
+    Elements are walked by index, 1..len(weights)-1; the identity, at index 0,
+    takes no multiplicity. m copies of element i move the state along its
+    chain s, step(i, s), ..., which either dies (step returns None) or comes
+    back to s and repeats (then weights[i] must be positive), and
+    add m * weights[i] to the weight. vector holds the (index, multiplicity)
+    pairs with nonzero multiplicity, and vectors come in ascending
+    lexicographic order of the multiplicity vector. mask[i][s] has bit u set
+    when elements i.. can take state s at weight u to a leaf, and an entry is
+    pushed only when its bit is set, so every search frame has a leaf below
+    it. The last element's children are the leaves, decided without masks,
+    so with one nonzero element no mask is built.
+    """
+    last = len(weights) - 1
+    if not goal or last < 1:
+        if start == final and 0 in goal:
+            yield (), 0
+        return
+    limit = goal[-1]
+    # chains[i][s]: (the states of 0, 1, ... copies of element i from s,
+    # whether they repeat); states are found forwards from start.
+    chains = [None]
+    states = {start: None}
+    for i in range(1, last + 1):
+        level = {}
+        for s in states:
+            chain = [s]
+            t = step(i, s)
+            while t is not None and t != s:
+                chain.append(t)
+                t = step(i, t)
+            level[s] = (chain, t is not None)
+        chains.append(level)
+        states = {t: None for chain, _ in level.values() for t in chain}
+    if last > 1:
+        # bits goal[0], goal[0] + goal.step, ...: the weights a leaf may carry
+        below = {final: ((1 << len(goal) * goal.step) - 1) // ((1 << goal.step) - 1) << goal[0]}
+        mask = [None] * (last + 1)
+        for i in range(last, 0, -1):
+            w = weights[i]
+            level = {}
+            for s, (chain, repeats) in chains[i].items():
+                bits = 0
+                for k, t in enumerate(chain):
+                    bits |= below.get(t, 0) >> (k * w)
+                if repeats:  # OR in the shifts by whole periods
+                    period = len(chain) * w
+                    while period <= limit:
+                        bits |= bits >> period
+                        period *= 2
+                level[s] = bits
+            mask[i] = below = level
+        if not mask[1][start] & 1:
+            return
+
+    def entry(i, s, used):
+        """[next multiplicity, last multiplicity, chain from s, weight so far, weight, period]."""
+        chain, repeats = chains[i][s]
+        w = weights[i]
+        top = (limit - used) // w if w else len(chain) - 1
+        if not repeats:
+            top = min(top, len(chain) - 1)
+        low = max(0, -((used - goal[0]) // w)) if i == last and w else 0
+        return [low, top, chain, used, w, len(chain)]
+
+    path = []  # (index, multiplicity) of every nonzero choice above the last element
+    stack = [entry(1, start, 0)]  # stack[k] belongs to element k + 1
+    while stack:
+        frame = stack[-1]
+        m, top, chain, used, w, period = frame
+        i = len(stack)
+        if m > top:
+            stack.pop()
+            if path and path[-1][0] == i:
+                path.pop()
+            continue
+        frame[0] = m + 1
+        t = chain[m % period]
+        u = used + m * w
+        if i == last:
+            if t == final and u in goal:
+                yield ((*path, (i, m)) if m else tuple(path)), u
+            continue
+        if m == 1:
+            path.append((i, 1))
+        elif m:
+            path[-1] = (i, m)
+        if mask[i + 1][t] >> u & 1:
+            stack.append(entry(i + 1, t, u))
+
+
+@lru_cache(maxsize=None)
+def _twist_table(group: FiniteAbelianGroup, base_genus: int) -> tuple:
+    """(indices, mask) of every twist, in product(range(n), repeat=2 * base_genus) order.
+
+    mask is the common kernel of the twist's elements: a (branch, twist)
+    generates G exactly when only the trivial character (bit 0) vanishes on
+    all of its elements.
+    """
+    masks = [group.kernel_mask(e) for e in group.elements()]
+    twists = [((), masks[0])]  # every character vanishes on the identity
+    for _ in range(2 * base_genus):
+        twists = [(t + (j,), mask & masks[j]) for t, mask in twists for j in range(group.order)]
+    return tuple(twists)
+
+
+def _iter_covers(group, base_genus, target_genus, max_branch_points, up_to_aut):
     n = group.order
     m_exp = group.exponent
     els = group.elements()
-    nonzero = els[1:]  # elements() starts at the identity: nonzero[i] has index i + 1
-    orders = group.orders
-    scaled_weight = [m_exp - m_exp // o for o in orders[1:]]
-
-    if target_genus is not None:
-        weight = 2 * (target_genus - 1 - n * (base_genus - 1)) * m_exp
-        if weight < 0 or weight % n:
-            return
-        target = weight // n
-    else:
-        target = None
-    cap = max_branch_points
-    count_budget = cap if cap is not None else target  # every branch point has scaled weight >= 1
+    rows = [group.add_row(e) for e in els]
+    masks = [group.kernel_mask(e) for e in els]
 
     # Branch sums are carried as element indices (0 is the identity); a branch
     # vector is a leaf only when its sum m_1*e_1 + ... + m_k*e_k is 0, since
     # make_cover rejects every other one whatever the base genus or twist.
-    rows = [group.add_row(e) for e in nonzero]
-    index = group.index
-    last = len(nonzero) - 1
-    if nonzero:
-        last_order = orders[last + 1]
-        # index of -(m * e_last) -> m: the sums that m copies of e_last close
-        closing = {
-            index[group.neg(group.scale(m, nonzero[last]))]: m for m in range(last_order)
-        }
-    if last >= 1:  # with one nonzero element the closing lookup alone decides
-        # reach[i][s]: bit r is set when elements i.. can close the sum s with
-        # scaled weight exactly r (genus target) or with r branch points (no
-        # target), so a frame is entered only when a leaf lies below it. With
-        # both a target and a cap, the cap can still end a frame leafless.
-        steps = scaled_weight if target is not None else [1] * len(nonzero)
-        limit = target if target is not None else count_budget
-        full = (2 << limit) - 1
-
-        def periodic(mask, period):
-            """mask | mask << period | mask << 2 * period | ..., cut at bit limit."""
-            while period <= limit:
-                mask |= mask << period
-                period *= 2
-            return mask & full
-
-        # m copies of an element of order o move the sum by m mod o and the
-        # weight by m * w, so each mask is o shifted copies repeated with
-        # period o * w: O(o + log(limit)) big-integer steps, not O(limit).
-        w = steps[last]
-        reach_last = [0] * n
-        for s, m0 in closing.items():
-            reach_last[s] = periodic(1 << (m0 * w), last_order * w)
-        reach = [reach_last]
-        for i in range(last - 1, -1, -1):
-            row = rows[i]
-            w = steps[i]
-            order = orders[i + 1]
-            below = reach[-1]
-            level = []
-            for s in range(n):
-                mask = 0
-                t = s  # s plus r copies of nonzero[i]
-                for r in range(order):
-                    mask |= below[t] << (r * w)
-                    t = row[t]
-                level.append(periodic(mask, order * w))
-            reach.append(level)
-        reach.reverse()
-        # Lookups that read one bit without copying a limit-bit integer.
-        if target is None:
-            fewest = [[(m & -m).bit_length() - 1 for m in level] for level in reach]
-        else:
-            width = limit // 8 + 1
-            reach = [[m.to_bytes(width, "little") for m in level] for level in reach]
-
-    def closable(i, s, remaining, count_left) -> bool:
-        if remaining is None:
-            return 0 <= fewest[i][s] <= count_left  # fewest branch points that close s
-        return reach[i][s][remaining >> 3] >> (remaining & 7) & 1
-
-    def closing_mults(s, remaining, count_left):
-        """Multiplicities of the last nonzero element that close the sum s."""
-        m0 = closing.get(s)
-        if m0 is None:
-            return ()
-        if remaining is None:
-            return range(m0, count_left + 1, last_order)
-        # a genus target forces the last multiplicity
-        m, rest = divmod(remaining, scaled_weight[last])
-        return (m,) if rest == 0 and m <= count_left and m % last_order == m0 else ()
-
-    # Connectedness by character kernels: a (branch, twist) generates G exactly
-    # when only the trivial character (bit 0) vanishes on all of its elements.
-    masks = [group.kernel_mask(e) for e in els]
-    every_char = masks[0]  # every character vanishes on the identity
-    kernel = masks[1:]
-    twists = [((), every_char)]  # (indices, mask), in product(range(n), ...) order
-    for _ in range(2 * base_genus):
-        twists = [(t + (j,), mask & masks[j]) for t, mask in twists for j in range(n)]
-    # need[i]: characters vanishing on nonzero[i:] and on every twist. A path
-    # whose mask keeps more than bit 0 of need[i] cannot generate G below.
-    # A twist may hold any element, so with base genus >= 1 only the trivial
-    # character vanishes on every twist and nothing is cut.
-    need = [0] * (last + 2)
-    need[-1] = every_char if base_genus == 0 else 1
-    for i in range(last, -1, -1):
-        need[i] = need[i + 1] & kernel[i]
-
-    def branch_vectors():
-        """(branch, mask) of every closed branch vector, from this one frame.
-
-        branch holds (index, multiplicity) pairs by index, without zero
-        multiplicities; mask is the common kernel of its elements. An explicit
-        stack replaces recursion: one entry per open level i < last holding
-        [m, s, remaining, count_left, entry mask, top], where m is the next
-        multiplicity of nonzero[i] to try and s, remaining, count_left
-        already count m copies of it. The last level is closed inline.
-        """
-        if not nonzero:
-            if target in (None, 0):
-                yield (), every_char
+    if target_genus is None:
+        weights = [1] * n  # count branch points
+        goal = range(max_branch_points + 1)
+    else:
+        weight = 2 * (target_genus - 1 - n * (base_genus - 1)) * m_exp
+        if weight < 0 or weight % n:
             return
-        if last == 0:
-            for m in closing_mults(0, target, count_budget):
-                yield (((1, m),), kernel[0]) if m else ((), every_char)
-            return
-        if not closable(0, 0, target, count_budget):
-            return
-        chosen = []  # (index, multiplicity) of every nonzero choice on the path
-        top = count_budget if target is None else min(count_budget, target // scaled_weight[0])
-        stack = [[0, 0, target, count_budget, every_char, top]]
-        while stack:
-            frame = stack[-1]
-            m, s, remaining, count_left, mask, top = frame
-            i = len(stack) - 1
-            if m > top:
-                stack.pop()
-                if top:
-                    chosen.pop()
-                continue
-            frame[0] = m + 1
-            frame[1] = rows[i][s]
-            if remaining is not None:
-                frame[2] = remaining - scaled_weight[i]
-            frame[3] = count_left - 1
-            if m:
-                mask &= kernel[i]
-                if m == 1:
-                    chosen.append((i + 1, 1))
-                else:
-                    chosen[-1] = (i + 1, m)
-            j = i + 1
-            if mask & need[j] != 1:
-                continue
-            if j < last:
-                if closable(j, s, remaining, count_left):
-                    top = count_left
-                    if remaining is not None:
-                        top = min(top, remaining // scaled_weight[j])
-                    stack.append([0, s, remaining, count_left, mask, top])
-                continue
-            for m in closing_mults(s, remaining, count_left):
-                if m:
-                    yield tuple(chosen) + ((j + 1, m),), mask & kernel[j]
-                else:
-                    yield tuple(chosen), mask
+        weights = [m_exp - m_exp // o for o in group.orders]  # scaled RH weight
+        goal = range(weight // n, weight // n + 1)
+    vectors = _multiplicity_vectors(lambda i, s: rows[i][s], weights, 0, 0, goal)
 
     # Key of every orbit member met -> orbit minimum, all in index space. A
     # leaf's (branch, twist) is already in make_cover's normal form (branch
     # sorted by element, no zero multiplicity), so a known non-minimal orbit
     # member is skipped unbuilt, and so is a disconnected one.
     least: dict[tuple, tuple] = {}
-    for branch, branch_mask in branch_vectors():
+    twists = _twist_table(group, base_genus)
+    for branch, _ in vectors:
+        if target_genus is not None and max_branch_points is not None:
+            if sum([m for _, m in branch]) > max_branch_points:
+                continue
+        branch_mask = masks[0]
+        for j, _ in branch:
+            branch_mask &= masks[j]
         elem_branch = None
         for twist, twist_mask in twists:
             if branch_mask & twist_mask != 1:
@@ -487,10 +443,6 @@ def _iter_covers(group, base_genus, target_genus, max_branch_points, dims, up_to
                 cover = make_cover(group, base_genus, elem_branch, elem_twist)
             except InvalidInputError:
                 continue
-            if dims is not None:
-                profile = eigen_profile(cover)
-                if any(profile[k] != v for k, v in dims.items()):
-                    continue
             if up_to_aut and known is None:
                 if (elem_branch, elem_twist) != (cover.branch, cover.twist):
                     raise InternalConsistencyError(

@@ -76,7 +76,7 @@ def test_unreachable_cells_are_empty():
 def test_escaping_element_is_reported():
     group = make_group([2, 2])
     with pytest.raises(CapabilityError):
-        _branch_solutions(group, [((1, 0), 1)])
+        _branch_solutions(group, (), (1, 0), range(1, 2))
 
 
 def _requirements(witness, chi0, b, degree):
@@ -127,11 +127,19 @@ def test_branch_solutions_match_a_brute_force_box(factors, branch, chars, degree
     checked = 0
     for chi0 in chars:
         for b, degs in degrees.items():
-            for degree in degs:
-                requirements = _requirements(witness, chi0, b, degree)
-                found = [list(v.items()) for v in _branch_solutions(group, requirements)]
-                assert found == _box_solutions(group, requirements)
-                checked += len(found)
+            # one window solve over every degree from the least to the greatest tried
+            window = range(min(degs), max(degs) + 1)
+            *fixed, (target, _) = _requirements(witness, chi0, b, 0)
+            found = [(d, list(v.items())) for d, v in _branch_solutions(group, tuple(fixed), target, window)]
+            assert found == [
+                (degree, vec)
+                for degree in window
+                for vec in _box_solutions(group, _requirements(witness, chi0, b, degree))
+            ]
+            for degree in degs:  # and each degree alone, a window whose top is its bottom
+                alone = _branch_solutions(group, tuple(fixed), target, range(degree, degree + 1))
+                assert alone == [(d, v) for d, v in _branch_solutions(group, tuple(fixed), target, window) if d == degree]
+            checked += len(found)
     assert checked
 
 

@@ -1,5 +1,6 @@
 """Cover building data: validation, bundle degrees, eigenspace dims, genus."""
 
+import inspect
 import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -7,6 +8,7 @@ from math import gcd, lcm
 
 import pytest
 
+from isopencil import classifier as classifier_module
 from isopencil import covers as covers_module
 from isopencil.atlas import abelian_groups_up_to
 from isopencil.covers import (
@@ -192,11 +194,6 @@ def test_enumerate_covers_z22_genus2():
     assert mults == [1, 1, 3]
 
 
-def test_enumerate_covers_respects_dims_constraint():
-    covers = list(enumerate_covers(Z2, 0, genus=2, dims={(1,): 2}))
-    assert [c.branch for c in covers] == [(((1,), 6),)]
-
-
 def test_make_cover_validates_every_element_but_the_groups_own_tuples():
     els = Z28.elements()
     own_branch = [(els[Z28.index[(0, 7)]], 1), (els[Z28.index[(1, 4)]], 1), (els[Z28.index[(1, 5)]], 1)]
@@ -321,8 +318,6 @@ def test_make_cover_matches_the_element_reference_on_a_bounded_box():
 def test_enumerate_covers_requires_a_bound():
     with pytest.raises(CapabilityError):
         list(enumerate_covers(Z22, 0))
-    with pytest.raises(CapabilityError):
-        list(enumerate_covers(Z22, 0, dims={(1, 0): 1}))
 
 
 def test_enumerate_covers_by_branch_point_bound():
@@ -369,21 +364,22 @@ def _reference_form(cover):
     )
 
 
-@pytest.mark.parametrize("factors, base_genus, genera, dims", [
+@pytest.mark.parametrize("factors, base_genus, genera, max_branch_points", [
     ((2, 2, 2), 0, range(2, 8), None),
     ((2, 4), 0, range(2, 10), None),
     ((4, 4), 0, range(2, 10), None),
     ((3, 3), 0, range(2, 12), None),
     ((2, 2), 1, range(1, 6), None),
-    ((2, 4), 0, range(2, 10), {(0, 1): 1}),
+    ((2, 4), 0, range(2, 10), 4),
 ])
-def test_enumerate_covers_up_to_aut_matches_brute_force(factors, base_genus, genera, dims):
+def test_enumerate_covers_up_to_aut_matches_brute_force(factors, base_genus, genera, max_branch_points):
     group = make_group(factors)
     yielded = 0
     for g in genera:
-        every = list(enumerate_covers(group, base_genus, genus=g, dims=dims))
+        bounds = {"genus": g, "max_branch_points": max_branch_points}
+        every = list(enumerate_covers(group, base_genus, **bounds))
         expected = [c for c in every if (c.branch, c.twist) == _reference_form(c)]
-        assert list(enumerate_covers(group, base_genus, genus=g, dims=dims, up_to_aut=True)) == expected
+        assert list(enumerate_covers(group, base_genus, up_to_aut=True, **bounds)) == expected
         assert [canonical_cover_form(c) for c in expected] == [(c.branch, c.twist) for c in expected]
         yielded += len(expected)
     assert yielded >= 3
@@ -436,7 +432,7 @@ def test_cover_data_is_hashable_and_frozen():
         c.base_genus = 1  # type: ignore[misc]
 
 
-def _brute_force_covers(group, base_genus, genus=None, max_branch_points=None, dims=None):
+def _brute_force_covers(group, base_genus, genus=None, max_branch_points=None):
     """Every weight-feasible multiplicity vector times every twist, through make_cover."""
     nonzero = [e for e in group.elements() if e != group.identity]
     m_exp = group.exponent
@@ -460,12 +456,9 @@ def _brute_force_covers(group, base_genus, genus=None, max_branch_points=None, d
         branch = [(e, m) for e, m in zip(nonzero, mults) if m]
         for twist in product(group.elements(), repeat=2 * base_genus):
             try:
-                cover = make_cover(group, base_genus, branch, twist)
+                covers.append(make_cover(group, base_genus, branch, twist))
             except InvalidInputError:
                 continue
-            profile = eigen_profile(cover)
-            if dims is None or all(profile[k] == v for k, v in dims.items()):
-                covers.append(cover)
     return covers
 
 
@@ -475,7 +468,7 @@ def _brute_force_covers(group, base_genus, genus=None, max_branch_points=None, d
     ((4,), 0, [{"genus": g} for g in range(0, 7)] + [{"max_branch_points": 5}]),
     ((2, 4), 0, [{"genus": g} for g in range(2, 5)]),
     ((2, 2, 2), 0, [{"genus": 1}, {"genus": 3}, {"max_branch_points": 3}]),
-    ((6,), 0, [{"genus": g} for g in range(2, 5)] + [{"genus": 4, "dims": {(1,): 1}}]),
+    ((6,), 0, [{"genus": g} for g in range(2, 5)]),
     ((2,), 1, [{"genus": g} for g in range(1, 6)] + [{"max_branch_points": 3}]),
     ((3,), 1, [{"genus": g} for g in range(1, 6)]),
     ((2, 2), 1, [{"genus": g} for g in range(1, 5)] + [{"genus": 3, "max_branch_points": 2}]),
@@ -558,9 +551,10 @@ def test_up_to_aut_builds_only_yielded_covers_and_first_orbit_members(monkeypatc
     (0, {"max_branch_points": 2.5}),
     (0, {"max_branch_points": True}),
     (0, {"max_branch_points": "3"}),
-    (0, {"genus": 3, "dims": {(1,): True}}),
-    (0, {"max_branch_points": 4, "dims": {(2,): False}}),
-    (0, {"dims": {(0,): 0, (1,): True, (2,): 0, (3,): 1}}),
+    (0, {"genus": True}),
+    (0, {"genus": 2.5}),
+    (0, {"genus": "3"}),
+    (0, {"genus": -1, "max_branch_points": 4}),
 ])
 def test_enumerate_covers_rejects_bad_bounds(base_genus, bounds):
     with pytest.raises(InvalidInputError):
@@ -615,97 +609,176 @@ def _completions(group, base_genus):
     return count
 
 
-def test_every_enumerator_frame_ends_in_a_leaf():
-    """Every state the enumerator enters closes, and yields unless the connectivity cut ends it.
+def _degree_completions(group, fixed, target, goal):
+    """Oracle for the classifier's solver states, by plain recursion over element tuples.
 
-    branch_vectors keeps one stack entry per open element position i,
-    [m, s, remaining, count_left, mask, top], pushed only after closable()
-    accepts (i, s, remaining, count_left); chosen holds the path's nonzero
-    (index, multiplicity) pairs. The search frame is traced line by line, so
-    every entry is seen from its push to its pop together with the branch
-    vectors yielded in between, and each entry is checked against a plain
-    recursive count of its completions: it has one that closes the sum, its
-    mask is the common kernel of the path, and it yields at least every
-    closing completion that can still generate the group and at most every
-    closing one. With base genus 0 the kernel-mask cut may therefore end an
-    entry whose closing completions are all disconnected; with a twist
-    nothing is cut, so every entry yields.
+    The returned count(i, remaining, used) counts the multiplicity vectors of
+    the nonzero elements from the i-th on that meet the fixed characters'
+    degree numerators `remaining` exactly and bring the target's numerator
+    from `used` into goal.
     """
-    entries = []  # [group, base_genus, i, state, path, mask, yields] per stack entry
-    open_entries = []  # (stack entry, its record), in stack order
+    nonzero = group.elements()[1:]
+    chars = [chi for chi, _ in fixed]
+    memo = {}
 
-    def sync(stack):
+    def count(k, remaining, used):
+        key = (k, remaining, used)
+        if key not in memo:
+            if k == len(nonzero):
+                memo[key] = int(not any(remaining) and used in goal)
+            else:
+                e = nonzero[k]
+                total = m = 0
+                while True:
+                    left = tuple(r - m * group.pair_num(chi, e) for r, chi in zip(remaining, chars))
+                    u = used + m * group.pair_num(target, e)
+                    if min(left, default=0) < 0 or u > goal[-1]:
+                        break
+                    total += count(k + 1, left, u)
+                    m += 1
+                memo[key] = total
+        return memo[key]
+
+    return count
+
+
+def test_every_enumerator_frame_ends_in_a_leaf():
+    """Every frame the shared solver enters has a leaf below it, for covers and for the classifier.
+
+    _multiplicity_vectors keeps one stack entry per open element index i,
+    [m, top, chain, used, ...]: m is the next multiplicity to try, chain the
+    states that copies of element i reach from the entry's state chain[0],
+    used the weight so far. An entry is pushed only after its mask bit
+    accepts (i, chain[0], used); path holds the nonzero (index, multiplicity)
+    pairs above it. The solver frame is traced line by line, so every entry
+    is seen from its push to its pop together with the vectors yielded in
+    between, and each entry is checked against a plain recursive count of
+    its completions: it has one that reaches a leaf, and it yields exactly
+    its leaves. For covers that is at least every closing completion that
+    can still generate the group, and the kernel mask that _iter_covers
+    weighs against the twists must be the common kernel of the vector's
+    elements; for the classifier the cases are the degree requirements of
+    ORACLE_CASES at b = 0 and b = 1, each over its window of degrees.
+    """
+    from test_classifier import ORACLE_CASES, _requirements
+
+    entries = []  # [case, i, state, used, path, yields] per stack entry
+    open_entries = []  # (stack entry, its record), in stack order
+    kernel_wrong = []
+    twist_line = next(
+        number
+        for number, line in enumerate(inspect.getsourcelines(covers_module._iter_covers)[0],
+                                      covers_module._iter_covers.__code__.co_firstlineno)
+        if "for twist, twist_mask in twists" in line
+    )
+
+    def sync(stack, last):
         k = 0
         while k < len(open_entries) and k < len(stack) and open_entries[k][0] is stack[k]:
             k += 1
         del open_entries[k:]
-        for i in range(k, len(stack)):
-            m, s, remaining, count_left, mask, _ = stack[i]
-            assert m == 0  # seen before its first multiplicity is tried
-            path = [(index, mult) for index, mult in chosen_now]
-            record = [*case, i, (s, remaining, count_left), path, mask, 0]
+        for k in range(k, len(stack)):
+            i = k + 1  # the element index of stack[k]
+            m, _, chain, used, _, _ = stack[k]
+            assert m == 0 or i == last  # seen before its first multiplicity is tried
+            record = [case, i, chain[0], used, list(path_now), 0]
             entries.append(record)
-            open_entries.append((stack[i], record))
+            open_entries.append((stack[k], record))
 
     def local(frame, event, arg):
         loc = frame.f_locals
         stack = loc.get("stack")
         if stack is not None:
-            chosen_now[:] = loc["chosen"]
-            sync(stack)
-            if event == "return" and arg is not None:  # a yielded branch vector
+            path_now[:] = loc["path"]
+            sync(stack, len(loc["weights"]) - 1)
+            if event == "return" and arg is not None:  # a yielded vector
                 for _, record in open_entries:
                     record[-1] += 1
         elif event == "return":
-            sync([])
+            sync([], None)
         return local
+
+    def leaf(frame, event, arg):
+        if event == "line" and frame.f_lineno == twist_line:
+            loc = frame.f_locals
+            group = case[1]
+            elems = [group.elements()[j] for j, _ in loc["branch"]]
+            if loc["branch_mask"] != group.common_kernel(elems):
+                kernel_wrong.append((group, loc["branch"], loc["branch_mask"]))
+        return leaf
 
     def watch(frame, event, arg):
         code = frame.f_code
-        if code.co_name == "branch_vectors" and code.co_filename == covers_module.__file__:
-            return local
+        if code.co_filename == covers_module.__file__:
+            return {"_multiplicity_vectors": local, "_iter_covers": leaf}.get(code.co_name)
         return None
 
-    cases = [
+    runs = []  # (case, function, arguments)
+    for factors, base_genus, bound in [
         ((2, 2, 2), 0, {"genus": 9}),
         ((2, 4), 0, {"genus": 7}),
         ((4, 4), 0, {"genus": 9}),
         ((3, 3), 0, {"max_branch_points": 4}),
         ((2, 2), 1, {"genus": 5}),
         ((6,), 0, {"max_branch_points": 5}),
-    ]
-    chosen_now = []
+    ]:
+        group = make_group(factors)
+        covers_case = ("covers", group, base_genus, bound.get("genus"), bound.get("max_branch_points"))
+        runs.append((covers_case, enumerate_covers, (group, base_genus), bound))
+    for factors, branch, chars, degrees in ORACLE_CASES:
+        group = make_group(factors)
+        witness = make_cover(group, 0, branch)
+        if chars is None:
+            chars = [chi for chi, dim in zip(group.elements()[1:], witness._dims[1:]) if dim == 1]
+        for chi0 in chars:
+            for b in (0, 1):
+                window = range(min(degrees[b]), max(degrees[b]) + 1)
+                *fixed, (target, _) = _requirements(witness, chi0, b, 0)
+                goal = range(window.start * group.exponent, window[-1] * group.exponent + 1, group.exponent)
+                degrees_case = ("degrees", group, tuple(fixed), target, goal)
+                runs.append((degrees_case, classifier_module._branch_solutions,
+                             (group, tuple(fixed), target, window), {}))
+    path_now = []
     previous = sys.gettrace()
     try:
-        for factors, base_genus, bound in cases:
-            case = (make_group(factors), base_genus)
+        for case, function, args, kwargs in runs:
             sys.settrace(watch)
             try:
-                list(enumerate_covers(*case, **bound))
+                list(function(*args, **kwargs))
             finally:
                 sys.settrace(previous)
             assert open_entries == []
     finally:
         sys.settrace(previous)
-    assert len(entries) >= 100
+    assert sum(entry[0][0] == "covers" for entry in entries) >= 100
+    assert sum(entry[0][0] == "degrees" for entry in entries) >= 100
     oracles = {}
-    closes_nowhere, kernel_wrong, miscounted, empty = [], [], [], []
-    for group, base_genus, i, state, path, mask, yields in entries:
-        count = oracles.setdefault((group, base_genus), _completions(group, base_genus))
-        elems = [group.elements()[index] for index, _ in path]
-        closing, connected = count(i, *state, elems)
+    closes_nowhere, miscounted, empty = [], [], []
+    for case, i, state, used, path, yields in entries:
+        group = case[1]
+        if case[0] == "covers":
+            _, _, base_genus, target_genus, cap = case
+            count = oracles.setdefault(case[:3], _completions(group, base_genus))
+            elems = [group.elements()[j] for j, _ in path]
+            if target_genus is None:
+                closing, connected = count(i - 1, state, None, cap - used, elems)
+            else:
+                n = group.order
+                target = 2 * (target_genus - 1 - n * (base_genus - 1)) * group.exponent // n
+                closing, connected = count(i - 1, state, target - used, target - used, elems)
+        else:
+            count = oracles.setdefault(case, _degree_completions(*case[1:]))
+            closing = connected = count(i - 1, state, used)
         if not closing:
-            closes_nowhere.append((group, i, state, path))
-        if mask != group.common_kernel(elems):
-            kernel_wrong.append((group, i, path, mask))
-        if not connected <= yields <= closing:
-            miscounted.append((group, i, state, path, connected, yields, closing))
+            closes_nowhere.append((case, i, state, used, path))
+        if not connected <= yields == closing:
+            miscounted.append((case, i, state, used, path, connected, yields, closing))
         if not yields:
-            empty.append((group, base_genus, i, state, path))
+            empty.append((case, i, state, used, path))
     assert closes_nowhere == []
     assert kernel_wrong == []
     assert miscounted == []
-    assert [entry for entry in empty if entry[1] > 0] == []
+    assert empty == []
 
 
 def test_one_nonzero_element_needs_no_reachability_table():
