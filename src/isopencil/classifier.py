@@ -92,6 +92,15 @@ def _validate_pg_range(pg_range) -> tuple[int, int]:
     return lo, hi
 
 
+def _degree_rows(group: FiniteAbelianGroup, fixed: tuple, target: Element) -> list:
+    """(pairing numerators with the fixed characters, pairing numerator with
+    the target) for every element, in elements() order."""
+    return [
+        (tuple([group.pair_num(chi, e) for chi, _ in fixed]), group.pair_num(target, e))
+        for e in group.elements()
+    ]
+
+
 def _branch_solutions(
     group: FiniteAbelianGroup, fixed: tuple, target: Element, degrees: range
 ) -> list[tuple[int, dict[Element, int]]]:
@@ -108,8 +117,7 @@ def _branch_solutions(
     """
     exponent = group.exponent
     els = group.elements()
-    coeffs = [tuple([group.pair_num(chi, e) for chi, _ in fixed]) for e in els]
-    weights = [group.pair_num(target, e) for e in els]
+    coeffs, weights = zip(*_degree_rows(group, fixed, target))
     for e, cs, t in zip(els[1:], coeffs[1:], weights[1:]):
         if not (any(cs) or t):
             raise CapabilityError(
@@ -128,14 +136,10 @@ def _branch_solutions(
     return [(degree, branch) for degree in degrees for branch in found[degree]]
 
 
-def _complete_twist(group: FiniteAbelianGroup, base_genus: int, elems) -> tuple | None:
-    """Lexicographically first twist making the data connected, if one exists.
-
-    A rational base takes the empty twist; make_cover then checks generation.
-    """
-    if base_genus == 0:
-        return ()
-    kernel = group.common_kernel(elems)
+@lru_cache(maxsize=None)
+def _complete_twist(group: FiniteAbelianGroup, base_genus: int, kernel: int) -> tuple | None:
+    """Lexicographically first twist making branch data with this common
+    kernel mask connected over a base of genus >= 1, if one exists."""
     els = group.elements()
     for twist, mask in _twist_table(group, base_genus):
         if kernel & mask == 1:  # the same test as group.generates
@@ -270,7 +274,8 @@ def classify_cell(
                     continue
                 seen.add(canon)
                 chi0_c, branch_c = canon
-                twist = _complete_twist(group, b, [e for e, _ in branch_c])
+                # A rational base takes the empty twist; make_cover then checks generation.
+                twist = _complete_twist(group, b, group.common_kernel([e for e, _ in branch_c])) if b else ()
                 if twist is None:
                     continue
                 try:
@@ -304,16 +309,18 @@ def _bucket_split(cover_f: CoverData, chi0: Element, b: int):
     is bounded by that character's degree, which does not move with p_g. A
     free element pairs only with the target -chi0, with numerator t over the
     exponent, so as p_g grows its multiplicity moves along a progression of
-    step exponent / gcd(exponent, t).
+    step exponent / gcd(exponent, t). Both are read off the same per-element
+    rows that _branch_solutions hands to the solver.
     """
     group = cover_f.group
-    fixed, target = _pencil_requirements(cover_f, chi0, b)
+    exponent = group.exponent
+    rows = _degree_rows(group, *_pencil_requirements(cover_f, chi0, b))
     bounded, steps = [], []
-    for e in group.elements()[1:]:
-        if any([group.pair_num(chi, e) for chi, _ in fixed]):
+    for e, (cs, t) in zip(group.elements()[1:], rows[1:]):
+        if any(cs):
             bounded.append(e)
         else:
-            steps.append((e, group.exponent // gcd(group.exponent, group.pair_num(target, e))))
+            steps.append((e, exponent // gcd(exponent, t)))
     return tuple(bounded), tuple(steps)
 
 

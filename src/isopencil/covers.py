@@ -11,7 +11,7 @@ the branch sum for enumerate_covers and meets the classifier's degree equations.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .errors import (
     CapabilityError,
@@ -298,8 +298,9 @@ def _multiplicity_vectors(step, weights, start, final, goal: range):
     lexicographic order of the multiplicity vector. mask[i][s] has bit u set
     when elements i.. can take state s at weight u to a leaf, and an entry is
     pushed only when its bit is set, so every search frame has a leaf below
-    it. The last element's children are the leaves, decided without masks,
-    so with one nonzero element no mask is built.
+    it. The last element gets no frame: its multiplicities that reach final
+    are stepped through by the chain's period in its parent's frame, so with
+    one nonzero element no mask is built.
     """
     last = len(weights) - 1
     if not goal or last < 1:
@@ -308,23 +309,33 @@ def _multiplicity_vectors(step, weights, start, final, goal: range):
         return
     limit = goal[-1]
     # chains[i][s]: (the states of 0, 1, ... copies of element i from s,
-    # whether they repeat); states are found forwards from start.
+    # whether they repeat); states are found forwards from start. The chain
+    # of a later state on a walked chain is its rotation (repeating) or its
+    # tail (dying), so each chain is walked once.
     chains = [None]
     states = {start: None}
     for i in range(1, last + 1):
         level = {}
+        reached = {}
         for s in states:
+            if s in level:
+                continue
             chain = [s]
             t = step(i, s)
             while t is not None and t != s:
                 chain.append(t)
                 t = step(i, t)
-            level[s] = (chain, t is not None)
+            repeats = t is not None
+            for k, t in enumerate(chain):
+                if t in states and t not in level:
+                    level[t] = (chain[k:] + chain[:k] if repeats else chain[k:], repeats)
+            reached.update(dict.fromkeys(chain))
         chains.append(level)
-        states = {t: None for chain, _ in level.values() for t in chain}
+        states = reached
     if last > 1:
         # bits goal[0], goal[0] + goal.step, ...: the weights a leaf may carry
-        below = {final: ((1 << len(goal) * goal.step) - 1) // ((1 << goal.step) - 1) << goal[0]}
+        below = dict.fromkeys(states, 0)
+        below[final] = ((1 << len(goal) * goal.step) - 1) // ((1 << goal.step) - 1) << goal[0]
         mask = [None] * (last + 1)
         for i in range(last, 0, -1):
             w = weights[i]
@@ -332,7 +343,7 @@ def _multiplicity_vectors(step, weights, start, final, goal: range):
             for s, (chain, repeats) in chains[i].items():
                 bits = 0
                 for k, t in enumerate(chain):
-                    bits |= below.get(t, 0) >> (k * w)
+                    bits |= below[t] >> (k * w)
                 if repeats:  # OR in the shifts by whole periods
                     period = len(chain) * w
                     while period <= limit:
@@ -340,25 +351,34 @@ def _multiplicity_vectors(step, weights, start, final, goal: range):
                         period *= 2
                 level[s] = bits
             mask[i] = below = level
-        if not mask[1][start] & 1:
-            return
 
     def entry(i, s, used):
         """[next multiplicity, last multiplicity, chain from s, weight so far, weight, period]."""
         chain, repeats = chains[i][s]
         w = weights[i]
-        top = (limit - used) // w if w else len(chain) - 1
+        period = len(chain)
+        top = (limit - used) // w if w else period - 1
         if not repeats:
-            top = min(top, len(chain) - 1)
-        low = max(0, -((used - goal[0]) // w)) if i == last and w else 0
-        return [low, top, chain, used, w, len(chain)]
+            top = min(top, period - 1)
+        return [0, top, chain, used, w, period]
 
-    path = []  # (index, multiplicity) of every nonzero choice above the last element
-    stack = [entry(1, start, 0)]  # stack[k] belongs to element k + 1
+    def leaves(s, used):
+        """The last element's multiplicities that carry s to final: final's
+        place in the chain plus whole periods, from the least that brings the
+        weight up to goal[0]. A chain that dies has one such place."""
+        _, top, chain, _, w, period = entry(last, s, used)
+        low = max(0, -((used - goal[0]) // w)) if w else 0
+        m = chain.index(final) if final in chain else top + 1
+        if m < low:
+            m += -((m - low) // period) * period
+        return range(m, top + 1, period)
+
+    path = []  # (index, multiplicity) of every nonzero choice on the stack
+    stack = [[0, 0, [start], 0, 0, 1]]  # stack[i] belongs to element i; the identity is the root
     while stack:
         frame = stack[-1]
         m, top, chain, used, w, period = frame
-        i = len(stack)
+        i = len(stack) - 1
         if m > top:
             stack.pop()
             if path and path[-1][0] == i:
@@ -367,20 +387,23 @@ def _multiplicity_vectors(step, weights, start, final, goal: range):
         frame[0] = m + 1
         t = chain[m % period]
         u = used + m * w
-        if i == last:
-            if t == final and u in goal:
-                yield ((*path, (i, m)) if m else tuple(path)), u
-            continue
         if m == 1:
             path.append((i, 1))
         elif m:
             path[-1] = (i, m)
-        if mask[i + 1][t] >> u & 1:
-            stack.append(entry(i + 1, t, u))
+        if i + 1 < last:
+            if mask[i + 1][t] >> u & 1:
+                stack.append(entry(i + 1, t, u))
+            continue
+        if i and not mask[last][t] >> u & 1:  # with one nonzero element (i = 0) no mask is built
+            continue
+        w = weights[last]
+        for k in leaves(t, u):
+            if u + k * w in goal:
+                yield ((*path, (last, k)) if k else tuple(path)), u + k * w
 
 
-@lru_cache(maxsize=None)
-def _twist_table(group: FiniteAbelianGroup, base_genus: int) -> tuple:
+def _twist_table(group: FiniteAbelianGroup, base_genus: int) -> list:
     """(indices, mask) of every twist, in product(range(n), repeat=2 * base_genus) order.
 
     mask is the common kernel of the twist's elements: a (branch, twist)
@@ -391,15 +414,12 @@ def _twist_table(group: FiniteAbelianGroup, base_genus: int) -> tuple:
     twists = [((), masks[0])]  # every character vanishes on the identity
     for _ in range(2 * base_genus):
         twists = [(t + (j,), mask & masks[j]) for t, mask in twists for j in range(group.order)]
-    return tuple(twists)
+    return twists
 
 
 def _iter_covers(group, base_genus, target_genus, max_branch_points, up_to_aut):
     n = group.order
     m_exp = group.exponent
-    els = group.elements()
-    rows = [group.add_row(e) for e in els]
-    masks = [group.kernel_mask(e) for e in els]
 
     # Branch sums are carried as element indices (0 is the identity); a branch
     # vector is a leaf only when its sum m_1*e_1 + ... + m_k*e_k is 0, since
@@ -413,6 +433,11 @@ def _iter_covers(group, base_genus, target_genus, max_branch_points, up_to_aut):
             return
         weights = [m_exp - m_exp // o for o in group.orders]  # scaled RH weight
         goal = range(weight // n, weight // n + 1)
+        if max_branch_points is not None and max_branch_points * max(weights) < goal[0]:
+            return  # even the heaviest elements need more points than the cap
+    els = group.elements()
+    rows = [group.add_row(e) for e in els]
+    masks = [group.kernel_mask(e) for e in els]
     vectors = _multiplicity_vectors(lambda i, s: rows[i][s], weights, 0, 0, goal)
 
     # Key of every orbit member met -> orbit minimum, all in index space. A

@@ -466,8 +466,9 @@ def _brute_force_covers(group, base_genus, genus=None, max_branch_points=None):
     ((3,), 0, [{"genus": g} for g in range(0, 7)]),
     ((2, 2), 0, [{"genus": g} for g in range(0, 7)]),
     ((4,), 0, [{"genus": g} for g in range(0, 7)] + [{"max_branch_points": 5}]),
-    ((2, 4), 0, [{"genus": g} for g in range(2, 5)]),
-    ((2, 2, 2), 0, [{"genus": 1}, {"genus": 3}, {"max_branch_points": 3}]),
+    ((2, 4), 0, [{"genus": g} for g in range(2, 5)] + [{"genus": 4, "max_branch_points": m} for m in (3, 4, 5)]),
+    ((2, 2, 2), 0, [{"genus": 1}, {"genus": 3}, {"max_branch_points": 3}, {"genus": 3, "max_branch_points": 4},
+                   {"genus": 3, "max_branch_points": 5}]),
     ((6,), 0, [{"genus": g} for g in range(2, 5)]),
     ((2,), 1, [{"genus": g} for g in range(1, 6)] + [{"max_branch_points": 3}]),
     ((3,), 1, [{"genus": g} for g in range(1, 6)]),
@@ -483,6 +484,18 @@ def test_enumerate_covers_matches_the_brute_force_list(factors, base_genus, boun
         assert list(enumerate_covers(group, base_genus, **bound)) == expected
         yielded += len(expected)
     assert yielded >= 1
+
+
+def test_a_cap_below_the_genus_ends_the_search_at_once(monkeypatch):
+    # Genus 1001 over (2,2,2) needs 504 branch points of weight 1 each, so a
+    # cap of 4 leaves nothing: the solver is never asked for a vector. Over
+    # (2,4) the heaviest elements weigh 3 and the genus needs weight 1008.
+    def unreachable(*args):
+        raise AssertionError("the solver was called")
+
+    monkeypatch.setattr(covers_module, "_multiplicity_vectors", unreachable)
+    assert list(enumerate_covers(make_group((2, 2, 2)), 0, genus=1001, max_branch_points=4)) == []
+    assert list(enumerate_covers(make_group((2, 4)), 0, genus=1001, max_branch_points=335)) == []
 
 
 def test_enumerator_only_builds_closed_branch_vectors(monkeypatch):
@@ -646,11 +659,13 @@ def test_every_enumerator_frame_ends_in_a_leaf():
     """Every frame the shared solver enters has a leaf below it, for covers and for the classifier.
 
     _multiplicity_vectors keeps one stack entry per open element index i,
-    [m, top, chain, used, ...]: m is the next multiplicity to try, chain the
-    states that copies of element i reach from the entry's state chain[0],
-    used the weight so far. An entry is pushed only after its mask bit
-    accepts (i, chain[0], used); path holds the nonzero (index, multiplicity)
-    pairs above it. The solver frame is traced line by line, so every entry
+    stack[i] = [m, top, chain, used, ...]: m is the next multiplicity to try,
+    chain the states that copies of element i reach from the entry's state
+    chain[0], used the weight so far. stack[0] is a root for the identity,
+    entered unconditionally, and the last element has no entry: its leaves
+    are yielded from its parent's. An entry is pushed only after its mask
+    bit accepts (i, chain[0], used); path holds the nonzero (index,
+    multiplicity) pairs above it. The solver frame is traced line by line, so every entry
     is seen from its push to its pop together with the vectors yielded in
     between, and each entry is checked against a plain recursive count of
     its completions: it has one that reaches a leaf, and it yields exactly
@@ -672,17 +687,17 @@ def test_every_enumerator_frame_ends_in_a_leaf():
         if "for twist, twist_mask in twists" in line
     )
 
-    def sync(stack, last):
+    def sync(stack):
         k = 0
         while k < len(open_entries) and k < len(stack) and open_entries[k][0] is stack[k]:
             k += 1
         del open_entries[k:]
         for k in range(k, len(stack)):
-            i = k + 1  # the element index of stack[k]
             m, _, chain, used, _, _ = stack[k]
-            assert m == 0 or i == last  # seen before its first multiplicity is tried
-            record = [case, i, chain[0], used, list(path_now), 0]
-            entries.append(record)
+            assert m == 0  # seen before its first multiplicity is tried
+            record = [case, k, chain[0], used, list(path_now), 0] if k else None  # not the root
+            if record:
+                entries.append(record)
             open_entries.append((stack[k], record))
 
     def local(frame, event, arg):
@@ -690,12 +705,13 @@ def test_every_enumerator_frame_ends_in_a_leaf():
         stack = loc.get("stack")
         if stack is not None:
             path_now[:] = loc["path"]
-            sync(stack, len(loc["weights"]) - 1)
+            sync(stack)
             if event == "return" and arg is not None:  # a yielded vector
                 for _, record in open_entries:
-                    record[-1] += 1
+                    if record:
+                        record[-1] += 1
         elif event == "return":
-            sync([], None)
+            sync([])
         return local
 
     def leaf(frame, event, arg):
