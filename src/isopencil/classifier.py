@@ -16,7 +16,6 @@ from .covers import (
 )
 from .errors import (
     CapabilityError,
-    DisconnectedCoverError,
     InternalConsistencyError,
     InvalidInputError,
     InvalidMonodromyError,
@@ -92,28 +91,29 @@ def _validate_pg_range(pg_range) -> tuple[int, int]:
     return lo, hi
 
 
-def _degree_rows(group: FiniteAbelianGroup, fixed: tuple, target: Element) -> list:
+def _degree_rows(group: FiniteAbelianGroup, fixed: tuple, target: int) -> list:
     """(pairing numerators with the fixed characters, pairing numerator with
-    the target) for every element, in elements() order."""
+    the target) for every element, in elements() order; characters are indices."""
+    chars = [chi for chi, _ in fixed]
     return [
-        (tuple([group.pair_num(chi, e) for chi, _ in fixed]), group.pair_num(target, e))
-        for e in group.elements()
+        (tuple([row[chi] for chi in chars]), row[target])
+        for row in map(group.pairing_row, group.elements())
     ]
 
 
-def _branch_solutions(
-    group: FiniteAbelianGroup, fixed: tuple, target: Element, degrees: range
-) -> list[tuple[int, dict[Element, int]]]:
+def _branch_solutions(group: FiniteAbelianGroup, fixed: tuple, target: int, degrees: range) -> list:
     """(degree, branch) for every branch multiplicity vector with the fixed
-    (character, degree) requirements and a degree in `degrees` (a range of
-    nonnegative integers) on the target.
+    (character index, degree) requirements and a degree in `degrees` (a range
+    of nonnegative integers) on the target character index.
 
-    Every nonzero element must pair nontrivially with some listed character,
-    otherwise its multiplicity is unconstrained and the cell has no finite list.
-    One search covers the whole window: its state is the numerators of the
-    fixed degrees still to be met, its weight the target's numerator. Vectors
-    come by ascending degree, then in ascending lexicographic order of the
-    multiplicity vector in elements() order.
+    A branch is a tuple of (element index, multiplicity) pairs with nonzero
+    multiplicities, by ascending index. Every nonzero element must pair
+    nontrivially with some listed character, otherwise its multiplicity is
+    unconstrained and the cell has no finite list. One search covers the whole
+    window: its state is the numerators of the fixed degrees still to be met,
+    its weight the target's numerator. Vectors come by ascending degree, then
+    in ascending lexicographic order of the multiplicity vector in elements()
+    order.
     """
     exponent = group.exponent
     els = group.elements()
@@ -132,14 +132,15 @@ def _branch_solutions(
     start = tuple([degree * exponent for _, degree in fixed])
     found: dict[int, list] = {degree: [] for degree in degrees}
     for vector, weight in _multiplicity_vectors(step, weights, start, (0,) * len(fixed), goal):
-        found[weight // exponent].append({els[i]: m for i, m in vector})
+        found[weight // exponent].append(vector)
     return [(degree, branch) for degree in degrees for branch in found[degree]]
 
 
 @lru_cache(maxsize=None)
 def _complete_twist(group: FiniteAbelianGroup, base_genus: int, kernel: int) -> tuple | None:
     """Lexicographically first twist making branch data with this common
-    kernel mask connected over a base of genus >= 1, if one exists."""
+    kernel mask connected, if one exists; over a rational base that is ()
+    when the branch data generate the group."""
     els = group.elements()
     for twist, mask in _twist_table(group, base_genus):
         if kernel & mask == 1:  # the same test as group.generates
@@ -153,19 +154,13 @@ def _twist_interchangeable(cover: CoverData) -> bool:
     Base moves act transitively on generating tuples exactly when the quotient
     by the branch subgroup is cyclic. Every twisted witness up to fiber genus 4
     has a cyclic quotient; at genus 5 three do not (over (2,2), (2,2,2), (2,4)).
+    The quotient is dual to the characters vanishing on the branch subgroup,
+    so it is cyclic exactly when one of them has order equal to their count.
     """
     group = cover.group
-    omega = group.subgroup([e for e, _ in cover.branch])
-    index = group.order // len(omega)
-    for g in group.elements():
-        k = 1
-        acc = g
-        while acc not in omega:
-            acc = group.add(acc, g)
-            k += 1
-        if k == index:
-            return True
-    return False
+    mask = group.common_kernel([e for e, _ in cover.branch])
+    count = mask.bit_count()
+    return any(mask >> j & 1 and o == count for j, o in enumerate(group.orders))
 
 
 def _stabilizer(cover: CoverData):
@@ -174,11 +169,10 @@ def _stabilizer(cover: CoverData):
     When the twist is not interchangeable, only automorphisms fixing the twist
     tuple itself are kept: a subgroup of the cover's symmetries, so no two
     distinct solutions are merged, though one may be listed twice. Each kept
-    automorphism alpha comes as two element maps: character chi -> chi o alpha,
-    and alpha(g) -> g.
+    automorphism alpha comes as two index permutations: its char_perm
+    (chi -> chi o alpha) and the inverse of its perm (alpha(g) -> g).
     """
     group = cover.group
-    els = group.elements()
     index = group.index
     loose_twist = not cover.twist or _twist_interchangeable(cover)
     branch = tuple((index[e], m) for e, m in cover.branch)
@@ -192,15 +186,13 @@ def _stabilizer(cover: CoverData):
             continue
         if not loose_twist and tuple(map(image, twist)) != twist:
             continue
-        kept.append((
-            dict(zip(els, [els[j] for j in alpha.char_perm])),
-            dict(zip([els[j] for j in alpha.perm], els)),
-        ))
+        kept.append((alpha.char_perm, sorted(range(group.order), key=alpha.perm.__getitem__)))
     return tuple(kept)
 
 
-def _canonical_solution(stab, chi0: Element, branch: dict[Element, int]):
-    """Smallest cover-symmetry image of the pair (character, branch data).
+def _canonical_solution(stab, chi0: int, branch: tuple):
+    """Smallest cover-symmetry image of the pair (character, branch data), in
+    index space: a character index and (element index, multiplicity) pairs.
 
     Pulling the character back along alpha pairs with pushing the branch
     forward along the inverse, so both sides transform as one solution. The
@@ -209,25 +201,24 @@ def _canonical_solution(stab, chi0: Element, branch: dict[Element, int]):
     """
     low = min(pull[chi0] for pull, _ in stab)
     return low, min(
-        tuple(sorted(zip(map(preimage.__getitem__, branch), branch.values())))
+        tuple(sorted([(preimage[i], m) for i, m in branch]))
         for pull, preimage in stab
         if pull[chi0] == low
     )
 
 
-def _pencil_requirements(cover_f: CoverData, chi0: Element, b: int):
-    """Fixed degree requirements and target character of a pencil at chi0.
+def _pencil_requirements(cover_f: CoverData, chi0: int, b: int):
+    """Fixed degree requirements and target character of a pencil at the
+    character index chi0, all as character indices.
 
     Every other character in F's eigen-profile needs degree 1 - b on D at its
     negative; the target -chi0 carries the degree that grows with p_g.
     """
-    group = cover_f.group
+    neg = cover_f.group.neg_index
     fixed = tuple(
-        (group.neg(chi), 1 - b)
-        for chi, dim in zip(group.elements()[1:], cover_f._dims[1:])
-        if dim and chi != chi0
+        (neg[chi], 1 - b) for chi, dim in enumerate(cover_f._dims) if chi and dim and chi != chi0
     )
-    return fixed, group.neg(chi0)
+    return fixed, neg[chi0]
 
 
 def _check_genus_f(genus_f) -> None:
@@ -255,15 +246,14 @@ def classify_cell(
     if quotient_genus_a > genus_f:
         return []
 
+    els = group.elements()
     solutions = []
     for row in _actions_cell(genus_f, quotient_genus_a, group.factors):
         cover_f = row.witness
         stab = _stabilizer(cover_f)
         seen = set()
-        # characters with a one-dimensional eigenspace on F, in elements() order
-        candidates = [
-            chi for chi, dim in zip(group.elements()[1:], cover_f._dims[1:]) if dim == 1
-        ]
+        # character indices with a one-dimensional eigenspace on F
+        candidates = [chi for chi, dim in enumerate(cover_f._dims) if chi and dim == 1]
         for chi0 in candidates:
             fixed, target = _pencil_requirements(cover_f, chi0, b)
             window = range(lo + 1 - b, hi + 2 - b)  # target degree p_g + 1 - b
@@ -273,14 +263,14 @@ def classify_cell(
                 if canon in seen:
                     continue
                 seen.add(canon)
-                chi0_c, branch_c = canon
-                # A rational base takes the empty twist; make_cover then checks generation.
-                twist = _complete_twist(group, b, group.common_kernel([e for e, _ in branch_c])) if b else ()
+                chi0_c = els[canon[0]]
+                branch_c = tuple([(els[i], m) for i, m in canon[1]])
+                twist = _complete_twist(group, b, group.common_kernel([e for e, _ in branch_c]))
                 if twist is None:
                     continue
                 try:
                     cover_d = make_cover(group, b, branch_c, twist)
-                except (InvalidMonodromyError, DisconnectedCoverError):
+                except InvalidMonodromyError:
                     continue
                 g_d = genus(cover_d)
                 if g_d < 2:
@@ -302,8 +292,9 @@ def classify_cell(
 
 
 @lru_cache(maxsize=None)
-def _bucket_split(cover_f: CoverData, chi0: Element, b: int):
-    """The bounded elements and the free ones with their growth steps, for one pencil.
+def _bucket_split(cover_f: CoverData, chi0: int, b: int):
+    """The bounded element indices and the free ones with their growth steps,
+    for one pencil at the character index chi0.
 
     An element pairing nontrivially with a character other than the pencil's
     is bounded by that character's degree, which does not move with p_g. A
@@ -316,24 +307,26 @@ def _bucket_split(cover_f: CoverData, chi0: Element, b: int):
     exponent = group.exponent
     rows = _degree_rows(group, *_pencil_requirements(cover_f, chi0, b))
     bounded, steps = [], []
-    for e, (cs, t) in zip(group.elements()[1:], rows[1:]):
+    for i, (cs, t) in enumerate(rows[1:], 1):
         if any(cs):
-            bounded.append(e)
+            bounded.append(i)
         else:
-            steps.append((e, exponent // gcd(exponent, t)))
+            steps.append((i, exponent // gcd(exponent, t)))
     return tuple(bounded), tuple(steps)
 
 
 def _bucket_key(sol: SurfaceSolution):
-    """Witness, pencil character, bounded multiplicities and free residues of a solution."""
-    bounded, steps = _bucket_split(sol.cover_f, sol.chi0, sol.cover_d.base_genus)
-    branch = dict(sol.cover_d.branch)
+    """Witness, pencil character, bounded multiplicities and free residues of a
+    solution, with D's branch elements as indices."""
+    index = sol.cover_f.group.index
+    bounded, steps = _bucket_split(sol.cover_f, index[sol.chi0], sol.cover_d.base_genus)
+    branch = {index[e]: m for e, m in sol.cover_d.branch}
     return (
         sol.cover_f.branch,
         sol.cover_f.twist,
         sol.chi0,
-        tuple((e, branch[e]) for e in bounded if e in branch),
-        tuple((e, branch.get(e, 0) % step) for e, step in steps),
+        tuple((i, branch[i]) for i in bounded if i in branch),
+        tuple((i, branch.get(i, 0) % step) for i, step in steps),
     )
 
 

@@ -50,7 +50,7 @@ class _Tables:
     group per parsed spec reads the tables the previous one built.
     """
 
-    __slots__ = ("elements", "index", "orders", "neg", "rows", "pairing", "kernel", "cyclic")
+    __slots__ = ("elements", "index", "orders", "neg", "rows", "pairing", "kernel")
 
     def __init__(self):
         self.elements: list[Element] | None = None
@@ -60,7 +60,6 @@ class _Tables:
         self.rows: dict[int, tuple[int, ...]] = {}  # index of x -> add_row(x)
         self.pairing: dict[int, tuple[int, ...]] = {}  # index of g -> pairing_row(g)
         self.kernel: dict[int, int] = {}  # index of g -> kernel_mask(g)
-        self.cyclic: dict[Element, frozenset[Element]] = {}
 
 
 _TABLES: dict[tuple[int, ...], _Tables] = {}
@@ -216,16 +215,6 @@ class FiniteAbelianGroup:
     def pairing(self, chi: Element, g: Element) -> Fraction:
         return Fraction(self.pair_num(chi, g), self.exponent)
 
-    def restriction_exponent(self, chi: Element, h: Element) -> int:
-        """Exponent a in [0, ord(h)) with <chi, h> = a/ord(h)."""
-        if h == self.identity:
-            raise InvalidInputError("restriction exponent needs a nonzero element")
-        o = self.element_order(h)
-        num = self.pair_num(chi, h) * o
-        if num % self.exponent:
-            raise InvalidInputError(f"pairing of {chi} with {h} is not a multiple of 1/{o}")
-        return num // self.exponent
-
     def _span(self, elems) -> list[int]:
         """Indices of the subgroup the elements generate, by breadth-first closure."""
         rows = [self.add_row(x) for x in set(elems)]
@@ -251,13 +240,6 @@ class FiniteAbelianGroup:
         its annihilator in the character group is trivial.
         """
         return self.common_kernel(elems) == 1
-
-    def cyclic(self, h: Element) -> frozenset[Element]:
-        cyclic = self._tables.cyclic
-        span = cyclic.get(h)
-        if span is None:
-            span = cyclic[h] = self.subgroup([h])
-        return span
 
     def automorphism_count(self) -> int:
         """|Aut(G)| in closed form, without building a single automorphism.

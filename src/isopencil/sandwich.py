@@ -147,7 +147,7 @@ def _point_type(grp: FiniteAbelianGroup, h1: Element, h2: Element):
     """
     o1 = grp.element_order(h1)
     o2 = grp.element_order(h2)
-    n = len(grp.cyclic(h1) & grp.cyclic(h2))
+    n = len(grp.subgroup([h1]) & grp.subgroup([h2]))
     if n == 1:
         return None
     # Generator acting with rotation 1/n on the first local coordinate.

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 from .errors import InternalConsistencyError, InvalidInputError
@@ -72,13 +71,7 @@ def discrepancies(n: int, q: int) -> list[Fraction]:
 
 def k2_correction(n: int, q: int) -> Fraction:
     """What resolving one 1/n(1,q) point adds to the canonical self-intersection."""
-    _validate_type(n, q)
-    return _k2_correction(n, q)
-
-
-@lru_cache(maxsize=None)
-def _k2_correction(n: int, q: int) -> Fraction:
-    string = hj_expansion(n, q)
+    string = hj_expansion(n, q)  # validates the type
     return sum((a * (b - 2) for a, b in zip(discrepancies(n, q), string)), Fraction(0))
 
 

@@ -175,7 +175,8 @@ def test_pardini_carry_on_one_cover():
             carry = 0
             for h, mult in c.branch:
                 o = g.element_order(h)
-                if g.restriction_exponent(chi, h) + g.restriction_exponent(psi, h) >= o:
+                # <x, h> = a/o with a = pair_num(x, h) * o // exponent in [0, o)
+                if sum(g.pair_num(x, h) * o // g.exponent for x in (chi, psi)) >= o:
                     carry += mult
             lhs = bundle_degree(c, chi) + bundle_degree(c, psi) - bundle_degree(c, g.add(chi, psi))
             assert lhs == carry
@@ -675,7 +676,7 @@ def test_every_enumerator_frame_ends_in_a_leaf():
     elements; for the classifier the cases are the degree requirements of
     ORACLE_CASES at b = 0 and b = 1, each over its window of degrees.
     """
-    from test_classifier import ORACLE_CASES, _requirements
+    from test_classifier import ORACLE_CASES, _indexed, _requirements
 
     entries = []  # [case, i, state, used, path, yields] per stack entry
     open_entries = []  # (stack entry, its record), in stack order
@@ -749,11 +750,13 @@ def test_every_enumerator_frame_ends_in_a_leaf():
         for chi0 in chars:
             for b in (0, 1):
                 window = range(min(degrees[b]), max(degrees[b]) + 1)
-                *fixed, (target, _) = _requirements(witness, chi0, b, 0)
+                requirements = _requirements(witness, chi0, b, 0)
+                *fixed, (target, _) = requirements
                 goal = range(window.start * group.exponent, window[-1] * group.exponent + 1, group.exponent)
                 degrees_case = ("degrees", group, tuple(fixed), target, goal)
+                *fixed_indexed, (target_index, _) = _indexed(group, requirements)
                 runs.append((degrees_case, classifier_module._branch_solutions,
-                             (group, tuple(fixed), target, window), {}))
+                             (group, tuple(fixed_indexed), target_index, window), {}))
     path_now = []
     previous = sys.gettrace()
     try:

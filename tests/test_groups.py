@@ -63,17 +63,6 @@ def test_generates():
     assert not make_group([3]).generates([])
 
 
-def test_restriction_exponent():
-    assert make_group([4]).restriction_exponent((2,), (1,)) == 2
-    assert make_group([2, 8]).restriction_exponent((0, 1), (0, 7)) == 7
-    assert make_group([2, 8]).restriction_exponent((0, 0), (1, 5)) == 0
-
-
-def test_restriction_exponent_rejects_identity():
-    with pytest.raises(InvalidInputError):
-        make_group([2, 2]).restriction_exponent((1, 0), (0, 0))
-
-
 def test_pairing_values():
     g = make_group([2, 8])
     assert g.pairing((0, 1), (0, 7)) == Fraction(7, 8)
@@ -99,17 +88,6 @@ def test_pairing_nondegenerate():
         chi for chi in g.elements() if all(g.pairing(chi, x) == 0 for x in g.elements())
     ]
     assert trivial == [(0, 0)]
-
-
-def test_restriction_exponent_additive():
-    g = make_group([2, 8])
-    h = (1, 5)
-    o = g.element_order(h)
-    for chi in g.elements():
-        for psi in g.elements():
-            lhs = g.restriction_exponent(g.add(chi, psi), h)
-            rhs = (g.restriction_exponent(chi, h) + g.restriction_exponent(psi, h)) % o
-            assert lhs == rhs
 
 
 def test_automorphism_counts():
@@ -326,7 +304,7 @@ def test_index_subgroup_matches_the_coordinate_closure(factors):
         assert g.generates(gens) == (len(span) == g.order)
         assert g.generates([tuple(list(x)) for x in gens]) == g.generates(gens)
     for x in els:
-        assert g.cyclic(x) == _coordinate_closure(g, [x])
+        assert g.subgroup([x]) == _coordinate_closure(g, [x])
 
 
 @pytest.mark.parametrize(
@@ -367,7 +345,6 @@ def test_index_tables_are_shared_by_groups_with_the_same_factors():
     assert first.orders is second.orders
     assert first.neg_index is second.neg_index
     assert first.pairing_row((1, 3)) is second.pairing_row((1, 3))
-    assert first.cyclic((1, 3)) is second.cyclic((1, 3))
     assert make_group([4, 2]).orders is not first.orders
 
 
