@@ -43,7 +43,11 @@ FIBER_GENUS_RANGE = (2, 5)
 
 
 class CoverData(Record):
-    """Cover data; its eigen-profile and genus are computed on first use and kept."""
+    """Cover data; its eigen-profile and genus are computed on first use and kept.
+
+    The eigen-profile is the cached ``_dims``; genus() keeps the checked genus
+    under ``"_genus"`` in the instance ``__dict__``.
+    """
 
     __slots__ = ("group", "base_genus", "branch", "twist", "__dict__")
 
@@ -63,16 +67,6 @@ class CoverData(Record):
     def _dims(self) -> tuple[int, ...]:
         """Eigenspace dimension of every character, in elements() order."""
         return _profile(self.group, self.base_genus, _numerators(self.group, self.branch))
-
-    @cached_property
-    def _genus(self) -> int:
-        by_dims = sum(self._dims)
-        by_rh = genus_rh(self)
-        if by_dims != by_rh:
-            raise InternalConsistencyError(
-                f"genus mismatch: eigenspace total {by_dims} vs ramification count {by_rh}"
-            )
-        return by_dims
 
 
 def make_cover(group: FiniteAbelianGroup, base_genus, branch, twist=()) -> CoverData:
@@ -215,7 +209,19 @@ def genus_rh(cover: CoverData) -> int:
 
 def genus(cover: CoverData) -> int:
     """Genus by the eigenspace total, checked against genus_rh once per cover."""
-    return cover._genus
+    # A plain dict read: on Python 3.11 a cached_property takes a lock on the
+    # first read of every cover, and each invariants request reads two fresh ones.
+    kept = cover.__dict__
+    value = kept.get("_genus")
+    if value is None:
+        value = sum(cover._dims)
+        by_rh = genus_rh(cover)
+        if value != by_rh:
+            raise InternalConsistencyError(
+                f"genus mismatch: eigenspace total {value} vs ramification count {by_rh}"
+            )
+        kept["_genus"] = value
+    return value
 
 
 def _index_orbit(group: FiniteAbelianGroup, branch: tuple, twist: tuple) -> set[tuple]:

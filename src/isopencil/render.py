@@ -1,15 +1,22 @@
-"""Deterministic table, CSV, and JSON views of every report the library emits."""
+"""Deterministic table, CSV, and JSON views of every report the library emits.
+
+Every JSON view is laid out exactly as ``json.dumps(payload, indent=2)``
+followed by a newline: two-space indent, ASCII escapes, keys in insertion
+order. One small writer produces it, since ``indent=2`` turns off the C
+encoder; payloads hold exact values only (str, int, bool, None, dicts with
+str keys, lists and tuples), and anything else raises InternalConsistencyError.
+"""
 
 from __future__ import annotations
 
 import io
-import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .atlas import AtlasRow
 from .classifier import FamilyRow
 from .compare import AtlasComparison, ComparisonReport
 from .covers import CoverData, genus
-from .errors import InvalidInputError
+from .errors import InternalConsistencyError, InvalidInputError
 from .groups import format_element
 from .sandwich import InvariantReport, Sandwich
 from .specfile import cover_record, sandwich_record
@@ -27,7 +34,6 @@ __all__ = [
 ]
 
 FORMATS = ("table", "csv", "json")
-_JSON = json.JSONEncoder(indent=2)  # the encoder json.dumps(payload, indent=2) builds per call
 
 
 def _check_format(fmt: str) -> None:
@@ -56,7 +62,57 @@ def _csv(header: list[str], body: list[list[str]]) -> str:
 
 
 def _json(payload) -> str:
-    return _JSON.encode(payload) + "\n"
+    """json.dumps(payload, indent=2) plus a newline, for exact payloads only."""
+    out: list[str] = []
+    _write(payload, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, out: list[str], newline: str) -> None:
+    """Append value's JSON to out; newline is a line break plus the current indent."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        lead = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise InternalConsistencyError(
+                    f"JSON payload has a {type(key).__name__} key, not a str"
+                )
+            out.append(lead)
+            out.append(_quote(key))
+            out.append(": ")
+            _write(item, out, inner)
+            lead = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        lead = "[" + inner
+        for item in value:
+            out.append(lead)
+            _write(item, out, inner)
+            lead = "," + inner
+        out.append(newline + "]")
+    else:
+        raise InternalConsistencyError(
+            f"JSON payload holds a {type(value).__name__}, not an exact value"
+        )
 
 
 def _form_fields(row: FamilyRow) -> dict[str, str]:

@@ -167,6 +167,17 @@ def test_integer_genus_rh_matches_the_fraction_formula(random_covers):
         genus_rh(odd)
 
 
+def test_genus_check_fires_and_keeps_nothing_on_a_mismatch():
+    # Riemann-Hurwitz gives genus 2 for six points over Z/2; the planted profile sums to 3.
+    c = CoverData(Z2, 0, (((1,), 6),), ())
+    c.__dict__["_dims"] = (0, 3)
+    with pytest.raises(InternalConsistencyError, match="eigenspace total 3 vs ramification count 2"):
+        genus(c)
+    assert "_genus" not in c.__dict__
+    c.__dict__["_dims"] = (0, 2)
+    assert genus(c) == c.__dict__["_genus"] == 2
+
+
 def test_pardini_carry_on_one_cover():
     c = make_cover(Z22, 0, {(1, 0): 1, (0, 1): 1, (1, 1): 3})
     g = c.group

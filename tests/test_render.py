@@ -3,23 +3,28 @@
 import json
 import re
 import time
+from fractions import Fraction
 
 import pytest
 
+from isopencil import render as render_module
+from isopencil.atlas import atlas_table
 from isopencil.classifier import classify
-from isopencil.compare import compare_with_reference
-from isopencil.covers import make_cover
-from isopencil.errors import InvalidInputError
+from isopencil.compare import compare_atlas_with_reference, compare_with_reference
+from isopencil.covers import enumerate_covers, make_cover
+from isopencil.errors import InternalConsistencyError, InvalidInputError
 from isopencil.groups import make_group
+from isopencil.reference_tables import family_reference
 from isopencil.render import (
     render,
+    render_atlas_comparison,
     render_atlas_rows,
     render_covers,
     render_family_comparison,
     render_family_rows,
     render_invariants,
 )
-from isopencil.sandwich import invariants, make_sandwich
+from isopencil.sandwich import InvariantReport, SingularClass, invariants, make_sandwich
 from isopencil.specfile import (
     cover_record,
     load_sandwich,
@@ -203,3 +208,102 @@ def test_render_dispatch_and_format_checks():
         render(object(), "table")
     with pytest.raises(InvalidInputError):
         render_invariants(report, "yaml")
+
+
+def test_json_writer_matches_json_dumps_with_indent_2():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    texts = st.text() | st.text(alphabet='"\\/\x00\x08\x1f\x7f\xe9\u2028\ud800\U0001f600 a')
+    integers = (
+        st.integers()
+        | st.integers(min_value=2**64, max_value=2**200)
+        | st.integers(min_value=-(2**200), max_value=-(2**64))
+    )
+    values = st.recursive(
+        st.none() | st.booleans() | integers | texts,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(texts, inner, max_size=4),
+        max_leaves=20,
+    )
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(values)
+    def check(value):
+        assert render_module._json(value) == json.dumps(value, indent=2) + "\n"
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "payload, kind",
+    [
+        (1.5, "float"),
+        (Fraction(1, 2), "Fraction"),
+        ({1}, "set"),
+        ({1: 0}, "int key"),
+        ({"rows": [0, {"slope": 1.0}]}, "float"),
+    ],
+)
+def test_json_writer_refuses_inexact_values(payload, kind):
+    with pytest.raises(InternalConsistencyError, match=kind):
+        render_module._json(payload)
+
+
+def _family_comparison():
+    rows = classify(2, pg_range=(3, 8))
+    cells = {
+        (ref.factors, ref.quotient_genus_a, ref.quotient_genus_b, ref.genus_f)
+        for ref in family_reference("zero")
+    }
+    report = compare_with_reference(rows, "zero", cells=cells)
+    assert report.missing and report.extra
+    assert any(row.discrepancies for row in report.matched)
+    return render_family_comparison(report, "json")
+
+
+def _classify_with_members():
+    rows = classify(2, groups=[(2, 2)], quotient_genus_a=0, quotient_genus_b=1)
+    assert rows[0].members
+    return render_family_rows(rows, "json")
+
+
+def _covers_with_a_twist():
+    covers = list(enumerate_covers(KLEIN, 1, genus=5, up_to_aut=True))
+    assert any(c.twist != (KLEIN.identity,) * 2 for c in covers)
+    return render_covers(covers, "json")
+
+
+def _invariants_without_pencil():
+    sing = (SingularClass(2, 1, 4, 0), SingularClass(4, 3, 1, 2))
+    report = InvariantReport(3, 0, 4, 40, 8, 0, sing, None)
+    return render_invariants(report, "json")
+
+
+def _invariants_with_pencil():
+    report = invariants(make_sandwich(F_COVER, D_COVER))
+    assert report.canonical_character is not None
+    return render_invariants(report, "json")
+
+
+JSON_RENDERS = {
+    "classify": _classify_with_members,
+    "atlas": lambda: render_atlas_rows(atlas_table(2), "json"),
+    "covers": _covers_with_a_twist,
+    "family_comparison": _family_comparison,
+    "atlas_comparison": lambda: render_atlas_comparison(
+        compare_atlas_with_reference("tabelladue"), "json"
+    ),
+    "invariants_no_pencil": _invariants_without_pencil,
+    "invariants_pencil": _invariants_with_pencil,
+}
+
+
+@pytest.mark.parametrize("name", list(JSON_RENDERS))
+def test_every_json_render_matches_the_stdlib_encoder(monkeypatch, name):
+    payloads = []
+    write = render_module._json
+    monkeypatch.setattr(render_module, "_json", lambda p: payloads.append(p) or write(p))
+    text = JSON_RENDERS[name]()
+    (payload,) = payloads
+    assert text == json.JSONEncoder(indent=2).encode(payload) + "\n"
