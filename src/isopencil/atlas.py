@@ -9,7 +9,7 @@ from itertools import product
 from . import covers
 from .covers import FIBER_GENUS_RANGE, enumerate_covers
 from .errors import InvalidInputError
-from .groups import Element, FiniteAbelianGroup, make_group
+from .groups import Element, FiniteAbelianGroup, factorize, image, make_group
 from .parallel import parallel_map
 from .record import Record
 from .reference_tables import atlas_reference
@@ -21,7 +21,9 @@ __all__ = [
     "atlas_table",
     "canonical_profile",
     "check_genera",
+    "check_genus",
     "enumerate_actions",
+    "reference_keys",
 ]
 
 ATLAS_TABLE_FOR_GENUS = {2: "tabelladue", 3: "tabellauno"}
@@ -53,32 +55,16 @@ def _partitions(n: int):
     yield from rec(n, n)
 
 
-def _factorize(n: int) -> list[tuple[int, int]]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        p += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
 def abelian_groups_up_to(bound: int) -> list[FiniteAbelianGroup]:
     """One representative per isomorphism class of order 2..bound.
 
     Representatives use invariant factors: each factor divides the next.
     """
-    if not isinstance(bound, int) or bound < 1:
+    if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
         raise InvalidInputError(f"order bound must be an integer >= 1, got {bound!r}")
     found: list[tuple[int, ...]] = []
     for order in range(2, bound + 1):
-        primes = _factorize(order)
+        primes = factorize(order)
         for combo in product(*(tuple(_partitions(e)) for _, e in primes)):
             length = max(len(part) for part in combo)
             descending = [
@@ -94,19 +80,14 @@ def canonical_profile(group: FiniteAbelianGroup, profile) -> Profile:
     if isinstance(profile, dict):
         profile = profile.items()
     index = group.index
-    chars = []
-    dims = []
+    pairs = []
     for chi, dim in profile:
         if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
             raise InvalidInputError(f"eigenspace dimension must be an integer >= 0, got {dim!r}")
         if dim:
-            chars.append(index[group.validate(chi)])
-            dims.append(dim)
+            pairs.append((index[group.validate(chi)], dim))
     # Index order is element order, so the minimum is taken over indices.
-    low = min(
-        tuple(sorted(zip(map(alpha.char_perm.__getitem__, chars), dims)))
-        for alpha in group.automorphisms()
-    )
+    low = min(image(alpha.char_perm, pairs) for alpha in group.automorphisms())
     els = group.elements()
     return tuple((els[i], dim) for i, dim in low)
 
@@ -130,12 +111,21 @@ def groups_acting_on(genus: int) -> list[FiniteAbelianGroup]:
     return abelian_groups_up_to(4 * genus + 4)
 
 
+def check_genus(genus: int, name: str = "curve genus") -> None:
+    """Raise InvalidInputError unless genus is an integer in FIBER_GENUS_RANGE."""
+    lo, hi = FIBER_GENUS_RANGE
+    if not isinstance(genus, int) or isinstance(genus, bool) or not lo <= genus <= hi:
+        raise InvalidInputError(f"{name} must be an integer in {lo}..{hi}, got {genus!r}")
+
+
 def check_genera(genus: int, quotient_genus: int) -> None:
     """Raise InvalidInputError unless genus is in FIBER_GENUS_RANGE and quotient_genus in 0..genus."""
-    lo, hi = FIBER_GENUS_RANGE
-    if not isinstance(genus, int) or not lo <= genus <= hi:
-        raise InvalidInputError(f"curve genus must be an integer in {lo}..{hi}, got {genus!r}")
-    if not isinstance(quotient_genus, int) or not 0 <= quotient_genus <= genus:
+    check_genus(genus)
+    if (
+        not isinstance(quotient_genus, int)
+        or isinstance(quotient_genus, bool)
+        or not 0 <= quotient_genus <= genus
+    ):
         raise InvalidInputError(
             f"quotient genus must be an integer in 0..{genus}, got {quotient_genus!r}"
         )
@@ -155,16 +145,24 @@ def enumerate_actions(genus: int, quotient_genus: int) -> list[AtlasRow]:
     return rows
 
 
+@lru_cache(maxsize=None)
+def reference_keys(table_id: str) -> tuple[tuple, ...]:
+    """(quotient genus, factors, canonical profile) of every row of one action
+    table, in table order: the key an AtlasRow has as
+    (quotient_genus, group.factors, profile)."""
+    _, reference = atlas_reference(table_id)
+    return tuple(
+        (ref.quotient_genus, ref.factors, canonical_profile(make_group(ref.factors), ref.profile))
+        for ref in reference
+    )
+
+
 def atlas_table(genus: int) -> list[AtlasRow]:
     """Full atlas for one curve genus, rows flagged against the published table."""
     if genus not in ATLAS_TABLE_FOR_GENUS:
         supported = ", ".join(str(g) for g in sorted(ATLAS_TABLE_FOR_GENUS))
         raise InvalidInputError(f"no atlas table for genus {genus!r}; supported: {supported}")
-    _, reference = atlas_reference(ATLAS_TABLE_FOR_GENUS[genus])
-    listed = {
-        (ref.quotient_genus, ref.factors, canonical_profile(make_group(ref.factors), ref.profile))
-        for ref in reference
-    }
+    listed = set(reference_keys(ATLAS_TABLE_FOR_GENUS[genus]))
     rows = []
     for a in range(genus, -1, -1):
         for row in enumerate_actions(genus, a):

@@ -5,9 +5,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from .atlas import _actions_cell, groups_acting_on
+from .atlas import _actions_cell, check_genus, groups_acting_on
 from .covers import (
-    FIBER_GENUS_RANGE,
     CoverData,
     _multiplicity_vectors,
     _twist_table,
@@ -20,7 +19,7 @@ from .errors import (
     InvalidInputError,
     InvalidMonodromyError,
 )
-from .groups import Element, FiniteAbelianGroup, make_group
+from .groups import Element, FiniteAbelianGroup, image, make_group
 from .linear import LinearForm
 from .parallel import parallel_map
 from .record import Record, _set
@@ -29,6 +28,7 @@ from .sandwich import InvariantReport, invariants, make_sandwich
 __all__ = [
     "SurfaceSolution",
     "FamilyRow",
+    "cell_of",
     "classify_cell",
     "fit_families",
     "search_cells",
@@ -175,18 +175,16 @@ def _stabilizer(cover: CoverData):
     group = cover.group
     index = group.index
     loose_twist = not cover.twist or _twist_interchangeable(cover)
-    branch = tuple((index[e], m) for e, m in cover.branch)
-    indices = [i for i, _ in branch]
-    mults = [m for _, m in branch]
-    twist = tuple(index[t] for t in cover.twist)
+    branch = tuple([(index[e], m) for e, m in cover.branch])
+    twist = tuple([index[t] for t in cover.twist])
     kept = []
     for alpha in group.automorphisms():
-        image = alpha.perm.__getitem__
-        if tuple(sorted(zip(map(image, indices), mults))) != branch:
+        perm = alpha.perm
+        if image(perm, branch) != branch:
             continue
-        if not loose_twist and tuple(map(image, twist)) != twist:
+        if not loose_twist and tuple([perm[t] for t in twist]) != twist:
             continue
-        kept.append((alpha.char_perm, sorted(range(group.order), key=alpha.perm.__getitem__)))
+        kept.append((alpha.char_perm, sorted(range(group.order), key=perm.__getitem__)))
     return tuple(kept)
 
 
@@ -200,11 +198,7 @@ def _canonical_solution(stab, chi0: int, branch: tuple):
     smallest image need their branch image.
     """
     low = min(pull[chi0] for pull, _ in stab)
-    return low, min(
-        tuple(sorted([(preimage[i], m) for i, m in branch]))
-        for pull, preimage in stab
-        if pull[chi0] == low
-    )
+    return low, min(image(preimage, branch) for pull, preimage in stab if pull[chi0] == low)
 
 
 def _pencil_requirements(cover_f: CoverData, chi0: int, b: int):
@@ -221,19 +215,13 @@ def _pencil_requirements(cover_f: CoverData, chi0: int, b: int):
     return fixed, neg[chi0]
 
 
-def _check_genus_f(genus_f) -> None:
-    lo, hi = FIBER_GENUS_RANGE
-    if not isinstance(genus_f, int) or not lo <= genus_f <= hi:
-        raise InvalidInputError(f"fiber genus must be in {lo}..{hi}, got {genus_f!r}")
-
-
 def classify_cell(
     factors, genus_f: int, quotient_genus_a: int, quotient_genus_b: int, pg_range
 ) -> list[SurfaceSolution]:
     """All pencil solutions in one (group, base genera, fiber genus) cell."""
     group = make_group(factors)
     lo, hi = _validate_pg_range(pg_range)
-    _check_genus_f(genus_f)
+    check_genus(genus_f, "fiber genus")
     for name, value in (("a", quotient_genus_a), ("b", quotient_genus_b)):
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise InvalidInputError(f"quotient genus {name} must be an integer >= 0")
@@ -330,11 +318,10 @@ def _bucket_key(sol: SurfaceSolution):
     )
 
 
-_FITTED_KEYS = ("g_D", "K2", "t_z", "chi", "euler_e")
-
-
 def _series(sol: SurfaceSolution) -> dict[str, int]:
+    """The columns a family fits as linear forms in p_g; q is constant."""
     return {
+        "p_g": sol.p_g,
         "g_D": sol.genus_d,
         "K2": sol.report.K2,
         "t_z": sol.report.t_z,
@@ -345,8 +332,7 @@ def _series(sol: SurfaceSolution) -> dict[str, int]:
 
 def _row_order(r: FamilyRow):
     g_d = r.forms["g_D"]
-    cell = (r.factors, r.quotient_genus_a, r.quotient_genus_b, r.genus_f)
-    return cell + ((-g_d.slope, -g_d.intercept), r.chi0, r.pg_lo)
+    return cell_of(r) + ((-g_d.slope, -g_d.intercept), r.chi0, r.pg_lo)
 
 
 def fit_families(solutions: list[SurfaceSolution]) -> list[FamilyRow]:
@@ -366,9 +352,9 @@ def fit_families(solutions: list[SurfaceSolution]) -> list[FamilyRow]:
             run = runs[-1] if runs else None
             if run and sol.p_g == run[-1].p_g + 1:
                 if len(run) == 1:
-                    steps = {k: cur[k] - prev[k] for k in _FITTED_KEYS}
+                    steps = {k: cur[k] - prev[k] for k in cur}
                     run.append(sol)
-                elif all(cur[k] - prev[k] == steps[k] for k in _FITTED_KEYS):
+                elif all(cur[k] - prev[k] == steps[k] for k in cur):
                     run.append(sol)
                 else:
                     runs.append([sol])
@@ -386,23 +372,20 @@ def fit_families(solutions: list[SurfaceSolution]) -> list[FamilyRow]:
 
 
 def _emit_row(run: list[SurfaceSolution]) -> FamilyRow:
+    """A family row for a run of three or more solutions, else a sporadic row
+    for a run's one solution: the same fit, with slope 0."""
     first = run[0]
-    group = first.cover_f.group
     a = first.cover_f.base_genus
     b = first.cover_d.base_genus
-    if len(run) >= 3:
-        kind = "family"
-        forms = {"p_g": LinearForm(1, 0), "q": LinearForm(0, a + b)}
-        for key in _FITTED_KEYS:
-            slope = _series(run[1])[key] - _series(run[0])[key]
-            forms[key] = LinearForm(slope, _series(first)[key] - slope * first.p_g)
-    else:
-        kind = "sporadic"
-        forms = {"p_g": LinearForm(0, first.p_g), "q": LinearForm(0, a + b)}
-        for key in _FITTED_KEYS:
-            forms[key] = LinearForm(0, _series(first)[key])
+    start = _series(first)
+    later = _series(run[1]) if len(run) >= 3 else start
+    forms = {"q": LinearForm(0, a + b)}
+    for key, value in start.items():
+        slope = later[key] - value
+        forms[key] = LinearForm(slope, value - slope * first.p_g)
+    kind = "family" if len(run) >= 3 else "sporadic"
     return FamilyRow(
-        group.factors,
+        first.cover_f.group.factors,
         a,
         b,
         genus(first.cover_f),
@@ -415,9 +398,9 @@ def _emit_row(run: list[SurfaceSolution]) -> FamilyRow:
     )
 
 
-def _cell_rows(args) -> list[FamilyRow]:
-    factors, genus_f, a, b, pg_range = args
-    return fit_families(classify_cell(factors, genus_f, a, b, pg_range))
+def cell_of(row) -> tuple[tuple[int, ...], int, int, int]:
+    """The search cell (factors, a, b, genus_f) of a computed or a reference family row."""
+    return (row.factors, row.quotient_genus_a, row.quotient_genus_b, row.genus_f)
 
 
 def search_cells(
@@ -425,9 +408,9 @@ def search_cells(
     groups="all",
     quotient_genus_a="any",
     quotient_genus_b="any",
-) -> list[tuple[tuple[int, ...], int, int]]:
-    """The (factors, a, b) combinations a classify call with these arguments visits."""
-    _check_genus_f(genus_f)
+) -> list[tuple[tuple[int, ...], int, int, int]]:
+    """The (factors, a, b, genus_f) cells a classify call with these arguments visits."""
+    check_genus(genus_f, "fiber genus")
     if groups == "all":
         factor_list = [g.factors for g in groups_acting_on(genus_f)]
     else:
@@ -440,7 +423,7 @@ def search_cells(
         b_list = [0, 1]
     else:
         b_list = [quotient_genus_b]
-    return [(factors, a, b) for factors in factor_list for a in a_list for b in b_list]
+    return [(factors, a, b, genus_f) for factors in factor_list for a in a_list for b in b_list]
 
 
 def classify(
@@ -452,16 +435,18 @@ def classify(
 ) -> list[FamilyRow]:
     """Fitted families over every requested (group, quotient genera) cell."""
     _validate_pg_range(pg_range)
-    triples = search_cells(genus_f, groups, quotient_genus_a, quotient_genus_b)
-    cells = [(factors, a, b, genus_f) for factors, a, b in triples]
-    return classify_cells(cells, pg_range)
+    return classify_cells(search_cells(genus_f, groups, quotient_genus_a, quotient_genus_b), pg_range)
 
 
 def classify_cells(cells, pg_range) -> list[FamilyRow]:
     """Fitted families over (factors, a, b, genus_f) cells, run in order in this process."""
-    lo, hi = _validate_pg_range(pg_range)
-    jobs = [(factors, genus_f, a, b, (lo, hi)) for factors, a, b, genus_f in cells]
-    merged = parallel_map(_cell_rows, jobs)
+    pg_range = _validate_pg_range(pg_range)
+
+    def cell_rows(cell) -> list[FamilyRow]:
+        factors, a, b, genus_f = cell
+        return fit_families(classify_cell(factors, genus_f, a, b, pg_range))
+
+    merged = parallel_map(cell_rows, cells)
     rows = [row for cell in merged for row in cell]
     rows.sort(key=_row_order)
     return rows

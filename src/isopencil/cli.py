@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from .atlas import ATLAS_TABLE_FOR_GENUS, atlas_table, check_genera
-from .classifier import classify, classify_cells, search_cells
+from .classifier import cell_of, classify, classify_cells, search_cells
 from .covers import enumerate_covers
 from .compare import compare_atlas_with_reference, compare_with_reference
 from .errors import InternalConsistencyError, InvalidInputError, IsopencilError
@@ -132,10 +132,7 @@ def _run_classify(args) -> str:
     )
     if args.compare is None:
         return render_family_rows(rows, args.format)
-    cells = {
-        (factors, a, b, args.genus_f)
-        for factors, a, b in search_cells(args.genus_f, args.group, args.base_a, args.base_b)
-    }
+    cells = set(search_cells(args.genus_f, args.group, args.base_a, args.base_b))
     report = compare_with_reference(rows, args.compare, cells=cells)
     return render_family_comparison(report, args.format)
 
@@ -151,10 +148,7 @@ def _run_compare(args) -> str:
     if args.table not in family_table_ids():
         known = ", ".join(atlas_table_ids() + family_table_ids())
         raise InvalidInputError(f"unknown table {args.table!r}; known ids: {known}")
-    cells = {
-        (ref.factors, ref.quotient_genus_a, ref.quotient_genus_b, ref.genus_f)
-        for ref in family_reference(args.table)
-    }
+    cells = set(map(cell_of, family_reference(args.table)))
     rows = classify_cells(sorted(cells), args.pg)
     report = compare_with_reference(rows, args.table, cells=cells)
     return render_family_comparison(report, args.format)

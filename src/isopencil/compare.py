@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from .atlas import atlas_table, canonical_profile
-from .classifier import FamilyRow
+from .atlas import atlas_table, reference_keys
+from .classifier import FamilyRow, cell_of
 from .errors import InvalidInputError
-from .groups import make_group
 from .linear import LinearForm
 from .record import Record
 from .reference_tables import (
@@ -89,33 +88,15 @@ class _Group(Record):
     __slots__ = ("cell", "forms", "kind", "pg_lo", "pg_hi", "count")
 
 
-def _row_cell(row: FamilyRow) -> Cell:
-    return (row.factors, row.quotient_genus_a, row.quotient_genus_b, row.genus_f)
-
-
-def _ref_cell(ref) -> Cell:
-    return (ref.factors, ref.quotient_genus_a, ref.quotient_genus_b, ref.genus_f)
-
-
 def _form_groups(rows: list[FamilyRow]) -> list[_Group]:
-    buckets: dict[tuple, _Group] = {}
+    buckets: dict[tuple, list[FamilyRow]] = {}
     for row in rows:
-        key = (_row_cell(row), row.kind, tuple(sorted(row.forms.items())))
-        prior = buckets.get(key)
-        if prior is None:
-            buckets[key] = _Group(
-                _row_cell(row), dict(row.forms), row.kind, row.pg_lo, row.pg_hi, 1
-            )
-        else:
-            buckets[key] = _Group(
-                prior.cell,
-                prior.forms,
-                prior.kind,
-                min(prior.pg_lo, row.pg_lo),
-                max(prior.pg_hi, row.pg_hi),
-                prior.count + 1,
-            )
-    return [buckets[key] for key in sorted(buckets)]
+        key = (cell_of(row), row.kind, tuple(sorted(row.forms.items())))
+        buckets.setdefault(key, []).append(row)
+    return [
+        _Group(cell, dict(forms), kind, min(r.pg_lo for r in same), max(r.pg_hi for r in same), len(same))
+        for (cell, kind, forms), same in sorted(buckets.items())
+    ]
 
 
 def _anchor(group: _Group, ref) -> int | None:
@@ -174,8 +155,8 @@ def compare_with_reference(
         raise InvalidInputError(f"unknown family table {table_id!r}; known ids: {known}")
     reference = family_reference(table_id)
     if cells is None:
-        cells = {_row_cell(row) for row in rows}
-    in_scope = [ref for ref in reference if _ref_cell(ref) in cells]
+        cells = {cell_of(row) for row in rows}
+    in_scope = [ref for ref in reference if cell_of(ref) in cells]
     skipped = len(reference) - len(in_scope)
 
     groups = _form_groups(rows)
@@ -188,7 +169,7 @@ def compare_with_reference(
         found = []
         for pos in pool:
             group = families[pos]
-            if group.cell != _ref_cell(ref):
+            if group.cell != cell_of(ref):
                 continue
             shift = _anchor(group, ref)
             if shift is None:
@@ -214,7 +195,7 @@ def compare_with_reference(
             if best is None:
                 continue
             pos, shift, records = best
-            outcome[ref.index] = MatchedRow(table_id, ref.index, _ref_cell(ref), shift, records)
+            outcome[ref.index] = MatchedRow(table_id, ref.index, cell_of(ref), shift, records)
             remaining.remove(pos)
             consumed.add(pos)
     for ref in in_scope:
@@ -224,12 +205,12 @@ def compare_with_reference(
         if best is not None:
             _, shift, records = best
             outcome[ref.index] = MatchedRow(
-                table_id, ref.index, _ref_cell(ref), shift, records, shared=True
+                table_id, ref.index, cell_of(ref), shift, records, shared=True
             )
 
     matched = tuple(outcome[ref.index] for ref in in_scope if ref.index in outcome)
     missing = tuple(
-        MissingRow(table_id, ref.index, _ref_cell(ref), _miss_note(ref, families))
+        MissingRow(table_id, ref.index, cell_of(ref), _miss_note(ref, families))
         for ref in in_scope
         if ref.index not in outcome
     )
@@ -244,7 +225,7 @@ def compare_with_reference(
 
 def _miss_note(ref, families: list[_Group]) -> str:
     gd = ref.forms.get("g_D")
-    same_cell = [g for g in families if g.cell == _ref_cell(ref)]
+    same_cell = [g for g in families if g.cell == cell_of(ref)]
     if not same_cell:
         return "no computed family in this cell"
     if gd is not None:
@@ -279,17 +260,12 @@ def compare_atlas_with_reference(table_id: str) -> AtlasComparison:
     if table_id not in atlas_table_ids():
         known = ", ".join(atlas_table_ids())
         raise InvalidInputError(f"unknown atlas table {table_id!r}; known ids: {known}")
-    genus, reference = atlas_reference(table_id)
+    genus, _ = atlas_reference(table_id)
     rows = atlas_table(genus)
     have = {(row.quotient_genus, row.group.factors, row.profile) for row in rows}
     matched = []
     missing = []
-    for pos, ref in enumerate(reference, start=1):
-        key = (
-            ref.quotient_genus,
-            ref.factors,
-            canonical_profile(make_group(ref.factors), ref.profile),
-        )
+    for pos, key in enumerate(reference_keys(table_id), start=1):
         (matched if key in have else missing).append(pos)
     extra = sum(1 for row in rows if not row.in_reference)
     return AtlasComparison(table_id, genus, tuple(matched), tuple(missing), extra)

@@ -7,6 +7,9 @@ each element once and records the eigen-profile from the same pass over the
 character numerators sum(m * <chi, e>) that checks that the branch sum closes.
 _multiplicity_vectors is the one search for branch multiplicities: it closes
 the branch sum for enumerate_covers and meets the classifier's degree equations.
+_index_orbit is the one Aut(G) orbit scan: it moves index-space branch data by
+groups.image, and both enumerate_covers(up_to_aut=True) and
+canonical_cover_form take their orbit minimum from it.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .errors import (
     InvalidInputError,
     InvalidMonodromyError,
 )
-from .groups import Element, FiniteAbelianGroup
+from .groups import Element, FiniteAbelianGroup, image
 from .record import Record, _set
 
 __all__ = [
@@ -230,34 +233,29 @@ def _index_orbit(group: FiniteAbelianGroup, branch: tuple, twist: tuple) -> set[
     branch holds (index, multiplicity) pairs sorted by index, twist indices;
     index order is element order, since elements() is lexicographic.
     """
-    indices = [i for i, _ in branch]
-    mults = [m for _, m in branch]
     orbit = set()
     for alpha in group.automorphisms():
-        image = alpha.perm.__getitem__
-        orbit.add((tuple(sorted(zip(map(image, indices), mults))), tuple(map(image, twist))))
+        perm = alpha.perm
+        orbit.add((image(perm, branch), tuple([perm[t] for t in twist])))
     return orbit
 
 
-def _aut_orbit(cover: CoverData) -> set[tuple]:
-    """Every (branch, twist) that an automorphism of the group carries the cover to."""
+def canonical_cover_form(cover: CoverData) -> tuple:
+    """Lexicographically minimal (branch, twist) over the automorphism orbit.
+
+    The minimum is taken in index space, where index order is element order.
+    """
     grp = cover.group
     els = grp.elements()
     index = grp.index
-    orbit = _index_orbit(
-        grp,
-        tuple((index[e], m) for e, m in cover.branch),
-        tuple(index[t] for t in cover.twist),
+    branch, twist = min(
+        _index_orbit(
+            grp,
+            tuple([(index[e], m) for e, m in cover.branch]),
+            tuple([index[t] for t in cover.twist]),
+        )
     )
-    return {
-        (tuple((els[i], m) for i, m in branch), tuple(els[t] for t in twist))
-        for branch, twist in orbit
-    }
-
-
-def canonical_cover_form(cover: CoverData) -> tuple:
-    """Lexicographically minimal (branch, twist) over the automorphism orbit."""
-    return min(_aut_orbit(cover))
+    return tuple([(els[i], m) for i, m in branch]), tuple([els[t] for t in twist])
 
 
 def enumerate_covers(

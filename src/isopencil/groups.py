@@ -26,6 +26,8 @@ __all__ = [
     "make_group",
     "parse_group",
     "format_element",
+    "factorize",
+    "image",
 ]
 
 Element = tuple[int, ...]
@@ -252,15 +254,8 @@ class FiniteAbelianGroup:
         """
         exponents: dict[int, list[int]] = {}
         for n in self.factors:
-            p = 2
-            while n > 1:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                if e:
-                    exponents.setdefault(p, []).append(e)
-                p += 1
+            for p, e in factorize(n):
+                exponents.setdefault(p, []).append(e)
         count = 1
         for p, es in exponents.items():
             es.sort()
@@ -413,6 +408,34 @@ class Automorphism(Record):
         """The character chi o alpha, as coordinates."""
         grp = self.group
         return grp.elements()[self.char_perm[grp.index[chi]]]
+
+
+def factorize(n: int) -> list[tuple[int, int]]:
+    """(prime, exponent) pairs of n >= 1, by ascending prime, by trial division."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def image(perm, pairs) -> tuple[tuple[int, int], ...]:
+    """The (index, value) pairs with every index moved by perm, sorted.
+
+    This is how an automorphism, as an index permutation, moves index-space
+    data: branch data (element, multiplicity) and eigen-profiles (character,
+    dimension) alike. Index order is element order, so the result is sorted
+    by element too.
+    """
+    return tuple(sorted([(perm[i], v) for i, v in pairs]))
 
 
 def make_group(factors) -> FiniteAbelianGroup:

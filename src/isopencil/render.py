@@ -1,5 +1,8 @@
 """Deterministic table, CSV, and JSON views of every report the library emits.
 
+Each report kind has its own render_* function, which takes the report and
+one of FORMATS; there is no dispatcher over report types.
+
 Every JSON view is laid out exactly as ``json.dumps(payload, indent=2)``
 followed by a newline: two-space indent, ASCII escapes, keys in insertion
 order. One small writer produces it, since ``indent=2`` turns off the C
@@ -13,7 +16,7 @@ import io
 from json.encoder import encode_basestring_ascii as _quote
 
 from .atlas import AtlasRow
-from .classifier import FamilyRow
+from .classifier import FamilyRow, cell_of
 from .compare import AtlasComparison, ComparisonReport
 from .covers import CoverData, genus
 from .errors import InternalConsistencyError, InvalidInputError
@@ -24,7 +27,6 @@ from .specfile import cover_record, sandwich_record
 __all__ = [
     "FORMATS",
     "format_element",
-    "render",
     "render_family_rows",
     "render_atlas_rows",
     "render_covers",
@@ -115,6 +117,22 @@ def _write(value, out: list[str], newline: str) -> None:
         )
 
 
+def _cell_columns(cell) -> list[str]:
+    """The text columns of a search cell (factors, a, b, genus_f)."""
+    factors, a, b, genus_f = cell
+    return [",".join(str(f) for f in factors), str(a), str(b), str(genus_f)]
+
+
+def _cell_note(cell) -> str:
+    factors, a, b, genus_f = cell
+    return f"G={','.join(str(f) for f in factors)} a={a} b={b} g(F)={genus_f}"
+
+
+def _cell_payload(cell) -> dict:
+    factors, a, b, genus_f = cell
+    return {"group": list(factors), "quotient_genus_a": a, "quotient_genus_b": b, "genus_f": genus_f}
+
+
 def _form_fields(row: FamilyRow) -> dict[str, str]:
     return {key: form.render() for key, form in sorted(row.forms.items())}
 
@@ -146,15 +164,7 @@ def render_family_rows(rows: list[FamilyRow], fmt: str) -> str:
         body = []
         for row in rows:
             forms = _form_fields(row)
-            body.append([
-                ",".join(str(f) for f in row.factors),
-                str(row.quotient_genus_a),
-                str(row.quotient_genus_b),
-                str(row.genus_f),
-                forms["g_D"],
-                forms["K2"],
-                forms["t_z"],
-            ])
+            body.append(_cell_columns(cell_of(row)) + [forms["g_D"], forms["K2"], forms["t_z"]])
         return _tabulate(["G", "g(A)", "g(B)", "g(F)", "g(D)", "K^2", "t"], body)
     if fmt == "csv":
         header = [
@@ -164,11 +174,7 @@ def render_family_rows(rows: list[FamilyRow], fmt: str) -> str:
         body = []
         for row in rows:
             forms = _form_fields(row)
-            body.append([
-                ",".join(str(f) for f in row.factors),
-                str(row.quotient_genus_a),
-                str(row.quotient_genus_b),
-                str(row.genus_f),
+            body.append(_cell_columns(cell_of(row)) + [
                 format_element(row.chi0),
                 row.kind,
                 str(row.pg_lo),
@@ -178,10 +184,7 @@ def render_family_rows(rows: list[FamilyRow], fmt: str) -> str:
     payload = []
     for row in rows:
         payload.append({
-            "group": list(row.factors),
-            "quotient_genus_a": row.quotient_genus_a,
-            "quotient_genus_b": row.quotient_genus_b,
-            "genus_f": row.genus_f,
+            **_cell_payload(cell_of(row)),
             "chi0": list(row.chi0),
             "kind": row.kind,
             "pg_lo": row.pg_lo,
@@ -327,11 +330,9 @@ def render_family_comparison(report: ComparisonReport, fmt: str) -> str:
             lines.append(f"row {miss.index}: missing ({miss.note})")
         for extra in report.extra:
             forms = dict(extra.forms)
-            factors = ",".join(str(f) for f in extra.cell[0])
             fold = f" x{extra.count}" if extra.count > 1 else ""
             lines.append(
-                f"extra {extra.kind} G={factors} a={extra.cell[1]} b={extra.cell[2]}"
-                f" g(F)={extra.cell[3]}: g(D)={forms['g_D'].render()}"
+                f"extra {extra.kind} {_cell_note(extra.cell)}: g(D)={forms['g_D'].render()}"
                 f" K^2={forms['K2'].render()} t={forms['t_z'].render()}{fold}"
             )
         return "\n".join(lines) + "\n"
@@ -350,11 +351,7 @@ def render_family_comparison(report: ComparisonReport, fmt: str) -> str:
         for miss in report.missing:
             body.append(["missing", str(miss.index), "", "", "", "", miss.note])
         for extra in report.extra:
-            spot = ",".join(str(f) for f in extra.cell[0])
-            note = (
-                f"G={spot} a={extra.cell[1]} b={extra.cell[2]} g(F)={extra.cell[3]}"
-                f" kind={extra.kind} count={extra.count}"
-            )
+            note = f"{_cell_note(extra.cell)} kind={extra.kind} count={extra.count}"
             body.append([
                 "extra", "", "", "",
                 " ".join(f"{k}={v.render()}" for k, v in extra.forms), "", note,
@@ -383,10 +380,7 @@ def render_family_comparison(report: ComparisonReport, fmt: str) -> str:
         "missing": [{"index": m.index, "note": m.note} for m in report.missing],
         "extra": [
             {
-                "group": list(e.cell[0]),
-                "quotient_genus_a": e.cell[1],
-                "quotient_genus_b": e.cell[2],
-                "genus_f": e.cell[3],
+                **_cell_payload(e.cell),
                 "kind": e.kind,
                 "pg_lo": e.pg_lo,
                 "pg_hi": e.pg_hi,
@@ -424,23 +418,3 @@ def render_atlas_comparison(report: AtlasComparison, fmt: str) -> str:
         "extra_count": report.extra_count,
     })
 
-
-def render(report, fmt: str) -> str:
-    """Render any report object; row lists dispatch on their first element."""
-    if isinstance(report, InvariantReport):
-        return render_invariants(report, fmt)
-    if isinstance(report, ComparisonReport):
-        return render_family_comparison(report, fmt)
-    if isinstance(report, AtlasComparison):
-        return render_atlas_comparison(report, fmt)
-    if isinstance(report, list):
-        if not report:
-            raise InvalidInputError("cannot infer the row kind of an empty list")
-        head = report[0]
-        if isinstance(head, FamilyRow):
-            return render_family_rows(report, fmt)
-        if isinstance(head, AtlasRow):
-            return render_atlas_rows(report, fmt)
-        if isinstance(head, CoverData):
-            return render_covers(report, fmt)
-    raise InvalidInputError(f"no renderer for {type(report).__name__}")

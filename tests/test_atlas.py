@@ -11,10 +11,13 @@ from isopencil.atlas import (
     abelian_groups_up_to,
     atlas_table,
     canonical_profile,
+    check_genera,
     enumerate_actions,
     groups_acting_on,
+    reference_keys,
 )
-from isopencil.classifier import search_cells
+from isopencil.classifier import classify_cell, search_cells
+from isopencil.compare import compare_atlas_with_reference
 from isopencil.covers import FIBER_GENUS_RANGE, eigen_profile, genus
 from isopencil.errors import InvalidInputError
 from isopencil.groups import make_group
@@ -30,6 +33,23 @@ def test_groups_up_to_four():
 
 def test_groups_up_to_one_is_empty():
     assert abelian_groups_up_to(1) == []
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_bools_are_not_counts_or_genera(flag):
+    # True == 1 and False == 0 as integers, so each check names bool itself.
+    with pytest.raises(InvalidInputError, match="order bound"):
+        abelian_groups_up_to(flag)
+    with pytest.raises(InvalidInputError, match="quotient genus"):
+        check_genera(3, flag)
+    with pytest.raises(InvalidInputError, match="quotient genus"):
+        enumerate_actions(3, flag)
+    with pytest.raises(InvalidInputError, match="curve genus"):
+        check_genera(flag, 0)
+    with pytest.raises(InvalidInputError, match="fiber genus"):
+        search_cells(flag)
+    with pytest.raises(InvalidInputError, match="fiber genus"):
+        classify_cell([2, 2], flag, 0, 0, (3, 8))
 
 
 def test_groups_up_to_sixteen():
@@ -130,7 +150,19 @@ def test_atlas_and_classifier_share_the_genus_range_and_order_bound():
     for g in range(FIBER_GENUS_RANGE[0], FIBER_GENUS_RANGE[1] + 1):
         groups = groups_acting_on(g)
         assert max(grp.order for grp in groups) == 4 * g + 4
-        assert {factors for factors, _, _ in search_cells(g)} == factor_set(groups)
+        assert {factors for factors, _, _, _ in search_cells(g)} == factor_set(groups)
+
+
+def test_atlas_flags_and_comparison_read_one_set_of_reference_keys():
+    # A reference row is matched exactly when a row of atlas_table carries its
+    # key, and then that row is flagged; the rest are the missing rows.
+    for genus, table in ((2, "tabelladue"), (3, "tabellauno")):
+        keys = reference_keys(table)
+        listed = {(r.quotient_genus, r.group.factors, r.profile) for r in atlas_table(genus) if r.in_reference}
+        report = compare_atlas_with_reference(table)
+        assert listed <= set(keys)
+        assert report.matched == tuple(pos for pos, key in enumerate(keys, 1) if key in listed)
+        assert report.missing == tuple(pos for pos, key in enumerate(keys, 1) if key not in listed)
 
 
 def test_atlas_genus_two_flags():

@@ -17,8 +17,10 @@ from isopencil.classifier import (
     _canonical_solution,
     _stabilizer,
     _twist_interchangeable,
+    cell_of,
     classify,
     classify_cell,
+    classify_cells,
     fit_families,
     search_cells,
 )
@@ -61,6 +63,22 @@ def test_rejects_bad_inputs():
         classify_cell([2, 2], 2, 0, True, (3, 8))
     with pytest.raises(InvalidInputError):
         classify(7)
+
+
+@pytest.mark.parametrize("genus_f, groups_arg, a, b", [
+    (2, "all", "any", "any"),
+    (3, [(2, 2, 2), (4,)], 0, "any"),
+    (2, [(2, 2)], "any", 1),
+])
+def test_classify_is_classify_cells_over_search_cells(genus_f, groups_arg, a, b):
+    # The cell tuple (factors, a, b, genus_f) goes from search_cells to
+    # classify_cells unchanged, and every row lands in one of those cells.
+    cells = search_cells(genus_f, groups_arg, a, b)
+    assert all(len(cell) == 4 and cell[3] == genus_f for cell in cells)
+    assert len(set(cells)) == len(cells)
+    rows = classify(genus_f, groups_arg, a, b, pg_range=(3, 7))
+    assert rows and rows == classify_cells(cells, (3, 7))
+    assert {cell_of(row) for row in rows} <= set(cells)
 
 
 def test_unreachable_cells_are_empty():

@@ -10,9 +10,12 @@ from pathlib import Path
 import pytest
 
 from isopencil import classifier, cli
+from isopencil.classifier import cell_of, classify, classify_cells, search_cells
+from isopencil.compare import compare_with_reference
 from isopencil.covers import make_cover
 from isopencil.errors import InternalConsistencyError
 from isopencil.groups import make_group
+from isopencil.reference_tables import family_reference
 from isopencil.sandwich import make_sandwich
 from isopencil.specfile import parse_sandwich, sandwich_record
 
@@ -103,6 +106,34 @@ def test_identical_invocations_are_byte_identical(capsys):
     _, first, _ = run(capsys, *argv)
     _, second, _ = run(capsys, *argv)
     assert first == second
+
+
+def _searched(genus_f, groups, a):
+    """classify --compare's cells and rows: the cells are set(search_cells(...))."""
+    cells = set(search_cells(genus_f, groups, a, "any"))
+    return cells, classify(genus_f, groups, a, "any", pg_range=(3, 6))
+
+
+def _referenced(table):
+    """compare's cells and rows: the cells are the table's reference cells."""
+    cells = set(map(cell_of, family_reference(table)))
+    return cells, classify_cells(sorted(cells), (3, 6))
+
+
+@pytest.mark.parametrize("argv, table, library", [
+    (("classify", "--genus-f", "2", "--group", "all", "--compare", "zero"), "zero",
+     lambda: _searched(2, "all", "any")),
+    (("classify", "--genus-f", "3", "--group", "2,2,2", "--base-a", "0", "--compare", "zero"), "zero",
+     lambda: _searched(3, [(2, 2, 2)], 0)),
+    (("compare", "mostro"), "mostro", lambda: _referenced("mostro")),
+])
+def test_cli_compares_over_the_library_cells(capsys, monkeypatch, argv, table, library):
+    reports = []
+    monkeypatch.setattr(cli, "render_family_comparison", lambda report, fmt: reports.append(report) or "")
+    code, _, _ = run(capsys, *argv, "--pg", "3..6")
+    assert code == 0 and len(reports) == 1
+    cells, rows = library()
+    assert reports[0] == compare_with_reference(rows, table, cells=cells)
 
 
 def test_compare_maps_every_cell_in_one_call(capsys, monkeypatch):

@@ -424,13 +424,28 @@ def _dict_route_orbit(cover):
     }
 
 
+def _element_orbit(cover):
+    """_index_orbit of the cover's (branch, twist), converted back to element tuples."""
+    grp = cover.group
+    els, index = grp.elements(), grp.index
+    orbit = covers_module._index_orbit(
+        grp,
+        tuple((index[e], m) for e, m in cover.branch),
+        tuple(index[t] for t in cover.twist),
+    )
+    return {
+        (tuple((els[i], m) for i, m in branch), tuple(els[t] for t in twist))
+        for branch, twist in orbit
+    }
+
+
 def test_index_orbit_matches_the_dict_route(random_covers):
     # (2,2,2,2), whose 20,160 permutations test_groups checks on a sample, is left out.
     checked = 0
     for cover in random_covers:
         if len(cover.group.automorphisms()) > 2000:
             continue
-        orbit = covers_module._aut_orbit(cover)
+        orbit = _element_orbit(cover)
         assert orbit == _dict_route_orbit(cover)
         assert canonical_cover_form(cover) == min(orbit)
         checked += 1
@@ -563,7 +578,7 @@ def test_up_to_aut_builds_only_yielded_covers_and_first_orbit_members(monkeypatc
         for cover in built:
             key = (cover.branch, cover.twist)
             assert cover in yielded or key not in met, f"{key} was built after its orbit was known"
-            met |= covers_module._aut_orbit(cover)
+            met |= _element_orbit(cover)
         assert len(built) == len(set(built))
         skipped += len(every) - len(built)
     assert skipped >= 100

@@ -17,7 +17,9 @@ from isopencil.groups import (
     AUT_SIZE_BOUND,
     GROUP_ORDER_BOUND,
     Automorphism,
+    factorize,
     format_element,
+    image,
     make_group,
     parse_group,
 )
@@ -157,6 +159,40 @@ def test_every_char_perm_pulls_characters_back_by_the_pairing(factors):
             index[tuple(row[i] // w for row, w in zip(rows, weights))] for i in range(g.order)
         ]
         assert list(alpha.char_perm) == pulled
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [g.factors for g in abelian_groups_up_to(16)],
+    ids=lambda factors: ",".join(map(str, factors)),
+)
+def test_image_matches_the_coordinate_route(factors):
+    # Unsampled: every automorphism, the 20,160 of (2,2,2,2) included. Each
+    # element's image is sum(x_i * images[i]), by coordinates; the pairs list
+    # every index in reverse order, then every third, so sorting is exercised.
+    g = make_group(factors)
+    els, index = g.elements(), g.index
+    everything = [(i, g.order - i) for i in reversed(range(g.order))]
+    for alpha in g.automorphisms():
+        moved = [
+            index[tuple(sum(c * img[j] for c, img in zip(x, alpha.images)) % n for j, n in enumerate(factors))]
+            for x in els
+        ]
+        for pairs in (everything, everything[::3], []):
+            assert image(alpha.perm, pairs) == tuple(sorted((moved[i], v) for i, v in pairs))
+
+
+def test_factorize_every_order_up_to_the_group_bound():
+    def is_prime(p):
+        return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+    assert factorize(1) == []
+    for n in range(2, GROUP_ORDER_BOUND + 1):
+        found = factorize(n)
+        primes = [p for p, _ in found]
+        assert math.prod(p**e for p, e in found) == n
+        assert all(is_prime(p) for p in primes) and all(e >= 1 for _, e in found)
+        assert primes == sorted(set(primes))
 
 
 def test_automorphism_bound():

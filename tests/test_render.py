@@ -16,7 +16,6 @@ from isopencil.errors import InternalConsistencyError, InvalidInputError
 from isopencil.groups import make_group
 from isopencil.reference_tables import family_reference
 from isopencil.render import (
-    render,
     render_atlas_comparison,
     render_atlas_rows,
     render_covers,
@@ -198,16 +197,18 @@ def test_comparison_formats_agree_on_content():
     assert flagged["delta"] == -4
 
 
-def test_render_dispatch_and_format_checks():
-    report = invariants(make_sandwich(F_COVER, D_COVER))
-    assert render(report, "json") == render_invariants(report, "json")
-    assert render([F_COVER], "csv") == render_covers([F_COVER], "csv")
-    with pytest.raises(InvalidInputError):
-        render([], "table")
-    with pytest.raises(InvalidInputError):
-        render(object(), "table")
-    with pytest.raises(InvalidInputError):
-        render_invariants(report, "yaml")
+def test_renderers_reject_unknown_formats():
+    # Every renderer checks the format before it reads the report.
+    for renderer, report in [
+        (render_invariants, invariants(make_sandwich(F_COVER, D_COVER))),
+        (render_covers, [F_COVER]),
+        (render_family_rows, []),
+        (render_atlas_rows, []),
+        (render_family_comparison, compare_with_reference([], "zero")),
+        (render_atlas_comparison, None),
+    ]:
+        with pytest.raises(InvalidInputError, match="unknown format 'yaml'"):
+            renderer(report, "yaml")
 
 
 def test_json_writer_matches_json_dumps_with_indent_2():

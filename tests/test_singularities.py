@@ -17,6 +17,16 @@ from isopencil.singularities import (
 )
 
 
+@pytest.mark.parametrize("entry", [canonical_type, discrepancies, hj_expansion, k2_correction])
+@pytest.mark.parametrize("flag", [True, False])
+def test_bool_type_entries_are_rejected(entry, flag):
+    # canonical_type(3, True) once returned (3, True): True passed as q = 1.
+    with pytest.raises(InvalidInputError, match="pair of integers"):
+        entry(3, flag)
+    with pytest.raises(InvalidInputError, match="pair of integers"):
+        entry(flag, 1)
+
+
 def test_expansion_examples():
     assert hj_expansion(2, 1) == [2]
     assert hj_expansion(8, 5) == [2, 3, 2]
