@@ -8,7 +8,7 @@ from itertools import product
 
 from . import covers
 from .covers import FIBER_GENUS_RANGE, enumerate_covers
-from .errors import InvalidInputError
+from .errors import InvalidInputError, is_int
 from .groups import Element, FiniteAbelianGroup, factorize, image, make_group
 from .parallel import parallel_map
 from .record import Record
@@ -24,6 +24,7 @@ __all__ = [
     "check_genus",
     "enumerate_actions",
     "reference_keys",
+    "row_key",
 ]
 
 ATLAS_TABLE_FOR_GENUS = {2: "tabelladue", 3: "tabellauno"}
@@ -60,7 +61,7 @@ def abelian_groups_up_to(bound: int) -> list[FiniteAbelianGroup]:
 
     Representatives use invariant factors: each factor divides the next.
     """
-    if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
+    if not is_int(bound) or bound < 1:
         raise InvalidInputError(f"order bound must be an integer >= 1, got {bound!r}")
     found: list[tuple[int, ...]] = []
     for order in range(2, bound + 1):
@@ -82,7 +83,7 @@ def canonical_profile(group: FiniteAbelianGroup, profile) -> Profile:
     index = group.index
     pairs = []
     for chi, dim in profile:
-        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
+        if not is_int(dim) or dim < 0:
             raise InvalidInputError(f"eigenspace dimension must be an integer >= 0, got {dim!r}")
         if dim:
             pairs.append((index[group.validate(chi)], dim))
@@ -114,18 +115,14 @@ def groups_acting_on(genus: int) -> list[FiniteAbelianGroup]:
 def check_genus(genus: int, name: str = "curve genus") -> None:
     """Raise InvalidInputError unless genus is an integer in FIBER_GENUS_RANGE."""
     lo, hi = FIBER_GENUS_RANGE
-    if not isinstance(genus, int) or isinstance(genus, bool) or not lo <= genus <= hi:
+    if not is_int(genus) or not lo <= genus <= hi:
         raise InvalidInputError(f"{name} must be an integer in {lo}..{hi}, got {genus!r}")
 
 
 def check_genera(genus: int, quotient_genus: int) -> None:
     """Raise InvalidInputError unless genus is in FIBER_GENUS_RANGE and quotient_genus in 0..genus."""
     check_genus(genus)
-    if (
-        not isinstance(quotient_genus, int)
-        or isinstance(quotient_genus, bool)
-        or not 0 <= quotient_genus <= genus
-    ):
+    if not is_int(quotient_genus) or not 0 <= quotient_genus <= genus:
         raise InvalidInputError(
             f"quotient genus must be an integer in 0..{genus}, got {quotient_genus!r}"
         )
@@ -145,11 +142,15 @@ def enumerate_actions(genus: int, quotient_genus: int) -> list[AtlasRow]:
     return rows
 
 
+def row_key(row: AtlasRow) -> tuple:
+    """(quotient genus, factors, canonical profile): the key that matches an
+    AtlasRow with a row of a published action table."""
+    return (row.quotient_genus, row.group.factors, row.profile)
+
+
 @lru_cache(maxsize=None)
 def reference_keys(table_id: str) -> tuple[tuple, ...]:
-    """(quotient genus, factors, canonical profile) of every row of one action
-    table, in table order: the key an AtlasRow has as
-    (quotient_genus, group.factors, profile)."""
+    """The row_key of every row of one action table, in table order."""
     _, reference = atlas_reference(table_id)
     return tuple(
         (ref.quotient_genus, ref.factors, canonical_profile(make_group(ref.factors), ref.profile))
@@ -166,7 +167,6 @@ def atlas_table(genus: int) -> list[AtlasRow]:
     rows = []
     for a in range(genus, -1, -1):
         for row in enumerate_actions(genus, a):
-            key = (row.quotient_genus, row.group.factors, row.profile)
             rows.append(
                 AtlasRow(
                     row.genus,
@@ -174,7 +174,7 @@ def atlas_table(genus: int) -> list[AtlasRow]:
                     row.group,
                     row.profile,
                     row.witness,
-                    in_reference=key in listed,
+                    in_reference=row_key(row) in listed,
                 )
             )
     return rows

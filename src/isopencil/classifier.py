@@ -18,6 +18,7 @@ from .errors import (
     InternalConsistencyError,
     InvalidInputError,
     InvalidMonodromyError,
+    is_int,
 )
 from .groups import Element, FiniteAbelianGroup, image, make_group
 from .linear import LinearForm
@@ -84,7 +85,7 @@ def _validate_pg_range(pg_range) -> tuple[int, int]:
         lo, hi = pg_range
     except (TypeError, ValueError):
         raise InvalidInputError(f"section range must be a pair, got {pg_range!r}")
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (lo, hi)):
+    if not all(is_int(v) for v in (lo, hi)):
         raise InvalidInputError(f"section range needs integers, got {pg_range!r}")
     if lo < 2 or hi < lo:
         raise InvalidInputError(f"section range needs 2 <= lo <= hi, got {lo}..{hi}")
@@ -97,7 +98,7 @@ def _degree_rows(group: FiniteAbelianGroup, fixed: tuple, target: int) -> list:
     chars = [chi for chi, _ in fixed]
     return [
         (tuple([row[chi] for chi in chars]), row[target])
-        for row in map(group.pairing_row, group.elements())
+        for row in map(group.pairing_row, range(group.order))
     ]
 
 
@@ -116,12 +117,11 @@ def _branch_solutions(group: FiniteAbelianGroup, fixed: tuple, target: int, degr
     order.
     """
     exponent = group.exponent
-    els = group.elements()
     coeffs, weights = zip(*_degree_rows(group, fixed, target))
-    for e, cs, t in zip(els[1:], coeffs[1:], weights[1:]):
-        if not (any(cs) or t):
+    for i in range(1, group.order):
+        if not (any(coeffs[i]) or weights[i]):
             raise CapabilityError(
-                f"element {e} escapes every degree constraint; the search is unbounded"
+                f"element {group.elements()[i]} escapes every degree constraint; the search is unbounded"
             )
 
     def step(i, remaining):
@@ -138,13 +138,12 @@ def _branch_solutions(group: FiniteAbelianGroup, fixed: tuple, target: int, degr
 
 @lru_cache(maxsize=None)
 def _complete_twist(group: FiniteAbelianGroup, base_genus: int, kernel: int) -> tuple | None:
-    """Lexicographically first twist making branch data with this common
-    kernel mask connected, if one exists; over a rational base that is ()
-    when the branch data generate the group."""
-    els = group.elements()
+    """Lexicographically first twist, as element indices, making branch data
+    with this common kernel mask connected, if one exists; over a rational
+    base that is () when the branch data generate the group."""
     for twist, mask in _twist_table(group, base_genus):
         if kernel & mask == 1:  # the same test as group.generates
-            return tuple([els[j] for j in twist])
+            return twist
     return None
 
 
@@ -158,7 +157,7 @@ def _twist_interchangeable(cover: CoverData) -> bool:
     so it is cyclic exactly when one of them has order equal to their count.
     """
     group = cover.group
-    mask = group.common_kernel([e for e, _ in cover.branch])
+    mask = group.common_kernel([i for i, _ in cover.branch_ix])
     count = mask.bit_count()
     return any(mask >> j & 1 and o == count for j, o in enumerate(group.orders))
 
@@ -173,10 +172,8 @@ def _stabilizer(cover: CoverData):
     (chi -> chi o alpha) and the inverse of its perm (alpha(g) -> g).
     """
     group = cover.group
-    index = group.index
-    loose_twist = not cover.twist or _twist_interchangeable(cover)
-    branch = tuple([(index[e], m) for e, m in cover.branch])
-    twist = tuple([index[t] for t in cover.twist])
+    branch, twist = cover.branch_ix, cover.twist_ix
+    loose_twist = not twist or _twist_interchangeable(cover)
     kept = []
     for alpha in group.automorphisms():
         perm = alpha.perm
@@ -223,7 +220,7 @@ def classify_cell(
     lo, hi = _validate_pg_range(pg_range)
     check_genus(genus_f, "fiber genus")
     for name, value in (("a", quotient_genus_a), ("b", quotient_genus_b)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        if not is_int(value) or value < 0:
             raise InvalidInputError(f"quotient genus {name} must be an integer >= 0")
     b = quotient_genus_b
     # With b >= 2 every character keeps sections on the second curve, and with
@@ -234,7 +231,6 @@ def classify_cell(
     if quotient_genus_a > genus_f:
         return []
 
-    els = group.elements()
     solutions = []
     for row in _actions_cell(genus_f, quotient_genus_a, group.factors):
         cover_f = row.witness
@@ -251,9 +247,8 @@ def classify_cell(
                 if canon in seen:
                     continue
                 seen.add(canon)
-                chi0_c = els[canon[0]]
-                branch_c = tuple([(els[i], m) for i, m in canon[1]])
-                twist = _complete_twist(group, b, group.common_kernel([e for e, _ in branch_c]))
+                chi_c, branch_c = canon
+                twist = _complete_twist(group, b, group.common_kernel([i for i, _ in branch_c]))
                 if twist is None:
                     continue
                 try:
@@ -264,6 +259,7 @@ def classify_cell(
                 if g_d < 2:
                     continue
                 report = invariants(make_sandwich(cover_f, cover_d))
+                chi0_c = group.elements()[chi_c]  # records hold the character as a tuple
                 if report.canonical_character != chi0_c:
                     raise InternalConsistencyError(
                         f"solution for {chi0_c} reports pencil character "
@@ -305,14 +301,14 @@ def _bucket_split(cover_f: CoverData, chi0: int, b: int):
 
 def _bucket_key(sol: SurfaceSolution):
     """Witness, pencil character, bounded multiplicities and free residues of a
-    solution, with D's branch elements as indices."""
-    index = sol.cover_f.group.index
-    bounded, steps = _bucket_split(sol.cover_f, index[sol.chi0], sol.cover_d.base_genus)
-    branch = {index[e]: m for e, m in sol.cover_d.branch}
+    solution, all in element indices but the pencil character, a record field."""
+    chi0 = sol.cover_f.group.index[sol.chi0]
+    bounded, steps = _bucket_split(sol.cover_f, chi0, sol.cover_d.base_genus)
+    branch = dict(sol.cover_d.branch_ix)
     return (
-        sol.cover_f.branch,
-        sol.cover_f.twist,
-        sol.chi0,
+        sol.cover_f.branch_ix,
+        sol.cover_f.twist_ix,
+        chi0,
         tuple((i, branch[i]) for i in bounded if i in branch),
         tuple((i, branch.get(i, 0) % step) for i, step in steps),
     )

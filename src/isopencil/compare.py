@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .atlas import atlas_table, reference_keys
+from .atlas import atlas_table, reference_keys, row_key
 from .classifier import FamilyRow, cell_of
 from .errors import InvalidInputError
 from .linear import LinearForm
@@ -262,7 +262,7 @@ def compare_atlas_with_reference(table_id: str) -> AtlasComparison:
         raise InvalidInputError(f"unknown atlas table {table_id!r}; known ids: {known}")
     genus, _ = atlas_reference(table_id)
     rows = atlas_table(genus)
-    have = {(row.quotient_genus, row.group.factors, row.profile) for row in rows}
+    have = {row_key(row) for row in rows}
     matched = []
     missing = []
     for pos, key in enumerate(reference_keys(table_id), start=1):

@@ -1,10 +1,15 @@
 """Covers of a genus-b curve by branch monodromy and unramified twist data.
 
-A cover is stored as (group, base_genus, branch multiset, twist tuple).
-Every derived quantity (bundle degrees, eigenspace dimensions, genus) is
-computed by exact integer arithmetic from that data alone. make_cover validates
-each element once and records the eigen-profile from the same pass over the
-character numerators sum(m * <chi, e>) that checks that the branch sum closes.
+A cover is stored as (group, base_genus, branch multiset, twist tuple), with
+every element as its index in group.elements(): the branch as (index,
+multiplicity) pairs sorted by index, the twist as a tuple of indices. The
+branch and twist properties give the same data as element tuples, for
+records, rendering and the spec format. Every derived quantity (bundle
+degrees, eigenspace dimensions, genus) is computed by exact integer
+arithmetic from that data alone. make_cover takes each element as a tuple or
+as an index, resolves it once, and records the eigen-profile from the same
+pass over the character numerators sum(m * <chi, e>) that checks that the
+branch sum closes.
 _multiplicity_vectors is the one search for branch multiplicities: it closes
 the branch sum for enumerate_covers and meets the classifier's degree equations.
 _index_orbit is the one Aut(G) orbit scan: it moves index-space branch data by
@@ -22,6 +27,7 @@ from .errors import (
     InternalConsistencyError,
     InvalidInputError,
     InvalidMonodromyError,
+    is_int,
 )
 from .groups import Element, FiniteAbelianGroup, image
 from .record import Record, _set
@@ -46,86 +52,112 @@ FIBER_GENUS_RANGE = (2, 5)
 
 
 class CoverData(Record):
-    """Cover data; its eigen-profile and genus are computed on first use and kept.
+    """Cover data in element indices; its eigen-profile and genus are computed
+    on first use and kept.
 
-    The eigen-profile is the cached ``_dims``; genus() keeps the checked genus
-    under ``"_genus"`` in the instance ``__dict__``.
+    branch_ix holds (element index, multiplicity) pairs sorted by index, and
+    twist_ix the twist's element indices. The eigen-profile is the cached
+    ``_dims``; genus() keeps the checked genus under ``"_genus"`` in the
+    instance ``__dict__``.
     """
 
-    __slots__ = ("group", "base_genus", "branch", "twist", "__dict__")
+    __slots__ = ("group", "base_genus", "branch_ix", "twist_ix", "__dict__")
 
     def __init__(
         self,
         group: FiniteAbelianGroup,
         base_genus: int,
-        branch: tuple[tuple[Element, int], ...],
-        twist: tuple[Element, ...],
+        branch_ix: tuple[tuple[int, int], ...],
+        twist_ix: tuple[int, ...],
     ):
         _set(self, "group", group)
         _set(self, "base_genus", base_genus)
-        _set(self, "branch", branch)
-        _set(self, "twist", twist)
+        _set(self, "branch_ix", branch_ix)
+        _set(self, "twist_ix", twist_ix)
+
+    @property
+    def branch(self) -> tuple[tuple[Element, int], ...]:
+        """The branch as (element, multiplicity) pairs, sorted by element."""
+        els = self.group.elements()
+        return tuple([(els[i], m) for i, m in self.branch_ix])
+
+    @property
+    def twist(self) -> tuple[Element, ...]:
+        """The twist as element tuples."""
+        els = self.group.elements()
+        return tuple([els[i] for i in self.twist_ix])
 
     @cached_property
     def _dims(self) -> tuple[int, ...]:
         """Eigenspace dimension of every character, in elements() order."""
-        return _profile(self.group, self.base_genus, _numerators(self.group, self.branch))
+        return _profile(self.group, self.base_genus, _numerators(self.group, self.branch_ix))
 
 
 def make_cover(group: FiniteAbelianGroup, base_genus, branch, twist=()) -> CoverData:
-    if not isinstance(base_genus, int) or isinstance(base_genus, bool) or base_genus < 0:
+    """A checked cover from (element, multiplicity) branch pairs or a mapping
+    and 2 * base_genus twist elements, each a tuple or an index (see _index)."""
+    if not is_int(base_genus) or base_genus < 0:
         raise InvalidInputError(f"base genus must be an integer >= 0, got {base_genus!r}")
 
-    entries = branch.items() if hasattr(branch, "items") else branch
     index, els = group.index, group.elements()
     merged: dict[int, int] = {}  # element index -> multiplicity
     points = 0
-    for elem, mult in entries:
-        i = _index(group, index, els, elem)
-        if not isinstance(mult, int) or isinstance(mult, bool) or mult < 0:
-            raise InvalidInputError(f"branch multiplicity {mult!r} must be an integer >= 0")
-        if mult == 0:
-            continue
-        if i == 0:
-            raise InvalidInputError("the identity cannot be a branch element")
-        merged[i] = merged.get(i, 0) + mult
-        points += mult
-    # index order is element order, since elements() is lexicographic
-    branch_t = tuple([(els[i], m) for i, m in sorted(merged.items())])
-
-    twist_t = tuple([els[_index(group, index, els, t)] for t in twist])
-    if len(twist_t) != 2 * base_genus:
+    try:
+        for elem, mult in branch.items() if hasattr(branch, "items") else branch:
+            i = _index(group, index, els, elem)
+            if not is_int(mult) or mult < 0:
+                raise InvalidInputError(f"branch multiplicity {mult!r} must be an integer >= 0")
+            if mult == 0:
+                continue
+            if i == 0:
+                raise InvalidInputError("the identity cannot be a branch element")
+            merged[i] = merged.get(i, 0) + mult
+            points += mult
+        twist_ix = tuple([_index(group, index, els, t) for t in twist])
+    except (TypeError, ValueError):  # not iterable, or a branch entry that is not a pair
         raise InvalidInputError(
-            f"twist must list {2 * base_genus} elements for base genus {base_genus}, got {len(twist_t)}"
+            "branch must be (element, multiplicity) pairs and twist a sequence of elements, "
+            f"got {branch!r} and {twist!r}"
+        ) from None
+    # index order is element order, since elements() is lexicographic
+    branch_ix = tuple(sorted(merged.items()))
+    if len(twist_ix) != 2 * base_genus:
+        raise InvalidInputError(
+            f"twist must list {2 * base_genus} elements for base genus {base_genus}, got {len(twist_ix)}"
         )
 
     # Characters separate elements, so the branch sum is 0 exactly when every
     # character's numerator is a multiple of the exponent (Pardini, 1991).
-    nums = _numerators(group, branch_t)
+    nums = _numerators(group, branch_ix)
     exponent = group.exponent
     if any([num % exponent for num in nums]):
         total = 0  # index of the running sum of m * e, walked only to name it
-        for e, m in branch_t:
-            row = group.add_row(e)
-            for _ in range(m % group.element_order(e)):
+        for i, m in branch_ix:
+            row = group.add_row(i)
+            for _ in range(m % group.orders[i]):
                 total = row[total]
         raise InvalidMonodromyError(f"branch monodromies sum to {els[total]}, not the identity")
 
     if base_genus == 0 and group.order > 1 and points < 2:
         raise InvalidMonodromyError("a cover of a rational base needs at least two branch points")
 
-    gens = [e for e, _ in branch_t] + list(twist_t)
-    if not group.generates(gens):
+    if not group.generates([i for i, _ in branch_ix] + list(twist_ix)):
         raise DisconnectedCoverError("branch and twist data do not generate the group")
 
-    cover = CoverData(group, base_genus, branch_t, twist_t)
+    cover = CoverData(group, base_genus, branch_ix, twist_ix)
     cover.__dict__["_dims"] = _profile(group, base_genus, nums)
     return cover
 
 
 def _index(group: FiniteAbelianGroup, index: dict, els: list, x) -> int:
-    """Position of x in els; group.validate(x) runs unless x is a known tuple of
-    plain ints, so an equal tuple such as (True, 1) is validated, and rejected."""
+    """Position of x in els. An index, an integer but not a bool in
+    0..order-1, is its own; a tuple goes through group.validate(x) unless it
+    is a known tuple of plain ints, so an equal tuple such as (True, 1) is
+    validated, and rejected."""
+    if is_int(x):
+        if not 0 <= x < group.order:
+            raise InvalidInputError(f"element index {x!r} out of range [0, {group.order})")
+        return x
     try:
         i = index.get(x)
     except TypeError:  # unhashable, such as a list
@@ -135,11 +167,11 @@ def _index(group: FiniteAbelianGroup, index: dict, els: list, x) -> int:
     return i
 
 
-def _numerators(grp: FiniteAbelianGroup, branch) -> list[int]:
-    """sum(m * pair_num(chi, e)) over the branch for every character chi, in elements() order."""
+def _numerators(grp: FiniteAbelianGroup, branch_ix) -> list[int]:
+    """sum(m * pair_num(chi, e)) over the branch pairs for every character chi, in elements() order."""
     nums = [0] * grp.order
-    for e, m in branch:
-        nums = [x + m * p for x, p in zip(nums, grp.pairing_row(e))]
+    for i, m in branch_ix:
+        nums = [x + m * p for x, p in zip(nums, grp.pairing_row(i))]
     return nums
 
 
@@ -147,7 +179,7 @@ def _profile(grp: FiniteAbelianGroup, b: int, nums: list[int]) -> tuple[int, ...
     """Eigenspace dimension of every character from its branch numerator (see _numerators)."""
     exponent = grp.exponent
     dims = [b]  # elements() starts at the identity, whose eigenspace is the base's
-    for chi, num in zip(grp.elements()[1:], nums[1:]):
+    for chi, num in enumerate(nums[1:], 1):
         if num < exponent or num % exponent:  # a degree below 1, or not integral
             dims.append(_dim_of_degree(_degree_of_num(grp, chi, num), b, chi))
         else:
@@ -155,20 +187,20 @@ def _profile(grp: FiniteAbelianGroup, b: int, nums: list[int]) -> tuple[int, ...
     return tuple(dims)
 
 
-def _degree_of_num(grp: FiniteAbelianGroup, chi: Element, num: int) -> int:
-    """Bundle degree from its numerator over the group exponent."""
+def _degree_of_num(grp: FiniteAbelianGroup, chi: int, num: int) -> int:
+    """Bundle degree from its numerator over the group exponent; chi is a character index."""
     if num % grp.exponent:
-        raise InternalConsistencyError(f"bundle degree for {chi} is not integral")
+        raise InternalConsistencyError(f"bundle degree for character index {chi} is not integral")
     return num // grp.exponent
 
 
-def _dim_of_degree(l: int, b: int, chi: Element) -> int:
-    """Eigenspace dimension at a nontrivial character with bundle degree l over base genus b."""
+def _dim_of_degree(l: int, b: int, chi: int) -> int:
+    """Eigenspace dimension at a nontrivial character index with bundle degree l over base genus b."""
     if l >= 1:
         return l + b - 1
     if b == 0:
         raise InternalConsistencyError(
-            f"degree-0 bundle at nontrivial character {chi} on a connected rational-base cover"
+            f"degree-0 bundle at nontrivial character index {chi} on a connected rational-base cover"
         )
     return b - 1
 
@@ -176,18 +208,19 @@ def _dim_of_degree(l: int, b: int, chi: Element) -> int:
 def bundle_degree(cover: CoverData, chi) -> int:
     """Degree of the building-data line bundle attached to the character."""
     grp = cover.group
-    c = grp.validate(chi)
-    return _degree_of_num(grp, c, sum(m * grp.pair_num(c, e) for e, m in cover.branch))
+    c = grp.index[grp.validate(chi)]
+    row = grp.pairing_row(c)  # the pairing is symmetric: row[i] = pair_num(chi, e_i)
+    return _degree_of_num(grp, c, sum([m * row[i] for i, m in cover.branch_ix]))
 
 
 def eigen_dim(cover: CoverData, chi) -> int:
     """Dimension of the chi-eigenspace of holomorphic 1-forms upstairs."""
     grp = cover.group
-    c = grp.validate(chi)
+    c = grp.index[grp.validate(chi)]
     b = cover.base_genus
-    if c == grp.identity:
+    if c == 0:
         return b
-    return _dim_of_degree(bundle_degree(cover, c), b, c)
+    return _dim_of_degree(bundle_degree(cover, chi), b, c)
 
 
 def eigen_profile(cover: CoverData) -> dict[Element, int]:
@@ -200,10 +233,9 @@ def genus_rh(cover: CoverData) -> int:
     grp = cover.group
     n = grp.order
     orders = grp.orders
-    index = grp.index
     # 2g - 2 = n(2b - 2) + sum of m * n(1 - 1/o); every order o divides n.
     two_g = 2 + n * (2 * cover.base_genus - 2) + sum(
-        m * (n - n // orders[index[e]]) for e, m in cover.branch
+        m * (n - n // orders[i]) for i, m in cover.branch_ix
     )
     if two_g % 2:
         raise InternalConsistencyError(f"non-integral genus {two_g}/2 from ramification data")
@@ -241,20 +273,13 @@ def _index_orbit(group: FiniteAbelianGroup, branch: tuple, twist: tuple) -> set[
 
 
 def canonical_cover_form(cover: CoverData) -> tuple:
-    """Lexicographically minimal (branch, twist) over the automorphism orbit.
+    """Lexicographically minimal (branch, twist) over the automorphism orbit,
+    as element tuples.
 
     The minimum is taken in index space, where index order is element order.
     """
-    grp = cover.group
-    els = grp.elements()
-    index = grp.index
-    branch, twist = min(
-        _index_orbit(
-            grp,
-            tuple([(index[e], m) for e, m in cover.branch]),
-            tuple([index[t] for t in cover.twist]),
-        )
-    )
+    els = cover.group.elements()
+    branch, twist = min(_index_orbit(cover.group, cover.branch_ix, cover.twist_ix))
     return tuple([(els[i], m) for i, m in branch]), tuple([els[t] for t in twist])
 
 
@@ -271,10 +296,10 @@ def enumerate_covers(
     At least one of genus or max_branch_points must be supplied, otherwise the
     search space is unbounded.
     """
-    if not isinstance(base_genus, int) or isinstance(base_genus, bool) or base_genus < 0:
+    if not is_int(base_genus) or base_genus < 0:
         raise InvalidInputError(f"base genus must be an integer >= 0, got {base_genus!r}")
     for name, bound in (("genus", genus), ("max_branch_points", max_branch_points)):
-        if bound is not None and (not isinstance(bound, int) or isinstance(bound, bool) or bound < 0):
+        if bound is not None and (not is_int(bound) or bound < 0):
             raise InvalidInputError(f"{name} must be an integer >= 0, got {bound!r}")
     if genus is None and max_branch_points is None:
         raise CapabilityError("unbounded constraint set: give genus or max_branch_points")
@@ -414,7 +439,7 @@ def _twist_table(group: FiniteAbelianGroup, base_genus: int) -> list:
     generates G exactly when only the trivial character (bit 0) vanishes on
     all of its elements.
     """
-    masks = [group.kernel_mask(e) for e in group.elements()]
+    masks = [group.kernel_mask(i) for i in range(group.order)]
     twists = [((), masks[0])]  # every character vanishes on the identity
     for _ in range(2 * base_genus):
         twists = [(t + (j,), mask & masks[j]) for t, mask in twists for j in range(group.order)]
@@ -439,9 +464,8 @@ def _iter_covers(group, base_genus, target_genus, max_branch_points, up_to_aut):
         goal = range(weight // n, weight // n + 1)
         if max_branch_points is not None and max_branch_points * max(weights) < goal[0]:
             return  # even the heaviest elements need more points than the cap
-    els = group.elements()
-    rows = [group.add_row(e) for e in els]
-    masks = [group.kernel_mask(e) for e in els]
+    rows = [group.add_row(i) for i in range(n)]
+    masks = [group.kernel_mask(i) for i in range(n)]
     vectors = _multiplicity_vectors(lambda i, s: rows[i][s], weights, 0, 0, goal)
 
     # Key of every orbit member met -> orbit minimum, all in index space. A
@@ -457,7 +481,6 @@ def _iter_covers(group, base_genus, target_genus, max_branch_points, up_to_aut):
         branch_mask = masks[0]
         for j, _ in branch:
             branch_mask &= masks[j]
-        elem_branch = None
         for twist, twist_mask in twists:
             if branch_mask & twist_mask != 1:
                 continue
@@ -465,18 +488,14 @@ def _iter_covers(group, base_genus, target_genus, max_branch_points, up_to_aut):
             known = least.get(key) if up_to_aut else None
             if known is not None and known != key:
                 continue
-            if elem_branch is None:
-                elem_branch = tuple([(els[j], m) for j, m in branch])
-            elem_twist = tuple([els[j] for j in twist])
             try:
-                cover = make_cover(group, base_genus, elem_branch, elem_twist)
+                cover = make_cover(group, base_genus, branch, twist)
             except InvalidInputError:
                 continue
             if up_to_aut and known is None:
-                if (elem_branch, elem_twist) != (cover.branch, cover.twist):
+                if key != (cover.branch_ix, cover.twist_ix):
                     raise InternalConsistencyError(
-                        f"enumerator leaf {(elem_branch, elem_twist)} is not in normal form "
-                        f"{(cover.branch, cover.twist)}"
+                        f"enumerator leaf {key} is not in normal form {(cover.branch_ix, cover.twist_ix)}"
                     )
                 orbit = _index_orbit(group, branch, twist)
                 least.update(dict.fromkeys(orbit, min(orbit)))

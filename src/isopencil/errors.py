@@ -17,6 +17,11 @@ __all__ = [
 ]
 
 
+def is_int(value) -> bool:
+    """True for an integer that is not a bool; every integer check uses it."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class IsopencilError(Exception):
     """Base class for all package errors."""
 

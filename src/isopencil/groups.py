@@ -1,12 +1,13 @@
 """Finite Abelian groups with exact character pairings.
 
-Elements and characters are both integer tuples indexed by the cyclic
-factors; the pairing <chi, g> = sum(chi[i]*g[i]/n_i) mod 1 is carried as an
-integer numerator over the group exponent, so no floats appear anywhere.
-Hot loops also number the elements by their position in elements() and read
-per-group lookup tables by that index (index, add_row, orders, neg_index,
-pairing_row, kernel_mask), each built on first use. An automorphism is a
-permutation of those indices.
+At the API, elements and characters are both integer tuples indexed by the
+cyclic factors; the pairing <chi, g> = sum(chi[i]*g[i]/n_i) mod 1 is carried
+as an integer numerator over the group exponent, so no floats appear
+anywhere. Inside the package an element is its index, its position in
+elements(): the lookup tables add_row, orders, neg_index, pairing_row and
+kernel_mask are read by index, and common_kernel and generates take indices
+too. Each table is built on first use; index maps a tuple to its index. An
+automorphism is a permutation of those indices.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
 
-from .errors import CapabilityError, InvalidInputError
+from .errors import CapabilityError, InvalidInputError, is_int
 from .record import Record, _set
 
 __all__ = [
@@ -101,13 +102,16 @@ class FiniteAbelianGroup:
         return (0,) * len(self.factors)
 
     def validate(self, coords) -> Element:
-        t = tuple(coords)
+        try:
+            t = tuple(coords)
+        except TypeError:  # not iterable
+            raise InvalidInputError(f"element {coords!r} is not a sequence of coordinates") from None
         if len(t) != len(self.factors):
             raise InvalidInputError(
                 f"element {t} has {len(t)} coordinates, group {list(self.factors)} needs {len(self.factors)}"
             )
         for c, n in zip(t, self.factors):
-            if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c < n:
+            if not is_int(c) or not 0 <= c < n:
                 raise InvalidInputError(f"coordinate {c!r} out of range [0, {n}) in {t}")
         return t
 
@@ -128,18 +132,18 @@ class FiniteAbelianGroup:
             tables.index = {e: i for i, e in enumerate(self.elements())}
         return tables.index
 
-    def add_row(self, x: Element) -> tuple[int, ...]:
-        """Index of y + x for every y, in elements() order; built on first use.
+    def add_row(self, i: int) -> tuple[int, ...]:
+        """Index of y + x for every y, in elements() order, where x has index i;
+        built on first use.
 
         The index of an element is its mixed-radix number over the factors,
         so the row is built digit by digit, each digit shifted by x's.
         """
         rows = self._tables.rows
-        i = self.index[x]
         row = rows.get(i)
         if row is None:
             values = [0]
-            for n, a in zip(self.factors, x):
+            for n, a in zip(self.factors, self.elements()[i]):
                 digits = [(c + a) % n for c in range(n)]
                 values = [v * n + d for v in values for d in digits]
             row = rows[i] = tuple(values)
@@ -184,42 +188,43 @@ class FiniteAbelianGroup:
         """Numerator of <chi, g> over the group exponent."""
         return sum(c * a * w for c, a, w in zip(chi, g, self._weights)) % self.exponent
 
-    def pairing_row(self, g: Element) -> tuple[int, ...]:
-        """pair_num(chi, g) for every character chi, in elements() order; built on first use."""
+    def pairing_row(self, i: int) -> tuple[int, ...]:
+        """pair_num(chi, g) for every character chi, in elements() order, where
+        g has index i; built on first use."""
         pairing = self._tables.pairing
-        i = self.index[g]
         row = pairing.get(i)
         if row is None:
             values = [0]
-            for n, a, w in zip(self.factors, g, self._weights):
+            for n, a, w in zip(self.factors, self.elements()[i], self._weights):
                 step = a * w
                 values = [(v + c * step) % self.exponent for v in values for c in range(n)]
             row = pairing[i] = tuple(values)
         return row
 
-    def kernel_mask(self, g: Element) -> int:
-        """Bit j set when the j-th character (elements() order) vanishes on g; built on first use."""
+    def kernel_mask(self, i: int) -> int:
+        """Bit j set when the j-th character (elements() order) vanishes on the
+        element of index i; built on first use."""
         kernel = self._tables.kernel
-        i = self.index[g]
         mask = kernel.get(i)
         if mask is None:
-            row = self.pairing_row(g)
+            row = self.pairing_row(i)
             mask = kernel[i] = int("".join("0" if v else "1" for v in reversed(row)), 2)
         return mask
 
-    def common_kernel(self, elems) -> int:
-        """Mask of the characters vanishing on every element (all of them for none)."""
+    def common_kernel(self, indices) -> int:
+        """Mask of the characters vanishing on every element index given (all of them for none)."""
         mask = (1 << self.order) - 1
-        for x in elems:
-            mask &= self.kernel_mask(x)
+        for i in indices:
+            mask &= self.kernel_mask(i)
         return mask
 
     def pairing(self, chi: Element, g: Element) -> Fraction:
         return Fraction(self.pair_num(chi, g), self.exponent)
 
-    def _span(self, elems) -> list[int]:
-        """Indices of the subgroup the elements generate, by breadth-first closure."""
-        rows = [self.add_row(x) for x in set(elems)]
+    def _span(self, indices) -> list[int]:
+        """Indices of the subgroup the element indices generate, by breadth-first
+        closure. For one element x that lists 0, x, 2x, ..., in order."""
+        rows = [self.add_row(i) for i in set(indices)]
         seen = bytearray(self.order)
         seen[0] = 1
         span = [0]
@@ -232,16 +237,17 @@ class FiniteAbelianGroup:
         return span
 
     def subgroup(self, elems) -> frozenset[Element]:
-        els = self.elements()
-        return frozenset(els[i] for i in self._span(elems))
+        els, index = self.elements(), self.index
+        return frozenset(els[i] for i in self._span([index[x] for x in elems]))
 
-    def generates(self, elems) -> bool:
-        """True when only the trivial character (bit 0) vanishes on all elems.
+    def generates(self, indices) -> bool:
+        """True when only the trivial character (bit 0) vanishes on all the
+        elements of these indices.
 
         A subgroup of a finite Abelian group is the whole group exactly when
         its annihilator in the character group is trivial.
         """
-        return self.common_kernel(elems) == 1
+        return self.common_kernel(indices) == 1
 
     def automorphism_count(self) -> int:
         """|Aut(G)| in closed form, without building a single automorphism.
@@ -315,7 +321,7 @@ class FiniteAbelianGroup:
             return
         order = self.order
         els = self.elements()
-        rows = [self.add_row(x) for x in els]
+        rows = [self.add_row(i) for i in range(order)]
         candidates = []
         for n in fs:
             level = []
@@ -324,7 +330,7 @@ class FiniteAbelianGroup:
                     multiples = [0]  # indices of c * x for c = 0 .. n-1, x = els[j]
                     for _ in range(n - 1):
                         multiples.append(rows[j][multiples[-1]])
-                    level.append((els[j], self.kernel_mask(els[j]), [rows[m] for m in multiples]))
+                    level.append((els[j], self.kernel_mask(j), [rows[m] for m in multiples]))
             candidates.append(level)
         tail_bound = [prod(fs[i + 1 :]) for i in range(len(fs))]
         chosen: list[Element] = []
@@ -383,7 +389,7 @@ class Automorphism(Record):
         grp = self.group
         values = [0]  # indices of the partial sums
         for n, img in zip(grp.factors, basis_images):
-            step = grp.add_row(img)
+            step = grp.add_row(grp.index[img])
             extended = []
             for v in values:
                 for _ in range(n):  # v + c * img for c = 0 .. n-1
@@ -441,7 +447,7 @@ def image(perm, pairs) -> tuple[tuple[int, int], ...]:
 def make_group(factors) -> FiniteAbelianGroup:
     fs = tuple(factors)
     for n in fs:
-        if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+        if not is_int(n) or n < 2:
             raise InvalidInputError(f"cyclic factor {n!r} must be an integer >= 2")
     order = prod(fs)
     if order > GROUP_ORDER_BOUND:

@@ -1,4 +1,8 @@
-"""Diagonal quotient surfaces glued from two covers with the same group."""
+"""Diagonal quotient surfaces glued from two covers with the same group.
+
+Characters and branch elements are read as element indices throughout; only
+the pencil character becomes an element tuple, for the report.
+"""
 
 from __future__ import annotations
 
@@ -95,16 +99,13 @@ def make_sandwich(cover_f: CoverData, cover_d: CoverData) -> Sandwich:
     return Sandwich(cover_f, cover_d)
 
 
-def _pairing_dims(sw: Sandwich) -> list[tuple[Element, int, int]]:
-    """(chi, dim on F, dim of -chi on D) for every chi where both are nonzero."""
-    grp = sw.group
-    neg = grp.neg_index
+def _pairing_dims(sw: Sandwich) -> list[tuple[int, int, int]]:
+    """(character index chi, dim on F, dim of -chi on D) for every chi where
+    both are nonzero."""
+    neg = sw.group.neg_index
     dims_f = sw.cover_f._dims
     dims_d = sw.cover_d._dims
-    els = grp.elements()
-    return [
-        (els[i], df, dims_d[neg[i]]) for i, df in enumerate(dims_f) if df and dims_d[neg[i]]
-    ]
+    return [(i, df, dims_d[neg[i]]) for i, df in enumerate(dims_f) if df and dims_d[neg[i]]]
 
 
 def geometric_genus(sw: Sandwich) -> int:
@@ -122,40 +123,44 @@ def irregularity(sw: Sandwich) -> int:
 
 def canonical_character(sw: Sandwich) -> Element | None:
     """Character of a canonical pencil with fiber the first curve, if any."""
-    return _pencil_character(_pairing_dims(sw))
+    return _pencil_character(sw.group, _pairing_dims(sw))
 
 
-def _pencil_character(support) -> Element | None:
+def _pencil_character(grp: FiniteAbelianGroup, support) -> Element | None:
+    """The one character carrying the whole canonical system, as a tuple, if any."""
     if _sections(support) < 2:
         raise NotApplicableError("the canonical system needs at least two sections")
     if len(support) == 1 and support[0][1] == 1:
-        return support[0][0]
+        return grp.elements()[support[0][0]]
     return None
 
 
-# Per factors tuple: (h1, h2) -> _point_type(group, h1, h2), filled on first use.
-_POINT_TYPES: dict[tuple[int, ...], dict[tuple[Element, Element], tuple | None]] = {}
+# Per factors tuple: (h1, h2) -> _point_type(group, h1, h2), filled on first
+# use; h1 and h2 are element indices.
+_POINT_TYPES: dict[tuple[int, ...], dict[tuple[int, int], tuple | None]] = {}
 _UNSEEN = object()
 
 
-def _point_type(grp: FiniteAbelianGroup, h1: Element, h2: Element):
-    """Type of the points of F x D that the local monodromies h1, h2 fix.
+def _point_type(grp: FiniteAbelianGroup, h1: int, h2: int):
+    """Type of the points of F x D that the local monodromies h1, h2 fix,
+    both element indices.
 
     Returns (n, canonical (n, q), (|G|/o1)*(|G|/o2)), or None when the shared
     stabilizer is trivial. It depends only on the group and the pair, so each
     is computed once per (factors, h1, h2).
     """
-    o1 = grp.element_order(h1)
-    o2 = grp.element_order(h2)
-    n = len(grp.subgroup([h1]) & grp.subgroup([h2]))
+    powers1 = grp._span([h1])  # indices of 0, h1, 2 h1, ...
+    powers2 = grp._span([h2])
+    o1, o2 = len(powers1), len(powers2)
+    n = len(set(powers1).intersection(powers2))
     if n == 1:
         return None
     # Generator acting with rotation 1/n on the first local coordinate.
-    c = grp.scale(o1 // n, h1)
-    k2 = next(k for k in range(1, o2) if grp.scale(k, h2) == c)
+    c = powers1[o1 // n]
+    k2 = powers2.index(c)
     if k2 * n % o2:
         raise InternalConsistencyError(
-            f"stabilizer generator {c} is not an n-th power along {h2}"
+            f"stabilizer generator of index {c} is not an n-th power along index {h2}"
         )
     q = k2 * n // o2
     if not (1 <= q < n and gcd(q, n) == 1):
@@ -173,8 +178,8 @@ def singular_locus(sw: Sandwich) -> tuple[SingularClass, ...]:
     if types is None:
         types = _POINT_TYPES[grp.factors] = {}
     classes: dict[tuple[int, int], list[int]] = {}
-    for h1, d1 in sw.cover_f.branch:
-        for h2, d2 in sw.cover_d.branch:
+    for h1, d1 in sw.cover_f.branch_ix:
+        for h2, d2 in sw.cover_d.branch_ix:
             point = types.get((h1, h2), _UNSEEN)
             if point is _UNSEEN:
                 point = types[h1, h2] = _point_type(grp, h1, h2)
@@ -247,7 +252,7 @@ def invariants(sw: Sandwich) -> InvariantReport:
         if chi * order != (g_f - 1) * (g_d - 1) + t_z // 4:
             raise InternalConsistencyError("nodal shortcut for chi failed")
 
-    canonical = None if p_g < 2 else _pencil_character(support)
+    canonical = None if p_g < 2 else _pencil_character(grp, support)
 
     if canonical is not None and p_g >= 11:
         a = sw.cover_f.base_genus

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import InternalConsistencyError, InvalidInputError
+from .errors import InternalConsistencyError, InvalidInputError, is_int
 
 __all__ = [
     "canonical_type",
@@ -17,7 +17,7 @@ __all__ = [
 
 
 def _validate_type(n: int, q: int) -> None:
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (n, q)):
+    if not all(is_int(v) for v in (n, q)):
         raise InvalidInputError(f"singularity type must be a pair of integers, got ({n!r}, {q!r})")
     if n < 2 or not 0 < q < n:
         raise InvalidInputError(f"singularity type needs n >= 2 and 0 < q < n, got ({n}, {q})")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 from .covers import CoverData, make_cover
-from .errors import InvalidInputError
+from .errors import InvalidInputError, is_int
 from .groups import FiniteAbelianGroup, make_group
 from .sandwich import Sandwich, make_sandwich
 
@@ -40,18 +40,10 @@ def _int_list(value, path: str, *parts) -> list[int]:
     """value when it is a list of integers; path.format(*parts) names it in the error."""
     if not isinstance(value, list) or not (
         _PLAIN_INT.issuperset(map(type, value))  # the common case, checked in C
-        or all(isinstance(v, int) and not isinstance(v, bool) for v in value)
+        or all(is_int(v) for v in value)
     ):
         raise InvalidInputError(f"{path.format(*parts)} must be a list of integers, got {value!r}")
     return value
-
-
-def _element(index: dict, els: list, value: list) -> tuple:
-    """The checked coordinates as the group's own element tuple when they name one,
-    which make_cover takes without checking the coordinates again."""
-    t = tuple(value)
-    i = index.get(t)
-    return t if i is None else els[i]
 
 
 def parse_cover(group: FiniteAbelianGroup, record, where: str) -> CoverData:
@@ -67,20 +59,24 @@ def parse_cover(group: FiniteAbelianGroup, record, where: str) -> CoverData:
         raise InvalidInputError(f"{where} has unknown fields: {', '.join(sorted(extra))}")
     if not isinstance(raw_branch, list):
         raise InvalidInputError(f"{where}.branch must be a list, got {raw_branch!r}")
-    index, els = group.index, group.elements()
+    # Checked coordinates that name an element become its index, which
+    # make_cover takes as it is; any others stay a tuple for make_cover to reject.
+    index = group.index
     branch = {}
     for i, entry in enumerate(raw_branch):
         if not isinstance(entry, dict) or entry.keys() != {"elem", "mult"}:
             raise InvalidInputError(f"{where}.branch[{i}] must be an object with elem and mult")
-        elem = _element(index, els, _int_list(entry["elem"], "{}.branch[{}].elem", where, i))
+        coords = tuple(_int_list(entry["elem"], "{}.branch[{}].elem", where, i))
+        elem = index.get(coords, coords)
         if elem in branch:
-            raise InvalidInputError(f"{where}.branch[{i}] repeats element {list(elem)}")
+            raise InvalidInputError(f"{where}.branch[{i}] repeats element {list(coords)}")
         branch[elem] = entry["mult"]
     if not isinstance(raw_twist, list):
         raise InvalidInputError(f"{where}.twist must be a list, got {raw_twist!r}")
     twist = []
     for i, t in enumerate(raw_twist):
-        twist.append(_element(index, els, _int_list(t, "{}.twist[{}]", where, i)))
+        coords = tuple(_int_list(t, "{}.twist[{}]", where, i))
+        twist.append(index.get(coords, coords))
     try:
         return make_cover(group, base_genus, branch, twist)
     except InvalidInputError as err:

@@ -471,7 +471,7 @@ def test_generation_is_checked_once_per_branch_vector(monkeypatch):
 
 def _per_solution_bucket_key(group, sol):
     """The bucket key as fit_families once computed it, afresh for every
-    solution, with D's branch elements mapped to their indices at the end."""
+    solution, with every element mapped to its index at the end."""
     profile_f = eigen_profile(sol.cover_f)
     constraint_chars = [
         group.neg(chi)
@@ -491,7 +491,9 @@ def _per_solution_bucket_key(group, sol):
         else:
             step = group.exponent // gcd(group.exponent, group.pair_num(target, e))
             residues.append((group.index[e], branch.get(e, 0) % step))
-    return (sol.cover_f.branch, sol.cover_f.twist, sol.chi0, tuple(bounded), tuple(residues))
+    return (
+        sol.cover_f.branch_ix, sol.cover_f.twist_ix, group.index[sol.chi0], tuple(bounded), tuple(residues)
+    )
 
 
 @pytest.mark.parametrize("factors, genus_f, pg, least", [

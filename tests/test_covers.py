@@ -161,7 +161,7 @@ def test_integer_genus_rh_matches_the_fraction_formula(random_covers):
     for c in random_covers:
         assert genus_rh(c) == _fraction_genus_rh(c)
     # Unchecked data with an odd ramification count: non-integral either way.
-    odd = CoverData(Z2, 0, (((1,), 1),), ())
+    odd = CoverData(Z2, 0, ((Z2.index[(1,)], 1),), ())
     assert _fraction_genus_rh(odd).denominator == 2
     with pytest.raises(InternalConsistencyError):
         genus_rh(odd)
@@ -169,7 +169,7 @@ def test_integer_genus_rh_matches_the_fraction_formula(random_covers):
 
 def test_genus_check_fires_and_keeps_nothing_on_a_mismatch():
     # Riemann-Hurwitz gives genus 2 for six points over Z/2; the planted profile sums to 3.
-    c = CoverData(Z2, 0, (((1,), 6),), ())
+    c = CoverData(Z2, 0, ((Z2.index[(1,)], 6),), ())
     c.__dict__["_dims"] = (0, 3)
     with pytest.raises(InternalConsistencyError, match="eigenspace total 3 vs ramification count 2"):
         genus(c)
@@ -221,11 +221,20 @@ def test_make_cover_validates_every_element_but_the_groups_own_tuples():
         [((2, 0), 1), ((0, 0), 1)],  # out-of-range tuple
         [((1, 4, 0), 2)],  # wrong length
         [(([1], 0), 1)],  # unhashable coordinates
+        # indices: each would be a valid cover if read as a list position
+        [(-1, 1), (8, 1), (1, 1)],  # below 0; els[-1] is (1, 7)
+        [(16, 1), (8, 1), (1, 1)],  # the order
+        [(True, 1), (12, 1), (11, 1)],  # a bool, equal to index 1
+        [(0, 1), (7, 1), (12, 1), (13, 1)],  # index 0, the identity
     ]
     for branch in bad_branches:
         with pytest.raises(InvalidInputError):
             make_cover(Z28, 0, branch)
-    for twist in [((True,), (0,)), ([2], (0,)), ((1,), (-1,))]:
+    by_index = make_cover(Z28, 0, [(Z28.index[e], m) for e, m in own_branch])
+    assert by_index == make_cover(Z28, 0, own_branch) and by_index.branch == tuple(own_branch)
+    assert hash(by_index) == hash(make_cover(Z28, 0, copy_branch))
+    assert make_cover(Z2, 1, {}, (1, 0)) == make_cover(Z2, 1, {}, twist)
+    for twist in [((True,), (0,)), ([2], (0,)), ((1,), (-1,)), (-1, 0), (2, 0), (True, 0)]:
         with pytest.raises(InvalidInputError):
             make_cover(Z2, 1, {}, twist)
 
@@ -318,7 +327,7 @@ def test_make_cover_matches_the_element_reference_on_a_bounded_box():
                         assert "_dims" in got.__dict__  # recorded by make_cover
                         assert got._dims == tuple(eigen_dim(got, chi) for chi in els)
                         assert genus(got) == genus_rh(got)
-                        direct = CoverData(group, base_genus, got.branch, got.twist)
+                        direct = CoverData(group, base_genus, got.branch_ix, got.twist_ix)
                         assert "_dims" not in direct.__dict__
                         assert direct._dims == got._dims
     for base_genus in (-1, True, 1.0, "0"):
@@ -531,7 +540,7 @@ def test_enumerator_only_builds_closed_branch_vectors(monkeypatch):
     def closed_make_cover(group, base_genus, branch, twist=()):
         total = group.identity
         for e, m in branch:
-            total = group.add(total, group.scale(m, e))
+            total = group.add(total, group.scale(m, group.elements()[e]))
         assert total == group.identity, f"branch {branch} sums to {total}"
         built.append(branch)
         return make_cover(group, base_genus, branch, twist)
@@ -745,7 +754,7 @@ def test_every_enumerator_frame_ends_in_a_leaf():
         if event == "line" and frame.f_lineno == twist_line:
             loc = frame.f_locals
             group = case[1]
-            elems = [group.elements()[j] for j, _ in loc["branch"]]
+            elems = [j for j, _ in loc["branch"]]
             if loc["branch_mask"] != group.common_kernel(elems):
                 kernel_wrong.append((group, loc["branch"], loc["branch_mask"]))
         return leaf

@@ -106,6 +106,36 @@ def test_parse_factors_raises_only_invalid_input(text):
 GROUPS = [make_group(f) for f in [(2,), (3,), (4,), (6,), (2, 2), (2, 4), (3, 3), (2, 2, 2)]]
 
 
+# What make_cover may be handed as an element, a multiplicity or a whole
+# argument: indices in and out of range, bools, floats, None, text, and
+# nested lists and tuples of them.
+cover_items = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 10) | st.floats(allow_nan=False) | st.text(max_size=2),
+    lambda children: st.lists(children, max_size=3) | st.lists(children, max_size=3).map(tuple),
+    max_leaves=8,
+)
+branch_args = (
+    st.lists(
+        st.tuples(cover_items, cover_items)  # (element, multiplicity)
+        | st.tuples(cover_items, cover_items, cover_items)  # one item too many
+        | cover_items,
+        max_size=5,
+    )
+    | st.dictionaries(st.none() | st.booleans() | st.integers(-2, 10) | st.tuples(st.integers(-1, 4)), cover_items, max_size=3)
+    | cover_items
+)
+
+
+@FUZZ
+@given(st.sampled_from(GROUPS), st.integers(0, 1) | cover_items, branch_args, st.lists(cover_items, max_size=3) | cover_items)
+def test_make_cover_raises_only_invalid_input(group, base_genus, branch, twist):
+    try:
+        cover = make_cover(group, base_genus, branch, twist)
+    except InvalidInputError:
+        return
+    assert make_cover(group, base_genus, cover.branch, cover.twist) == cover
+
+
 @st.composite
 def valid_covers(draw, group):
     """A connected cover of genus >= 2 over the group, by random closed branch data."""

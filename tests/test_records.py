@@ -6,7 +6,7 @@ import pickle
 import pytest
 
 from isopencil.atlas import AtlasRow, atlas_table, enumerate_actions
-from isopencil.classifier import FamilyRow, SurfaceSolution
+from isopencil.classifier import FamilyRow, SurfaceSolution, _bucket_split
 from isopencil.compare import (
     AtlasComparison,
     ComparisonReport,
@@ -34,7 +34,7 @@ DISCREPANCY = Discrepancy("zero", 1, "K2", LinearForm(8, 0), FORM, -4)
 # Every record type with one value per field, in constructor order.
 CASES = [
     (LinearForm, {"slope": 8, "intercept": -4}),
-    (CoverData, {"group": KLEIN, "base_genus": 0, "branch": F_COVER.branch, "twist": ()}),
+    (CoverData, {"group": KLEIN, "base_genus": 0, "branch_ix": F_COVER.branch_ix, "twist_ix": ()}),
     (Automorphism, {"group": KLEIN, "images": ((0, 1), (1, 0))}),
     (Sandwich, {"cover_f": F_COVER, "cover_d": D_COVER}),
     (SingularClass, {"n": 2, "q": 1, "count": 12, "z_points": 24}),
@@ -242,13 +242,22 @@ def test_pickle_round_trip(cls, fields):
 
 def test_cached_properties_are_kept_and_pickled():
     cover = make_cover(KLEIN, 0, {(0, 1): 1, (1, 0): 1, (1, 1): 3})
+    # The same cover from element indices, in another entry order.
+    by_index = make_cover(KLEIN, 0, [(3, 3), (2, 1), (1, 1)])
+    assert by_index == cover and hash(by_index) == hash(cover)
+    assert (by_index.branch, by_index.twist) == (cover.branch, cover.twist) == (F_COVER.branch, ())
     assert "_genus" not in cover.__dict__
     assert genus(cover) == genus(F_COVER)
     assert cover.__dict__["_genus"] == genus(F_COVER)
-    back = pickle.loads(pickle.dumps(cover))
-    assert back.__dict__["_dims"] == cover._dims
-    assert back.__dict__["_genus"] == cover._genus
-    assert back == cover and hash(back) == hash(cover)
+    for built in (cover, by_index):
+        back = pickle.loads(pickle.dumps(built))
+        assert back.__dict__["_dims"] == cover._dims
+        assert back.__dict__.get("_genus") == built.__dict__.get("_genus")
+        assert back == cover and hash(back) == hash(cover)
+    before = _bucket_split.cache_info()
+    assert _bucket_split(cover, 3, 1) is _bucket_split(by_index, 3, 1)
+    after = _bucket_split.cache_info()
+    assert after.currsize - before.currsize <= 1 and after.hits - before.hits >= 1
 
     alpha = KLEIN.automorphisms()[1]
     perm = alpha.perm

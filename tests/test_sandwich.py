@@ -288,18 +288,19 @@ def _oracle_locus(sw):
 def test_point_type_table_matches_the_per_pair_oracle(factors, monkeypatch):
     monkeypatch.setattr(sandwich, "_POINT_TYPES", {})
     g = make_group(factors)
-    nonzero = [e for e in g.elements() if e != g.identity]
+    els, index = g.elements(), g.index
+    nonzero = [e for e in els if e != g.identity]
     for h1 in nonzero:
         for h2 in nonzero:
-            assert sandwich._point_type(g, h1, h2) == _oracle_point(g, h1, h2), (h1, h2)
+            assert sandwich._point_type(g, index[h1], index[h2]) == _oracle_point(g, h1, h2), (h1, h2)
     # Every ordered pair at once: singular_locus fills the table from both branches.
-    every = CoverData(g, 0, tuple((e, 1) for e in nonzero), ())
+    every = CoverData(g, 0, tuple((index[e], 1) for e in nonzero), ())
     sw = sandwich.Sandwich(every, every)
     assert singular_locus(sw) == _oracle_locus(sw)
     table = sandwich._POINT_TYPES[g.factors]
-    assert set(table) == {(h1, h2) for h1 in nonzero for h2 in nonzero}
+    assert set(table) == {(index[h1], index[h2]) for h1 in nonzero for h2 in nonzero}
     for (h1, h2), point in table.items():
-        assert point == _oracle_point(g, h1, h2), (h1, h2)
+        assert point == _oracle_point(g, els[h1], els[h2]), (h1, h2)
 
 
 def test_singular_locus_matches_the_per_pair_oracle(random_covers):
@@ -342,7 +343,7 @@ def test_each_point_type_is_computed_once_per_group_and_pair(random_covers, monk
         for f, d in pairs:
             singular_locus(sandwich.Sandwich(f, d))
     expected = {
-        (f.group.factors, h1, h2) for f, d in pairs for h1, _ in f.branch for h2, _ in d.branch
+        (f.group.factors, h1, h2) for f, d in pairs for h1, _ in f.branch_ix for h2, _ in d.branch_ix
     }
     assert set(computed) == expected
     assert set(computed.values()) == {1}
