@@ -6,7 +6,6 @@ import math
 from functools import lru_cache
 from itertools import product
 
-from . import covers
 from .covers import FIBER_GENUS_RANGE, enumerate_covers
 from .errors import InvalidInputError, is_int
 from .groups import Element, FiniteAbelianGroup, factorize, image, make_group
@@ -87,6 +86,11 @@ def canonical_profile(group: FiniteAbelianGroup, profile) -> Profile:
             raise InvalidInputError(f"eigenspace dimension must be an integer >= 0, got {dim!r}")
         if dim:
             pairs.append((index[group.validate(chi)], dim))
+    return _canonical_index_profile(group, pairs)
+
+
+def _canonical_index_profile(group: FiniteAbelianGroup, pairs) -> Profile:
+    """canonical_profile of (character index, nonzero dimension) pairs, unchecked."""
     # Index order is element order, so the minimum is taken over indices.
     low = min(image(alpha.char_perm, pairs) for alpha in group.automorphisms())
     els = group.elements()
@@ -98,7 +102,7 @@ def _actions_cell(genus: int, quotient_genus: int, factors: tuple[int, ...]) -> 
     group = make_group(factors)
     rows: dict[Profile, AtlasRow] = {}
     for cover in enumerate_covers(group, quotient_genus, genus=genus, up_to_aut=True):
-        prof = canonical_profile(group, covers.eigen_profile(cover))
+        prof = _canonical_index_profile(group, [(i, dim) for i, dim in enumerate(cover._dims) if dim])
         if prof not in rows:
             rows[prof] = AtlasRow(genus, quotient_genus, group, prof, cover)
     return tuple(rows[key] for key in sorted(rows))

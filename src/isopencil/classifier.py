@@ -170,6 +170,11 @@ def _stabilizer(cover: CoverData):
     distinct solutions are merged, though one may be listed twice. Each kept
     automorphism alpha comes as two index permutations: its char_perm
     (chi -> chi o alpha) and the inverse of its perm (alpha(g) -> g).
+
+    Every kept alpha fixes the cover's eigen-profile, so it carries the degree
+    equations of a pencil at chi0 onto those at chi0 o alpha, solution by
+    solution. classify_cell therefore solves one character per orbit, the
+    smallest, and canonicalizes its solutions under that character's fixers.
     """
     group = cover.group
     branch, twist = cover.branch_ix, cover.twist_ix
@@ -192,7 +197,9 @@ def _canonical_solution(stab, chi0: int, branch: tuple):
     Pulling the character back along alpha pairs with pushing the branch
     forward along the inverse, so both sides transform as one solution. The
     character decides first, so only the automorphisms carrying chi0 to the
-    smallest image need their branch image.
+    smallest image need their branch image. Given only the fixers of a
+    character that is smallest in its orbit, the character stays put and the
+    result is the canonical form under the whole of stab.
     """
     low = min(pull[chi0] for pull, _ in stab)
     return low, min(image(preimage, branch) for pull, preimage in stab if pull[chi0] == low)
@@ -215,7 +222,16 @@ def _pencil_requirements(cover_f: CoverData, chi0: int, b: int):
 def classify_cell(
     factors, genus_f: int, quotient_genus_a: int, quotient_genus_b: int, pg_range
 ) -> list[SurfaceSolution]:
-    """All pencil solutions in one (group, base genera, fiber genus) cell."""
+    """All pencil solutions in one (group, base genera, fiber genus) cell.
+
+    Each witness F is solved once per orbit of its one-dimensional characters
+    under _stabilizer(F): the smallest character of the orbit is solved, and
+    each branch vector is put in canonical form under the automorphisms fixing
+    that character (left as it is when only the identity does). Any solution
+    at another character of the orbit is an image of one found here, so it
+    would only repeat a canonical form already listed. Solutions come by
+    witness, then ascending character index, then as the solver yields them.
+    """
     group = make_group(factors)
     lo, hi = _validate_pg_range(pg_range)
     check_genus(genus_f, "fiber genus")
@@ -235,31 +251,34 @@ def classify_cell(
     for row in _actions_cell(genus_f, quotient_genus_a, group.factors):
         cover_f = row.witness
         stab = _stabilizer(cover_f)
-        seen = set()
         # character indices with a one-dimensional eigenspace on F
         candidates = [chi for chi, dim in enumerate(cover_f._dims) if chi and dim == 1]
         for chi0 in candidates:
+            if any(pull[chi0] < chi0 for pull, _ in stab):
+                continue  # the orbit's smallest character ran first and found these
+            fixers = [(pull, pre) for pull, pre in stab if pull[chi0] == chi0]
+            seen = set()
             fixed, target = _pencil_requirements(cover_f, chi0, b)
             window = range(lo + 1 - b, hi + 2 - b)  # target degree p_g + 1 - b
             for degree, branch in _branch_solutions(group, fixed, target, window):
                 p_g = degree - 1 + b
-                canon = _canonical_solution(stab, chi0, branch)
-                if canon in seen:
+                if len(fixers) > 1:
+                    branch = _canonical_solution(fixers, chi0, branch)[1]
+                if branch in seen:
                     continue
-                seen.add(canon)
-                chi_c, branch_c = canon
-                twist = _complete_twist(group, b, group.common_kernel([i for i, _ in branch_c]))
+                seen.add(branch)
+                twist = _complete_twist(group, b, group.common_kernel([i for i, _ in branch]))
                 if twist is None:
                     continue
                 try:
-                    cover_d = make_cover(group, b, branch_c, twist)
+                    cover_d = make_cover(group, b, branch, twist)
                 except InvalidMonodromyError:
                     continue
                 g_d = genus(cover_d)
                 if g_d < 2:
                     continue
                 report = invariants(make_sandwich(cover_f, cover_d))
-                chi0_c = group.elements()[chi_c]  # records hold the character as a tuple
+                chi0_c = group.elements()[chi0]  # records hold the character as a tuple
                 if report.canonical_character != chi0_c:
                     raise InternalConsistencyError(
                         f"solution for {chi0_c} reports pencil character "

@@ -8,6 +8,7 @@ import pytest
 
 from isopencil.atlas import (
     AtlasRow,
+    _actions_cell,
     abelian_groups_up_to,
     atlas_table,
     canonical_profile,
@@ -131,6 +132,19 @@ def test_rows_carry_valid_witnesses():
         prof = {c: d for c, d in eigen_profile(row.witness).items() if d}
         assert canonical_profile(row.group, prof) == row.profile
         assert sum(d for _, d in row.profile) == 2
+
+
+@pytest.mark.parametrize("curve_genus, count", [(2, 11), (3, 28)])
+def test_cell_profiles_match_the_checked_canonical_profile(curve_genus, count):
+    # _actions_cell canonicalizes each witness's index profile without the
+    # validating front; the public route must give the same profile.
+    rows = 0
+    for group in groups_acting_on(curve_genus):
+        for a in range(curve_genus + 1):
+            for row in _actions_cell(curve_genus, a, group.factors):
+                assert row.profile == canonical_profile(group, eigen_profile(row.witness))
+                rows += 1
+    assert rows == count
 
 
 def test_action_preconditions():

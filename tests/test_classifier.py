@@ -15,6 +15,8 @@ from isopencil.classifier import (
     _branch_solutions,
     _bucket_key,
     _canonical_solution,
+    _complete_twist,
+    _pencil_requirements,
     _stabilizer,
     _twist_interchangeable,
     cell_of,
@@ -439,6 +441,82 @@ def test_search_is_complete_within_a_box():
                     _canonical_solution(stab, *indexed(report.canonical_character, cover_d.branch))
                 )
     assert found == expected
+
+
+def _every_character_route(factors, genus_f, a, b, pg):
+    """(character, branch) index pairs, in order, that reach make_cover when
+    every one-dimensional character is solved and each vector is put in
+    canonical form over the whole stabilizer, keeping first occurrences; and
+    the number of solver runs that takes."""
+    if b >= 2 or (a >= 1 and b >= 1) or a > genus_f:
+        return [], 0
+    group = make_group(factors)
+    lo, hi = pg
+    pairs = []
+    runs = 0
+    for row in _actions_cell(genus_f, a, group.factors):
+        witness = row.witness
+        stab = _stabilizer(witness)
+        seen = set()
+        for chi0 in [chi for chi, dim in enumerate(witness._dims) if chi and dim == 1]:
+            runs += 1
+            fixed, target = _pencil_requirements(witness, chi0, b)
+            for _, branch in _branch_solutions(group, fixed, target, range(lo + 1 - b, hi + 2 - b)):
+                canon = _canonical_solution(stab, chi0, branch)
+                if canon in seen:
+                    continue
+                seen.add(canon)
+                kernel = group.common_kernel([i for i, _ in canon[1]])
+                if _complete_twist(group, b, kernel) is not None:
+                    pairs.append(canon)
+    return pairs, runs
+
+
+@pytest.mark.parametrize("genus_f, pg", [(2, (3, 12)), (3, (3, 5))])
+def test_one_character_per_orbit_hands_make_cover_the_same_sequence(monkeypatch, genus_f, pg):
+    # classify_cell solves only the smallest character of each stabilizer
+    # orbit; the every-character route must reach make_cover with the same
+    # pairs in the same order, cell by cell.
+    handed = []
+    solved = []
+    real_branch_solutions = classifier._branch_solutions
+    real_make_cover = classifier.make_cover
+
+    def recording_branch_solutions(group, fixed, target, degrees):
+        solved.append(group.neg_index[target])
+        return real_branch_solutions(group, fixed, target, degrees)
+
+    def recording_make_cover(group, base_genus, branch, twist=()):
+        handed.append((solved[-1], branch))
+        return real_make_cover(group, base_genus, branch, twist)
+
+    monkeypatch.setattr(classifier, "_branch_solutions", recording_branch_solutions)
+    monkeypatch.setattr(classifier, "make_cover", recording_make_cover)
+    total = runs = 0
+    for factors, a, b, _ in search_cells(genus_f):
+        expected, cell_runs = _every_character_route(factors, genus_f, a, b, pg)
+        handed.clear()
+        classify_cell(factors, genus_f, a, b, pg)
+        assert handed == expected, (factors, a, b)
+        total += len(expected)
+        runs += cell_runs
+    assert total > 100
+    assert len(solved) < runs
+
+
+def test_each_stabilizer_orbit_of_characters_is_solved_once(monkeypatch):
+    # The (2,2) genus-two witness over a rational base has two one-dimensional
+    # characters, swapped by its stabilizer: one solver run covers both.
+    calls = Counter()
+    real = classifier._branch_solutions
+
+    def counting(*args):
+        calls["solve"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(classifier, "_branch_solutions", counting)
+    assert classify_cell([2, 2], 2, 0, 0, (3, 8))
+    assert calls["solve"] == 1
 
 
 def test_generation_is_checked_once_per_branch_vector(monkeypatch):
