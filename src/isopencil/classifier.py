@@ -295,9 +295,9 @@ def classify_cell(
 
 
 @lru_cache(maxsize=None)
-def _bucket_split(cover_f: CoverData, chi0: int, b: int):
+def _bucket_split(cover_f: CoverData, chi0: Element, b: int):
     """The bounded element indices and the free ones with their growth steps,
-    for one pencil at the character index chi0.
+    for one pencil at the character chi0, a tuple as records hold it.
 
     An element pairing nontrivially with a character other than the pencil's
     is bounded by that character's degree, which does not move with p_g. A
@@ -308,7 +308,7 @@ def _bucket_split(cover_f: CoverData, chi0: int, b: int):
     """
     group = cover_f.group
     exponent = group.exponent
-    rows = _degree_rows(group, *_pencil_requirements(cover_f, chi0, b))
+    rows = _degree_rows(group, *_pencil_requirements(cover_f, group.index[chi0], b))
     bounded, steps = [], []
     for i, (cs, t) in enumerate(rows[1:], 1):
         if any(cs):
@@ -321,13 +321,12 @@ def _bucket_split(cover_f: CoverData, chi0: int, b: int):
 def _bucket_key(sol: SurfaceSolution):
     """Witness, pencil character, bounded multiplicities and free residues of a
     solution, all in element indices but the pencil character, a record field."""
-    chi0 = sol.cover_f.group.index[sol.chi0]
-    bounded, steps = _bucket_split(sol.cover_f, chi0, sol.cover_d.base_genus)
+    bounded, steps = _bucket_split(sol.cover_f, sol.chi0, sol.cover_d.base_genus)
     branch = dict(sol.cover_d.branch_ix)
     return (
         sol.cover_f.branch_ix,
         sol.cover_f.twist_ix,
-        chi0,
+        sol.chi0,
         tuple((i, branch[i]) for i in bounded if i in branch),
         tuple((i, branch.get(i, 0) % step) for i, step in steps),
     )
@@ -449,7 +448,6 @@ def classify(
     pg_range=(3, 8),
 ) -> list[FamilyRow]:
     """Fitted families over every requested (group, quotient genera) cell."""
-    _validate_pg_range(pg_range)
     return classify_cells(search_cells(genus_f, groups, quotient_genus_a, quotient_genus_b), pg_range)
 
 

@@ -6,8 +6,9 @@ as an integer numerator over the group exponent, so no floats appear
 anywhere. Inside the package an element is its index, its position in
 elements(): the lookup tables add_row, orders, neg_index, pairing_row and
 kernel_mask are read by index, and common_kernel and generates take indices
-too. Each table is built on first use; index maps a tuple to its index. An
-automorphism is a permutation of those indices.
+too; index maps a tuple to its index. An automorphism is a permutation of
+those indices. There is one group object per factors tuple, and it keeps
+each table, and Aut(G), from first use on.
 """
 
 from __future__ import annotations
@@ -43,58 +44,39 @@ AUT_SIZE_BOUND = 50_000
 # building element tables, and exhausting memory, before any other check runs.
 GROUP_ORDER_BOUND = 10_000
 
-_AUT_CACHE: dict[tuple[int, ...], tuple["Automorphism", ...]] = {}
-
-
-class _Tables:
-    """Lookup tables of one factors tuple, each built on first use.
-
-    Group objects with equal factors share one instance (_TABLES), so a fresh
-    group per parsed spec reads the tables the previous one built.
-    """
-
-    __slots__ = ("elements", "index", "orders", "neg", "rows", "pairing", "kernel")
-
-    def __init__(self):
-        self.elements: list[Element] | None = None
-        self.index: dict[Element, int] | None = None  # element -> position in elements()
-        self.orders: tuple[int, ...] | None = None  # element order, by index
-        self.neg: tuple[int, ...] | None = None  # index of -x, by index of x
-        self.rows: dict[int, tuple[int, ...]] = {}  # index of x -> add_row(x)
-        self.pairing: dict[int, tuple[int, ...]] = {}  # index of g -> pairing_row(g)
-        self.kernel: dict[int, int] = {}  # index of g -> kernel_mask(g)
-
-
-_TABLES: dict[tuple[int, ...], _Tables] = {}
+# The one group object of each factors tuple; see FiniteAbelianGroup.
+_GROUPS: dict[tuple[int, ...], "FiniteAbelianGroup"] = {}
 
 
 class FiniteAbelianGroup:
-    """Direct product of cyclic groups Z/n_1 x ... x Z/n_k."""
+    """Direct product of cyclic groups Z/n_1 x ... x Z/n_k.
 
-    __slots__ = ("factors", "order", "exponent", "_weights", "_tables")
+    There is one object per factors tuple: the constructor, make_group and
+    unpickling all return the one in _GROUPS. So groups compare and hash by
+    identity, and the lookup tables and Aut(G) a group builds on first use
+    serve every caller with the same factors.
+    """
 
-    def __init__(self, factors: tuple[int, ...]):
-        self.factors = factors
-        self.order = prod(factors)
-        self.exponent = lcm(*factors) if factors else 1
-        # pair_num(chi, g) = sum(chi_i * g_i * weight_i) mod exponent
-        self._weights = tuple(self.exponent // n for n in factors)
-        tables = _TABLES.get(factors)
-        if tables is None:
-            tables = _TABLES[factors] = _Tables()
-        self._tables = tables
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FiniteAbelianGroup) and self.factors == other.factors
-
-    def __hash__(self) -> int:
-        return hash(self.factors)
+    def __new__(cls, factors: tuple[int, ...]):
+        group = _GROUPS.get(factors)
+        if group is None:
+            group = super().__new__(cls)
+            group.factors = factors
+            group.order = prod(factors)
+            group.exponent = lcm(*factors) if factors else 1
+            # pair_num(chi, g) = sum(chi_i * g_i * weight_i) mod exponent
+            group._weights = tuple(group.exponent // n for n in factors)
+            group._rows = {}  # index of x -> add_row(x)
+            group._pairing = {}  # index of g -> pairing_row(g)
+            group._kernel = {}  # index of g -> kernel_mask(g)
+            group = _GROUPS.setdefault(factors, group)
+        return group
 
     def __repr__(self) -> str:
         return f"FiniteAbelianGroup({list(self.factors)})"
 
     def __reduce__(self):
-        # Pickle the factors only: the unpickled group re-attaches to _TABLES.
+        # Pickle the factors only: unpickling returns the one group with them.
         return (FiniteAbelianGroup, (self.factors,))
 
     @property
@@ -116,21 +98,19 @@ class FiniteAbelianGroup:
         return t
 
     def elements(self) -> list[Element]:
-        tables = self._tables
-        if tables.elements is None:
-            els = [()]
-            for n in self.factors:
-                els = [e + (c,) for e in els for c in range(n)]
-            tables.elements = els
-        return tables.elements
+        return self._elements
 
-    @property
+    @cached_property
+    def _elements(self) -> list[Element]:
+        els = [()]
+        for n in self.factors:
+            els = [e + (c,) for e in els for c in range(n)]
+        return els
+
+    @cached_property
     def index(self) -> dict[Element, int]:
         """Element -> its position in elements(); the identity is 0."""
-        tables = self._tables
-        if tables.index is None:
-            tables.index = {e: i for i, e in enumerate(self.elements())}
-        return tables.index
+        return {e: i for i, e in enumerate(self.elements())}
 
     def add_row(self, i: int) -> tuple[int, ...]:
         """Index of y + x for every y, in elements() order, where x has index i;
@@ -139,38 +119,26 @@ class FiniteAbelianGroup:
         The index of an element is its mixed-radix number over the factors,
         so the row is built digit by digit, each digit shifted by x's.
         """
-        rows = self._tables.rows
-        row = rows.get(i)
+        row = self._rows.get(i)
         if row is None:
             values = [0]
             for n, a in zip(self.factors, self.elements()[i]):
                 digits = [(c + a) % n for c in range(n)]
                 values = [v * n + d for v in values for d in digits]
-            row = rows[i] = tuple(values)
+            row = self._rows[i] = tuple(values)
         return row
 
-    @property
+    @cached_property
     def orders(self) -> tuple[int, ...]:
         """Element orders, in elements() order."""
-        tables = self._tables
-        if tables.orders is None:
-            fs = self.factors
-            tables.orders = tuple(
-                lcm(*(n // gcd(a, n) for a, n in zip(g, fs))) for g in self.elements()
-            )
-        return tables.orders
+        fs = self.factors
+        return tuple(lcm(*(n // gcd(a, n) for a, n in zip(g, fs))) for g in self.elements())
 
-    @property
+    @cached_property
     def neg_index(self) -> tuple[int, ...]:
         """Index of -x for the index of every x."""
-        tables = self._tables
-        if tables.neg is None:
-            index = self.index
-            fs = self.factors
-            tables.neg = tuple(
-                index[tuple((-a) % n for a, n in zip(x, fs))] for x in self.elements()
-            )
-        return tables.neg
+        index, fs = self.index, self.factors
+        return tuple(index[tuple((-a) % n for a, n in zip(x, fs))] for x in self.elements())
 
     def add(self, x: Element, y: Element) -> Element:
         return tuple((a + b) % n for a, b, n in zip(x, y, self.factors))
@@ -191,24 +159,22 @@ class FiniteAbelianGroup:
     def pairing_row(self, i: int) -> tuple[int, ...]:
         """pair_num(chi, g) for every character chi, in elements() order, where
         g has index i; built on first use."""
-        pairing = self._tables.pairing
-        row = pairing.get(i)
+        row = self._pairing.get(i)
         if row is None:
             values = [0]
             for n, a, w in zip(self.factors, self.elements()[i], self._weights):
                 step = a * w
                 values = [(v + c * step) % self.exponent for v in values for c in range(n)]
-            row = pairing[i] = tuple(values)
+            row = self._pairing[i] = tuple(values)
         return row
 
     def kernel_mask(self, i: int) -> int:
         """Bit j set when the j-th character (elements() order) vanishes on the
         element of index i; built on first use."""
-        kernel = self._tables.kernel
-        mask = kernel.get(i)
+        mask = self._kernel.get(i)
         if mask is None:
             row = self.pairing_row(i)
-            mask = kernel[i] = int("".join("0" if v else "1" for v in reversed(row)), 2)
+            mask = self._kernel[i] = int("".join("0" if v else "1" for v in reversed(row)), 2)
         return mask
 
     def common_kernel(self, indices) -> int:
@@ -286,21 +252,23 @@ class FiniteAbelianGroup:
             raise CapabilityError(
                 f"automorphism enumeration limited to order {AUT_ORDER_BOUND}, got {self.order}"
             )
-        cached = _AUT_CACHE.get(self.factors)
-        if cached is None:
-            self.check_aut_size()
-            perms = dict(self._automorphism_search())
-            columns = {}
-            auts = []
-            for images, perm in perms.items():
-                alpha = Automorphism(self, images)
-                # Characters add coordinate-wise like elements, so chi -> chi o alpha
-                # is itself an automorphism; its perm is alpha's char_perm.
-                dual = _dual_images(images, self.factors, columns)
-                alpha.__dict__.update(perm=perm, char_perm=perms[dual])
-                auts.append(alpha)
-            cached = _AUT_CACHE[self.factors] = tuple(auts)
-        return cached
+        return self._automorphisms
+
+    @cached_property
+    def _automorphisms(self) -> tuple["Automorphism", ...]:
+        """Aut(G) in search order; kept only once check_aut_size has passed."""
+        self.check_aut_size()
+        perms = dict(self._automorphism_search())
+        columns = {}
+        auts = []
+        for images, perm in perms.items():
+            alpha = Automorphism(self, images)
+            # Characters add coordinate-wise like elements, so chi -> chi o alpha
+            # is itself an automorphism; its perm is alpha's char_perm.
+            dual = _dual_images(images, self.factors, columns)
+            alpha.__dict__.update(perm=perm, char_perm=perms[dual])
+            auts.append(alpha)
+        return tuple(auts)
 
     def _automorphism_search(self):
         """(images, perm) of every automorphism, in search order.

@@ -72,7 +72,8 @@ def atlas_reference(table_id: str) -> tuple[int, list[AtlasReferenceRow]]:
     try:
         raw = _data()["atlas"][table_id]
     except KeyError:
-        raise InvalidInputError(f"unknown atlas table {table_id!r}") from None
+        known = ", ".join(atlas_table_ids())
+        raise InvalidInputError(f"unknown atlas table {table_id!r}; known ids: {known}") from None
     rows = [
         AtlasReferenceRow(
             quotient_genus=entry["a"],
@@ -90,7 +91,8 @@ def family_reference(table_id: str) -> list[FamilyReferenceRow]:
     try:
         raw = _data()["families"][table_id]
     except KeyError:
-        raise InvalidInputError(f"unknown family table {table_id!r}") from None
+        known = ", ".join(family_table_ids())
+        raise InvalidInputError(f"unknown family table {table_id!r}; known ids: {known}") from None
     rows = []
     for index, entry in enumerate(raw["rows"], start=1):
         forms = {

@@ -549,7 +549,8 @@ def test_generation_is_checked_once_per_branch_vector(monkeypatch):
 
 def _per_solution_bucket_key(group, sol):
     """The bucket key as fit_families once computed it, afresh for every
-    solution, with every element mapped to its index at the end."""
+    solution, with every element but the pencil character mapped to its
+    index at the end."""
     profile_f = eigen_profile(sol.cover_f)
     constraint_chars = [
         group.neg(chi)
@@ -570,7 +571,7 @@ def _per_solution_bucket_key(group, sol):
             step = group.exponent // gcd(group.exponent, group.pair_num(target, e))
             residues.append((group.index[e], branch.get(e, 0) % step))
     return (
-        sol.cover_f.branch_ix, sol.cover_f.twist_ix, group.index[sol.chi0], tuple(bounded), tuple(residues)
+        sol.cover_f.branch_ix, sol.cover_f.twist_ix, sol.chi0, tuple(bounded), tuple(residues)
     )
 
 

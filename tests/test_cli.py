@@ -243,13 +243,14 @@ def test_cli_import_without_site_loads_neither_typing_nor_pathlib():
     assert out.strip() == "[]"
 
 
-def test_readme_invariants_examples_match_the_cli_byte_for_byte(tmp_path, capsys, monkeypatch):
+def test_readme_examples_match_the_cli_byte_for_byte(tmp_path, capsys, monkeypatch):
     blocks = re.findall(r"^```(\w*)\n(.*?)^```$", README.read_text(), flags=re.M | re.S)
     (spec,) = [body for info, body in blocks if info == "json" and '"coverF"' in body]
     (tmp_path / "surface.json").write_text(spec)
     monkeypatch.chdir(tmp_path)
-    examples = [body for _, body in blocks if body.startswith("$ isopencil invariants ")]
-    assert len(examples) == 2
+    examples = [body for _, body in blocks if body.startswith("$ isopencil ")]
+    subcommands = [body.split()[2] for body in examples]
+    assert subcommands == ["atlas", "covers", "classify", "classify", "invariants", "invariants", "compare"]
     for body in examples:
         command, expected = body.split("\n", 1)
         code, out, err = run(capsys, *command.split()[2:])

@@ -7,8 +7,10 @@ from isopencil.compare import (
     compare_atlas_with_reference,
     compare_with_reference,
 )
+from isopencil.cli import main
 from isopencil.errors import InvalidInputError
 from isopencil.linear import LinearForm
+from isopencil.reference_tables import atlas_reference, atlas_table_ids, family_reference, family_table_ids
 
 
 def test_table_ids_are_checked():
@@ -19,6 +21,22 @@ def test_table_ids_are_checked():
         compare_with_reference([], "tabelladue")
     with pytest.raises(InvalidInputError):
         compare_atlas_with_reference("zero")
+
+
+def test_every_unknown_table_id_error_names_the_known_ids(capsys):
+    atlas_ids, family_ids = ", ".join(atlas_table_ids()), ", ".join(family_table_ids())
+    entry_points = [
+        (lambda: family_reference("nope"), f"unknown family table 'nope'; known ids: {family_ids}"),
+        (lambda: compare_with_reference([], "nope"), f"unknown family table 'nope'; known ids: {family_ids}"),
+        (lambda: atlas_reference("nope"), f"unknown atlas table 'nope'; known ids: {atlas_ids}"),
+        (lambda: compare_atlas_with_reference("nope"), f"unknown atlas table 'nope'; known ids: {atlas_ids}"),
+    ]
+    for call, message in entry_points:
+        with pytest.raises(InvalidInputError) as info:
+            call()
+        assert str(info.value) == message
+    assert main(["compare", "nope"]) == 1  # the CLI routes by kind, so it lists both
+    assert capsys.readouterr().err == f"error: unknown table 'nope'; known ids: {atlas_ids}, {family_ids}\n"
 
 
 def test_exact_tables_produce_no_records():

@@ -11,12 +11,12 @@ import pytest
 from isopencil.atlas import abelian_groups_up_to
 from isopencil.errors import CapabilityError, InvalidInputError
 from isopencil.groups import (
-    _AUT_CACHE,
-    _TABLES,
+    _GROUPS,
     AUT_ORDER_BOUND,
     AUT_SIZE_BOUND,
     GROUP_ORDER_BOUND,
     Automorphism,
+    FiniteAbelianGroup,
     factorize,
     format_element,
     image,
@@ -264,7 +264,7 @@ def test_automorphism_size_bound():
         assert g.order <= AUT_ORDER_BOUND and g.automorphism_count() > AUT_SIZE_BOUND
         with pytest.raises(CapabilityError, match="automorphisms"):
             g.automorphisms()
-        assert factors not in _AUT_CACHE
+        assert "_automorphisms" not in vars(g)
 
 
 def test_group_serialization_round_trip():
@@ -288,7 +288,7 @@ def test_group_order_is_bounded_before_any_table_is_built():
             parse_group(text)
     with pytest.raises(InvalidInputError, match="exceeds the bound"):
         make_group([2, GROUP_ORDER_BOUND])
-    assert not {(GROUP_ORDER_BOUND + 1,), (1000, 1000), (10**9,), (2, GROUP_ORDER_BOUND)} & set(_TABLES)
+    assert not {(GROUP_ORDER_BOUND + 1,), (1000, 1000), (10**9,), (2, GROUP_ORDER_BOUND)} & set(_GROUPS)
 
 
 def test_element_serialization_round_trip():
@@ -366,19 +366,18 @@ def test_pickled_group_reattaches_to_the_shared_tables():
 
     g = make_group([2, 6])
     cover = make_cover(g, 0, {(1, 0): 2, (0, 1): 1, (0, 5): 1, (1, 3): 2})
-    eigen_profile(cover)  # fills the shared tables that a pool result used to carry
+    eigen_profile(cover)  # fills the group's tables
     data = pickle.dumps(cover)
-    assert b"_Tables" not in data
-    assert len(data) < len(pickle.dumps(g._tables))
+    assert len(data) < len(pickle.dumps(vars(g)))  # the tables are not pickled
     back = pickle.loads(data)
     assert back == cover
-    assert back.group._tables is _TABLES[(2, 6)]
-    assert pickle.loads(pickle.dumps(make_group([3])))._tables is _TABLES[(3,)]
+    assert back.group is g is _GROUPS[(2, 6)]
+    assert pickle.loads(pickle.dumps(make_group([3]))) is _GROUPS[(3,)]
 
 
 def test_index_tables_are_shared_by_groups_with_the_same_factors():
     first, second = make_group([2, 4]), make_group([2, 4])
-    assert first is not second
+    assert first is second is _GROUPS[(2, 4)]
     assert first.index is second.index
     assert first.add_row(first.index[(1, 3)]) is second.add_row(second.index[(1, 3)])
     assert first.elements() is second.elements()
@@ -386,6 +385,24 @@ def test_index_tables_are_shared_by_groups_with_the_same_factors():
     assert first.neg_index is second.neg_index
     assert first.pairing_row(first.index[(1, 3)]) is second.pairing_row(second.index[(1, 3)])
     assert make_group([4, 2]).orders is not first.orders
+
+
+def test_one_group_object_per_factors_tuple():
+    g = make_group([2, 4])
+    assert g is make_group((2, 4)) is FiniteAbelianGroup((2, 4)) is parse_group("2,4")
+    assert pickle.loads(pickle.dumps(g)) is g
+    assert g != make_group([4, 2]) and g != make_group([8])
+    assert g.automorphisms() is make_group([2, 4]).automorphisms()
+
+
+def test_covers_built_before_and_after_a_new_make_group_are_equal():
+    from isopencil.covers import make_cover
+
+    branch = {(1, 0): 2, (0, 1): 1, (0, 3): 1, (1, 2): 2}
+    before = make_cover(make_group([2, 4]), 0, branch)
+    after = make_cover(make_group((2, 4)), 0, branch)
+    assert before == after and hash(before) == hash(after)
+    assert pickle.loads(pickle.dumps(before)).group is after.group
 
 
 @pytest.mark.parametrize(

@@ -100,7 +100,7 @@ def test_bad_specs_are_rejected(mangle):
 
 
 def test_spec_group_order_is_bounded_before_any_table_is_built():
-    from isopencil.groups import _TABLES, GROUP_ORDER_BOUND
+    from isopencil.groups import _GROUPS, GROUP_ORDER_BOUND
 
     order = 200_000
     assert order > GROUP_ORDER_BOUND
@@ -108,7 +108,7 @@ def test_spec_group_order_is_bounded_before_any_table_is_built():
     cover = {"base_genus": 0, "branch": [point, {"elem": [order - 1], "mult": 1}], "twist": []}
     with pytest.raises(InvalidInputError, match="exceeds the bound"):
         parse_sandwich({"group": [order], "coverF": cover, "coverD": cover})
-    assert (order,) not in _TABLES
+    assert (order,) not in _GROUPS
 
 
 def test_two_point_spec_over_the_largest_cyclic_group_is_rejected_quickly():
