@@ -270,13 +270,18 @@ def classify_cell(
                 twist = _complete_twist(group, b, group.common_kernel([i for i, _ in branch]))
                 if twist is None:
                     continue
+                # G acts faithfully on F's 1-forms when g_F >= 2, so F's
+                # eigen-characters generate the dual group: the solved degrees
+                # are integral on every character and the branch sum closes.
+                # And g_D is at least the dimension of D's -chi0 eigenspace,
+                # which is p_g >= 2. So neither check below can fire.
                 try:
                     cover_d = make_cover(group, b, branch, twist)
-                except InvalidMonodromyError:
-                    continue
+                except InvalidMonodromyError as err:
+                    raise InternalConsistencyError(f"solved branch data are not a cover: {err}") from err
                 g_d = genus(cover_d)
                 if g_d < 2:
-                    continue
+                    raise InternalConsistencyError(f"solution for p_g={p_g} has g(D)={g_d} < 2")
                 report = invariants(make_sandwich(cover_f, cover_d))
                 chi0_c = group.elements()[chi0]  # records hold the character as a tuple
                 if report.canonical_character != chi0_c:

@@ -123,17 +123,18 @@ def _run_covers(args) -> str:
 
 
 def _run_classify(args) -> str:
-    rows = classify(
-        args.genus_f,
-        groups=args.group,
-        quotient_genus_a=args.base_a,
-        quotient_genus_b=args.base_b,
-        pg_range=args.pg,
-    )
     if args.compare is None:
+        rows = classify(
+            args.genus_f,
+            groups=args.group,
+            quotient_genus_a=args.base_a,
+            quotient_genus_b=args.base_b,
+            pg_range=args.pg,
+        )
         return render_family_rows(rows, args.format)
-    cells = set(search_cells(args.genus_f, args.group, args.base_a, args.base_b))
-    report = compare_with_reference(rows, args.compare, cells=cells)
+    cells = search_cells(args.genus_f, args.group, args.base_a, args.base_b)
+    rows = classify_cells(cells, args.pg)
+    report = compare_with_reference(rows, args.compare, cells=set(cells))
     return render_family_comparison(report, args.format)
 
 

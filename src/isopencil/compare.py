@@ -76,27 +76,22 @@ class ComparisonReport(Record):
         return not (self.discrepancies or self.missing or self.extra)
 
 
-class _Group(Record):
-    """Computed rows sharing one cell and one printed set of column forms."""
-
-    __slots__ = ("cell", "forms", "kind", "pg_lo", "pg_hi", "count")
-
-
-def _form_groups(rows: list[FamilyRow]) -> list[_Group]:
+def _form_groups(rows: list[FamilyRow]) -> list[ExtraRow]:
+    """Computed rows merged by cell, kind and printed column forms, in that order."""
     buckets: dict[tuple, list[FamilyRow]] = {}
     for row in rows:
         key = (cell_of(row), row.kind, tuple(sorted(row.forms.items())))
         buckets.setdefault(key, []).append(row)
     return [
-        _Group(cell, dict(forms), kind, min(r.pg_lo for r in same), max(r.pg_hi for r in same), len(same))
+        ExtraRow(cell, kind, forms, min(r.pg_lo for r in same), max(r.pg_hi for r in same), len(same))
         for (cell, kind, forms), same in sorted(buckets.items())
     ]
 
 
-def _anchor(group: _Group, ref) -> int | None:
+def _anchor(group: ExtraRow, ref) -> int | None:
     """Parameter offset aligning the reference g(D) column with the computed one."""
     ref_gd = ref.forms.get("g_D")
-    eng_gd = group.forms.get("g_D")
+    eng_gd = dict(group.forms).get("g_D")
     if ref_gd is None or eng_gd is None:
         return None
     if ref_gd.slope != eng_gd.slope:
@@ -109,13 +104,14 @@ def _anchor(group: _Group, ref) -> int | None:
     return gap // ref_gd.slope
 
 
-def _field_records(table: str, ref, group: _Group, shift: int) -> tuple[Discrepancy, ...]:
+def _field_records(table: str, ref, group: ExtraRow, shift: int) -> tuple[Discrepancy, ...]:
+    forms = dict(group.forms)
     records = []
     for name in COMPARED_FIELDS:
-        if name not in ref.forms or name not in group.forms:
+        if name not in ref.forms or name not in forms:
             continue
         expected = ref.forms[name].shift(shift)
-        got = group.forms[name]
+        got = forms[name]
         if got == expected:
             continue
         delta = got.intercept - expected.intercept if got.slope == expected.slope else None
@@ -127,10 +123,6 @@ def _mismatch_weight(records: tuple[Discrepancy, ...]) -> tuple[int, int]:
     shape = sum(1 for d in records if d.delta is None)
     offset = sum(abs(d.delta) for d in records if d.delta is not None)
     return (shape, len(records) * 1000 + offset)
-
-
-def _group_sort_key(group: _Group):
-    return (group.cell, sorted(group.forms.items()))
 
 
 def compare_with_reference(
@@ -154,50 +146,29 @@ def compare_with_reference(
     families = [g for g in groups if g.kind == "family"]
     consumed: set[int] = set()
     outcome: dict[int, MatchedRow] = {}
-
-    def closest(ref, pool, exact_only):
-        """The (pos, shift, records) of ref's least mismatched family in pool, or None."""
-        found = []
-        for pos in pool:
-            group = families[pos]
-            if group.cell != cell_of(ref):
-                continue
-            shift = _anchor(group, ref)
-            if shift is None:
-                continue
-            records = _field_records(table_id, ref, group, shift)
-            if not (exact_only and records):
-                found.append((pos, shift, records))
-        return min(
-            found,
-            key=lambda c: (_mismatch_weight(c[2]), _group_sort_key(families[c[0]])),
-            default=None,
-        )
-
     # Pass 1 takes only perfect matches, pass 2 settles the remaining rows on
-    # the closest available family, pass 3 lets a reference row repeat an
-    # already-taken family verbatim rather than report a spurious miss.
-    remaining = list(range(len(families)))
-    for exact_only in (True, False):
+    # the closest unclaimed family, pass 3 lets a reference row repeat an
+    # already-claimed family verbatim (shared) rather than report a spurious
+    # miss. Families come in (cell, forms) order, so among equal mismatch
+    # weights the lowest position is the least (cell, forms).
+    for exact_only, shared in ((True, False), (False, False), (True, True)):
         for ref in in_scope:
             if ref.index in outcome:
                 continue
-            best = closest(ref, remaining, exact_only)
-            if best is None:
-                continue
-            pos, shift, records = best
-            outcome[ref.index] = MatchedRow(table_id, ref.index, cell_of(ref), shift, records)
-            remaining.remove(pos)
-            consumed.add(pos)
-    for ref in in_scope:
-        if ref.index in outcome:
-            continue
-        best = closest(ref, sorted(consumed), True)
-        if best is not None:
-            _, shift, records = best
-            outcome[ref.index] = MatchedRow(
-                table_id, ref.index, cell_of(ref), shift, records, shared=True
-            )
+            found = []
+            for pos, family in enumerate(families):
+                if (pos in consumed) != shared or family.cell != cell_of(ref):
+                    continue
+                shift = _anchor(family, ref)
+                if shift is None:
+                    continue
+                records = _field_records(table_id, ref, family, shift)
+                if not (exact_only and records):
+                    found.append((_mismatch_weight(records), pos, shift, records))
+            if found:
+                _, pos, shift, records = min(found)
+                outcome[ref.index] = MatchedRow(table_id, ref.index, cell_of(ref), shift, records, shared)
+                consumed.add(pos)
 
     matched = tuple(outcome[ref.index] for ref in in_scope if ref.index in outcome)
     missing = tuple(
@@ -205,27 +176,21 @@ def compare_with_reference(
         for ref in in_scope
         if ref.index not in outcome
     )
-    leftover = [g for i, g in enumerate(families) if i not in consumed]
-    leftover += [g for g in groups if g.kind != "family"]
-    extra = tuple(
-        ExtraRow(g.cell, g.kind, tuple(sorted(g.forms.items())), g.pg_lo, g.pg_hi, g.count)
-        for g in leftover
-    )
+    extra = tuple(g for pos, g in enumerate(families) if pos not in consumed)
+    extra += tuple(g for g in groups if g.kind != "family")
     return ComparisonReport(table_id, matched, missing, extra, skipped)
 
 
-def _miss_note(ref, families: list[_Group]) -> str:
+def _miss_note(ref, families: list[ExtraRow]) -> str:
     gd = ref.forms.get("g_D")
-    same_cell = [g for g in families if g.cell == cell_of(ref)]
-    if not same_cell:
+    gd_forms = [dict(g.forms)["g_D"] for g in families if g.cell == cell_of(ref)]
+    if not gd_forms:
         return "no computed family in this cell"
     if gd is not None:
-        slopes = sorted({g.forms["g_D"].slope for g in same_cell})
+        slopes = sorted({form.slope for form in gd_forms})
         if gd.slope not in slopes:
             return f"no computed family grows g(D) at rate {gd.slope}"
-        residues = sorted(
-            {g.forms["g_D"].intercept % gd.slope for g in same_cell if g.forms["g_D"].slope == gd.slope}
-        )
+        residues = sorted({form.intercept % gd.slope for form in gd_forms if form.slope == gd.slope})
         want = gd.intercept % gd.slope
         if want not in residues:
             others = ", ".join(str(r) for r in residues)

@@ -135,19 +135,15 @@ def _pencil_character(grp: FiniteAbelianGroup, support) -> Element | None:
     return None
 
 
-# Per factors tuple: (h1, h2) -> _point_type(group, h1, h2), filled on first
-# use; h1 and h2 are element indices.
-_POINT_TYPES: dict[tuple[int, ...], dict[tuple[int, int], tuple | None]] = {}
-_UNSEEN = object()
-
-
+@lru_cache(maxsize=None)
 def _point_type(grp: FiniteAbelianGroup, h1: int, h2: int):
     """Type of the points of F x D that the local monodromies h1, h2 fix,
     both element indices.
 
     Returns (n, canonical (n, q), (|G|/o1)*(|G|/o2)), or None when the shared
     stabilizer is trivial. It depends only on the group and the pair, so each
-    is computed once per (factors, h1, h2).
+    is computed once per (group, h1, h2); groups are interned, so the cache
+    key hashes by identity.
     """
     powers1 = grp._span([h1])  # indices of 0, h1, 2 h1, ...
     powers2 = grp._span([h2])
@@ -174,15 +170,10 @@ def singular_locus(sw: Sandwich) -> tuple[SingularClass, ...]:
     """Cyclic quotient points grouped by type, with their product-side counts."""
     grp = sw.group
     order = grp.order
-    types = _POINT_TYPES.get(grp.factors)
-    if types is None:
-        types = _POINT_TYPES[grp.factors] = {}
     classes: dict[tuple[int, int], list[int]] = {}
     for h1, d1 in sw.cover_f.branch_ix:
         for h2, d2 in sw.cover_d.branch_ix:
-            point = types.get((h1, h2), _UNSEEN)
-            if point is _UNSEEN:
-                point = types[h1, h2] = _point_type(grp, h1, h2)
+            point = _point_type(grp, h1, h2)
             if point is None:
                 continue
             n, key, unit = point

@@ -26,10 +26,15 @@ from isopencil.classifier import (
     fit_families,
     search_cells,
 )
-from isopencil.covers import eigen_profile, genus, make_cover
-from isopencil.errors import CapabilityError, DisconnectedCoverError, InvalidInputError
+from isopencil.covers import eigen_profile, enumerate_covers, genus, make_cover
+from isopencil.errors import (
+    CapabilityError,
+    DisconnectedCoverError,
+    InternalConsistencyError,
+    InvalidInputError,
+)
 from isopencil.groups import make_group
-from isopencil.sandwich import invariants, make_sandwich
+from isopencil.sandwich import canonical_character, geometric_genus, invariants, make_sandwich
 
 
 def rows_for(factors, genus_f, a, b, pg=(3, 8)):
@@ -443,6 +448,39 @@ def test_search_is_complete_within_a_box():
     assert found == expected
 
 
+def test_every_search_cell_matches_a_brute_force_over_small_second_curves():
+    # Pair every witness class F with every second curve D of genus up to 14
+    # and keep the canonical pencils with p_g in 3..12. This avoids the
+    # classifier's degree equations, stabilizer and twist completion; it
+    # shares make_cover, the cover enumerator and invariants.
+    max_genus_d, pg = 14, (3, 12)
+    curves_d = {}
+    cells = total = 0
+    for genus_f in (2, 3):
+        for factors, a, b, _ in search_cells(genus_f):
+            group = make_group(factors)
+            if (factors, b) not in curves_d:
+                curves_d[factors, b] = [
+                    d for g_d in range(2, max_genus_d + 1) for d in enumerate_covers(group, b, genus=g_d)
+                ]
+            found = set()
+            for cover_f in enumerate_covers(group, a, genus=genus_f, up_to_aut=True):
+                for cover_d in curves_d[factors, b]:
+                    sw = make_sandwich(cover_f, cover_d)
+                    if pg[0] <= geometric_genus(sw) <= pg[1] and canonical_character(sw) is not None:
+                        r = invariants(sw)
+                        found.add((r.p_g, genus(cover_d), r.K2, r.t_z, r.euler_e))
+            expected = {
+                (s.p_g, s.genus_d, s.report.K2, s.report.t_z, s.report.euler_e)
+                for s in classify_cell(factors, genus_f, a, b, pg)
+                if s.genus_d <= max_genus_d
+            }
+            assert found == expected, (factors, a, b, genus_f)
+            cells += 1
+            total += len(found)
+    assert (cells, total) == (288, 107)
+
+
 def _every_character_route(factors, genus_f, a, b, pg):
     """(character, branch) index pairs, in order, that reach make_cover when
     every one-dimensional character is solved and each vector is put in
@@ -545,6 +583,20 @@ def test_generation_is_checked_once_per_branch_vector(monkeypatch):
     # branch data that do not generate, so no make_cover is spent on them.
     assert calls["disconnected"] == 0
     assert calls["generates"] == calls["make_cover"]
+
+
+def test_a_solution_that_is_not_a_cover_raises(monkeypatch):
+    # (1,1) + (2,1) generates (2,2) but sums to a nonzero element, so
+    # make_cover rejects it; the solver can never return such data.
+    group = make_group((2, 2))
+    assert group.generates([1, 2])
+
+    def not_closing(group, fixed, target, degrees):
+        return [(degrees[0], ((1, 1), (2, 1)))]
+
+    monkeypatch.setattr(classifier, "_branch_solutions", not_closing)
+    with pytest.raises(InternalConsistencyError, match="not a cover"):
+        classify_cell((2, 2), 2, 0, 0, (3, 3))
 
 
 def _per_solution_bucket_key(group, sol):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from isopencil.classifier import FamilyRow, classify
+from isopencil.classifier import FamilyRow, cell_of, classify
 from isopencil.compare import (
     compare_atlas_with_reference,
     compare_with_reference,
@@ -149,6 +149,40 @@ def test_reference_rows_may_share_one_family():
     assert (matched[11].shift, matched[14].shift) == (0, 1)
     assert not report.extra
     assert report.skipped == 1
+
+
+def test_a_cell_without_families_notes_it_on_every_missing_row():
+    # A computed family only in row 19's cell, and both cells searched.
+    forms = {"p_g": LinearForm(1, 0), "g_D": LinearForm(8, 1), "K2": LinearForm(8, 0)}
+    stub = FamilyRow((2, 8), 0, 1, 3, (0, 1), "family", 3, 8, forms, ())
+    report = compare_with_reference([stub], "mostro", cells={cell_of(stub), cell_of(_stub_row(forms))})
+    assert [(m.index, m.exact) for m in report.matched] == [(19, True)]
+    assert [m.index for m in report.missing] == list(range(1, 19))
+    assert {m.note for m in report.missing} == {"no computed family in this cell"}
+    assert not report.extra
+
+
+def test_a_row_whose_g_d_slope_no_family_has_is_noted():
+    forms = {"p_g": LinearForm(1, 0), "g_D": LinearForm(4, 3), "K2": LinearForm(4, 0)}
+    report = compare_with_reference([_stub_row(forms)], "mostro")
+    assert not report.matched
+    assert len(report.missing) == 18
+    assert {m.note for m in report.missing} == {"no computed family grows g(D) at rate 8"}
+    extra, = report.extra
+    assert dict(extra.forms)["g_D"] == LinearForm(4, 3)
+
+
+def test_a_row_aligned_only_with_a_claimed_family_is_noted():
+    # Rows 2 and 3 anchor on the family rows 11 and 14 share, one step off and
+    # with another K2, so no pass may take them: sharing takes exact rows only.
+    forms = {"p_g": LinearForm(1, 0), "g_D": LinearForm(8, 3), "K2": LinearForm(8, 0)}
+    report = compare_with_reference([_stub_row(forms)], "mostro")
+    assert {m.index for m in report.matched} == {11, 14}
+    notes = {m.index: m.note for m in report.missing}
+    aligns = "no computed family aligns with this row's g(D) column"
+    aligned = {i for i, note in notes.items() if note == aligns}
+    assert aligned == {2, 3}
+    assert all("mod 8" in notes[i] for i in set(notes) - aligned)
 
 
 def test_sporadic_rows_never_match_but_are_kept():

@@ -14,7 +14,6 @@ from isopencil.compare import (
     ExtraRow,
     MatchedRow,
     MissingRow,
-    _Group,
 )
 from isopencil.covers import CoverData, genus, make_cover
 from isopencil.groups import Automorphism, make_group
@@ -137,17 +136,13 @@ CASES = [
         {"table": "zero", "matched": (), "missing": (), "extra": (), "skipped": 2},
     ),
     (
-        _Group,
-        {"cell": CELL, "forms": {"K2": FORM}, "kind": "family", "pg_lo": 3, "pg_hi": 5, "count": 1},
-    ),
-    (
         AtlasComparison,
         {"table": "tabelladue", "genus": 2, "matched": (1, 2), "missing": (), "extra_count": 4},
     ),
 ]
 
 # Records holding a dict cannot be hashed, as a frozen dataclass holding one could not.
-UNHASHABLE = {FamilyRow, FamilyReferenceRow, _Group}
+UNHASHABLE = {FamilyRow, FamilyReferenceRow}
 
 DEFAULTS = [
     (AtlasRow, "in_reference", None),

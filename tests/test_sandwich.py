@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import warnings
-from collections import Counter
 from math import gcd
 
 import pytest
@@ -285,22 +284,20 @@ def _oracle_locus(sw):
     [g.factors for g in abelian_groups_up_to(16)],
     ids=lambda factors: ",".join(map(str, factors)) or "trivial",
 )
-def test_point_type_table_matches_the_per_pair_oracle(factors, monkeypatch):
-    monkeypatch.setattr(sandwich, "_POINT_TYPES", {})
+def test_point_type_table_matches_the_per_pair_oracle(factors):
+    sandwich._point_type.cache_clear()
     g = make_group(factors)
     els, index = g.elements(), g.index
     nonzero = [e for e in els if e != g.identity]
-    for h1 in nonzero:
-        for h2 in nonzero:
-            assert sandwich._point_type(g, index[h1], index[h2]) == _oracle_point(g, h1, h2), (h1, h2)
-    # Every ordered pair at once: singular_locus fills the table from both branches.
+    # Every ordered pair at once: singular_locus fills the cache from both branches.
     every = CoverData(g, 0, tuple((index[e], 1) for e in nonzero), ())
     sw = sandwich.Sandwich(every, every)
     assert singular_locus(sw) == _oracle_locus(sw)
-    table = sandwich._POINT_TYPES[g.factors]
-    assert set(table) == {(index[h1], index[h2]) for h1 in nonzero for h2 in nonzero}
-    for (h1, h2), point in table.items():
-        assert point == _oracle_point(g, els[h1], els[h2]), (h1, h2)
+    assert sandwich._point_type.cache_info().misses == len(nonzero) ** 2
+    for h1 in nonzero:
+        for h2 in nonzero:
+            assert sandwich._point_type(g, index[h1], index[h2]) == _oracle_point(g, h1, h2), (h1, h2)
+    assert sandwich._point_type.cache_info().misses == len(nonzero) ** 2
 
 
 def test_singular_locus_matches_the_per_pair_oracle(random_covers):
@@ -314,16 +311,8 @@ def test_singular_locus_matches_the_per_pair_oracle(random_covers):
         assert singular_locus(sw) == _oracle_locus(sw)
 
 
-def test_each_point_type_is_computed_once_per_group_and_pair(random_covers, monkeypatch):
-    monkeypatch.setattr(sandwich, "_POINT_TYPES", {})
-    computed = Counter()
-    real = sandwich._point_type
-
-    def counting(g, h1, h2):
-        computed[g.factors, h1, h2] += 1
-        return real(g, h1, h2)
-
-    monkeypatch.setattr(sandwich, "_point_type", counting)
+def test_each_point_type_is_computed_once_per_group_and_pair(random_covers):
+    sandwich._point_type.cache_clear()
     by_group = {}
     for cover in random_covers:
         by_group.setdefault(cover.group.factors, []).append(cover)
@@ -342,8 +331,9 @@ def test_each_point_type_is_computed_once_per_group_and_pair(random_covers, monk
     for _ in range(2):
         for f, d in pairs:
             singular_locus(sandwich.Sandwich(f, d))
-    expected = {
+    distinct = {
         (f.group.factors, h1, h2) for f, d in pairs for h1, _ in f.branch_ix for h2, _ in d.branch_ix
     }
-    assert set(computed) == expected
-    assert set(computed.values()) == {1}
+    calls = 2 * sum(len(f.branch_ix) * len(d.branch_ix) for f, d in pairs)
+    info = sandwich._point_type.cache_info()
+    assert (info.misses, info.hits) == (len(distinct), calls - len(distinct))
