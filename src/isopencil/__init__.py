@@ -12,8 +12,6 @@ from .compare import (
 )
 from .covers import (
     CoverData,
-    bundle_degree,
-    eigen_dim,
     eigen_profile,
     enumerate_covers,
     genus,
@@ -55,13 +53,11 @@ __all__ = [
     "Sandwich",
     "SurfaceSolution",
     "atlas_table",
-    "bundle_degree",
     "canonical_profile",
     "classify",
     "classify_cell",
     "compare_atlas_with_reference",
     "compare_with_reference",
-    "eigen_dim",
     "eigen_profile",
     "enumerate_actions",
     "enumerate_covers",

@@ -132,6 +132,7 @@ def _run_classify(args) -> str:
             pg_range=args.pg,
         )
         return render_family_rows(rows, args.format)
+    family_reference(args.compare)  # an unknown table id fails before the search
     cells = search_cells(args.genus_f, args.group, args.base_a, args.base_b)
     rows = classify_cells(cells, args.pg)
     report = compare_with_reference(rows, args.compare, cells=set(cells))

@@ -35,8 +35,6 @@ from .record import Record, _set
 __all__ = [
     "CoverData",
     "make_cover",
-    "bundle_degree",
-    "eigen_dim",
     "eigen_profile",
     "genus",
     "genus_rh",
@@ -168,7 +166,8 @@ def _index(group: FiniteAbelianGroup, index: dict, els: list, x) -> int:
 
 
 def _numerators(grp: FiniteAbelianGroup, branch_ix) -> list[int]:
-    """sum(m * pair_num(chi, e)) over the branch pairs for every character chi, in elements() order."""
+    """sum(m * <chi, e>) over the branch pairs for every character chi, in elements() order,
+    as numerators over the group exponent."""
     nums = [0] * grp.order
     for i, m in branch_ix:
         nums = [x + m * p for x, p in zip(nums, grp.pairing_row(i))]
@@ -176,55 +175,28 @@ def _numerators(grp: FiniteAbelianGroup, branch_ix) -> list[int]:
 
 
 def _profile(grp: FiniteAbelianGroup, b: int, nums: list[int]) -> tuple[int, ...]:
-    """Eigenspace dimension of every character from its branch numerator (see _numerators)."""
+    """Eigenspace dimension of every character from its branch numerator (see _numerators).
+
+    By Chevalley-Weil a nontrivial character whose line bundle has degree
+    l = num / exponent has an eigenspace of dimension l + b - 1. On a
+    connected cover l is an integer, and 0 only over a base of positive genus.
+    """
     exponent = grp.exponent
     dims = [b]  # elements() starts at the identity, whose eigenspace is the base's
     for chi, num in enumerate(nums[1:], 1):
         if num < exponent or num % exponent:  # a degree below 1, or not integral
-            dims.append(_dim_of_degree(_degree_of_num(grp, chi, num), b, chi))
-        else:
-            dims.append(num // exponent + b - 1)
+            if num % exponent:
+                raise InternalConsistencyError(f"bundle degree for character index {chi} is not integral")
+            if b == 0:
+                raise InternalConsistencyError(
+                    f"degree-0 bundle at nontrivial character index {chi} on a connected rational-base cover"
+                )
+        dims.append(num // exponent + b - 1)
     return tuple(dims)
 
 
-def _degree_of_num(grp: FiniteAbelianGroup, chi: int, num: int) -> int:
-    """Bundle degree from its numerator over the group exponent; chi is a character index."""
-    if num % grp.exponent:
-        raise InternalConsistencyError(f"bundle degree for character index {chi} is not integral")
-    return num // grp.exponent
-
-
-def _dim_of_degree(l: int, b: int, chi: int) -> int:
-    """Eigenspace dimension at a nontrivial character index with bundle degree l over base genus b."""
-    if l >= 1:
-        return l + b - 1
-    if b == 0:
-        raise InternalConsistencyError(
-            f"degree-0 bundle at nontrivial character index {chi} on a connected rational-base cover"
-        )
-    return b - 1
-
-
-def bundle_degree(cover: CoverData, chi) -> int:
-    """Degree of the building-data line bundle attached to the character."""
-    grp = cover.group
-    c = grp.index[grp.validate(chi)]
-    row = grp.pairing_row(c)  # the pairing is symmetric: row[i] = pair_num(chi, e_i)
-    return _degree_of_num(grp, c, sum([m * row[i] for i, m in cover.branch_ix]))
-
-
-def eigen_dim(cover: CoverData, chi) -> int:
-    """Dimension of the chi-eigenspace of holomorphic 1-forms upstairs."""
-    grp = cover.group
-    c = grp.index[grp.validate(chi)]
-    b = cover.base_genus
-    if c == 0:
-        return b
-    return _dim_of_degree(bundle_degree(cover, chi), b, c)
-
-
 def eigen_profile(cover: CoverData) -> dict[Element, int]:
-    """Character -> eigen_dim, read from the cover's cached profile as a fresh dict."""
+    """Character -> eigenspace dimension, read from the cover's cached profile as a fresh dict."""
     return dict(zip(cover.group.elements(), cover._dims))
 
 

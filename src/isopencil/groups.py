@@ -14,7 +14,6 @@ each table, and Aut(G), from first use on.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
 
@@ -64,7 +63,7 @@ class FiniteAbelianGroup:
             group.factors = factors
             group.order = prod(factors)
             group.exponent = lcm(*factors) if factors else 1
-            # pair_num(chi, g) = sum(chi_i * g_i * weight_i) mod exponent
+            # <chi, g> = sum(chi_i * g_i * weight_i) / exponent, mod 1
             group._weights = tuple(group.exponent // n for n in factors)
             group._rows = {}  # index of x -> add_row(x)
             group._pairing = {}  # index of g -> pairing_row(g)
@@ -78,10 +77,6 @@ class FiniteAbelianGroup:
     def __reduce__(self):
         # Pickle the factors only: unpickling returns the one group with them.
         return (FiniteAbelianGroup, (self.factors,))
-
-    @property
-    def identity(self) -> Element:
-        return (0,) * len(self.factors)
 
     def validate(self, coords) -> Element:
         try:
@@ -140,25 +135,9 @@ class FiniteAbelianGroup:
         index, fs = self.index, self.factors
         return tuple(index[tuple((-a) % n for a, n in zip(x, fs))] for x in self.elements())
 
-    def add(self, x: Element, y: Element) -> Element:
-        return tuple((a + b) % n for a, b, n in zip(x, y, self.factors))
-
-    def neg(self, x: Element) -> Element:
-        return self.elements()[self.neg_index[self.index[x]]]
-
-    def scale(self, k: int, x: Element) -> Element:
-        return tuple((k * a) % n for a, n in zip(x, self.factors))
-
-    def element_order(self, g: Element) -> int:
-        return self.orders[self.index[g]]
-
-    def pair_num(self, chi: Element, g: Element) -> int:
-        """Numerator of <chi, g> over the group exponent."""
-        return sum(c * a * w for c, a, w in zip(chi, g, self._weights)) % self.exponent
-
     def pairing_row(self, i: int) -> tuple[int, ...]:
-        """pair_num(chi, g) for every character chi, in elements() order, where
-        g has index i; built on first use."""
+        """Numerator of <chi, g> over the group exponent for every character
+        chi, in elements() order, where g has index i; built on first use."""
         row = self._pairing.get(i)
         if row is None:
             values = [0]
@@ -184,9 +163,6 @@ class FiniteAbelianGroup:
             mask &= self.kernel_mask(i)
         return mask
 
-    def pairing(self, chi: Element, g: Element) -> Fraction:
-        return Fraction(self.pair_num(chi, g), self.exponent)
-
     def _span(self, indices) -> list[int]:
         """Indices of the subgroup the element indices generate, by breadth-first
         closure. For one element x that lists 0, x, 2x, ..., in order."""
@@ -201,10 +177,6 @@ class FiniteAbelianGroup:
                     seen[j] = 1
                     span.append(j)
         return span
-
-    def subgroup(self, elems) -> frozenset[Element]:
-        els, index = self.elements(), self.index
-        return frozenset(els[i] for i in self._span([index[x] for x in elems]))
 
     def generates(self, indices) -> bool:
         """True when only the trivial character (bit 0) vanishes on all the

@@ -12,11 +12,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .covers import FIBER_GENUS_RANGE, CoverData, genus
-from .errors import (
-    InternalConsistencyError,
-    InvalidInputError,
-    NotApplicableError,
-)
+from .errors import InternalConsistencyError, InvalidInputError
 from .groups import Element, FiniteAbelianGroup
 from .record import Record, _set
 from .singularities import canonical_type, hj_expansion, k2_correction
@@ -26,9 +22,7 @@ __all__ = [
     "SingularClass",
     "InvariantReport",
     "make_sandwich",
-    "geometric_genus",
     "irregularity",
-    "canonical_character",
     "singular_locus",
     "invariants",
 ]
@@ -108,31 +102,8 @@ def _pairing_dims(sw: Sandwich) -> list[tuple[int, int, int]]:
     return [(i, df, dims_d[neg[i]]) for i, df in enumerate(dims_f) if df and dims_d[neg[i]]]
 
 
-def geometric_genus(sw: Sandwich) -> int:
-    """Sections of the canonical sheaf, counted through matching eigenspaces."""
-    return _sections(_pairing_dims(sw))
-
-
-def _sections(support) -> int:
-    return sum(df * dd for _, df, dd in support)
-
-
 def irregularity(sw: Sandwich) -> int:
     return sw.cover_f.base_genus + sw.cover_d.base_genus
-
-
-def canonical_character(sw: Sandwich) -> Element | None:
-    """Character of a canonical pencil with fiber the first curve, if any."""
-    return _pencil_character(sw.group, _pairing_dims(sw))
-
-
-def _pencil_character(grp: FiniteAbelianGroup, support) -> Element | None:
-    """The one character carrying the whole canonical system, as a tuple, if any."""
-    if _sections(support) < 2:
-        raise NotApplicableError("the canonical system needs at least two sections")
-    if len(support) == 1 and support[0][1] == 1:
-        return grp.elements()[support[0][0]]
-    return None
 
 
 @lru_cache(maxsize=None)
@@ -205,8 +176,9 @@ def invariants(sw: Sandwich) -> InvariantReport:
     order = grp.order
     g_f = genus(sw.cover_f)
     g_d = genus(sw.cover_d)
+    # Sections of the canonical sheaf, counted through matching eigenspaces.
     support = _pairing_dims(sw)
-    p_g = _sections(support)
+    p_g = sum(df * dd for _, df, dd in support)
     q = irregularity(sw)
     chi = 1 - q + p_g
     sing = singular_locus(sw)
@@ -243,7 +215,11 @@ def invariants(sw: Sandwich) -> InvariantReport:
         if chi * order != (g_f - 1) * (g_d - 1) + t_z // 4:
             raise InternalConsistencyError("nodal shortcut for chi failed")
 
-    canonical = None if p_g < 2 else _pencil_character(grp, support)
+    # A canonical pencil with fiber F: one character carries the whole
+    # canonical system, with a 1-dimensional eigenspace on F.
+    canonical = None
+    if p_g >= 2 and len(support) == 1 and support[0][1] == 1:
+        canonical = grp.elements()[support[0][0]]
 
     if canonical is not None and p_g >= 11:
         a = sw.cover_f.base_genus

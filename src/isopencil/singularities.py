@@ -11,7 +11,6 @@ __all__ = [
     "canonical_type",
     "discrepancies",
     "hj_expansion",
-    "hj_value",
     "k2_correction",
 ]
 
@@ -34,16 +33,6 @@ def hj_expansion(n: int, q: int) -> list[int]:
         out.append(b)
         n, q = q, b * q - n
     return out
-
-
-def hj_value(string: list[int]) -> Fraction:
-    """The fraction a string expands, inverse to hj_expansion."""
-    value = Fraction(0)
-    for b in reversed(string):
-        if not isinstance(b, int) or b < 2:
-            raise InvalidInputError(f"string entries must be integers >= 2, got {b!r}")
-        value = Fraction(b) - (1 / value if value else 0)
-    return value
 
 
 def discrepancies(n: int, q: int) -> list[Fraction]:

@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+import oracle
 from conftest import (
     check_carry_relation,
     check_discrepancy_interval,
@@ -46,7 +47,7 @@ def bounded_orders(row):
     orders = []
     for e, m in last.items():
         if first.get(e) == m:
-            orders.extend([group.element_order(e)] * m)
+            orders.extend([oracle.order(group, e)] * m)
     return tuple(sorted(orders))
 
 
@@ -123,7 +124,7 @@ def test_criterion_03_rational_base_trio_matches_with_one_flagged_degree():
             m = member.p_g + 1
             grp = member.cover_f.group
             degrees = dict(member.cover_d.branch)
-            got = sorted(degrees.get(e, 0) for e in grp.elements() if e != grp.identity)
+            got = sorted(degrees.get(e, 0) for e in grp.elements()[1:])
             assert got == sorted(expected(m))
 
 

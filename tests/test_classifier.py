@@ -9,6 +9,7 @@ from operator import mul
 
 import pytest
 
+import oracle
 from isopencil import classifier, groups
 from isopencil.atlas import _actions_cell, abelian_groups_up_to
 from isopencil.classifier import (
@@ -34,7 +35,7 @@ from isopencil.errors import (
     InvalidInputError,
 )
 from isopencil.groups import make_group
-from isopencil.sandwich import canonical_character, geometric_genus, invariants, make_sandwich
+from isopencil.sandwich import invariants, make_sandwich
 
 
 def rows_for(factors, genus_f, a, b, pg=(3, 8)):
@@ -108,9 +109,9 @@ def _requirements(witness, chi0, b, degree):
     """The degree requirements classify_cell builds for one witness and character."""
     group = witness.group
     profile = eigen_profile(witness)
-    support = sorted(chi for chi, dim in profile.items() if dim and chi != group.identity)
-    fixed = [(group.neg(chi), 1 - b) for chi in support if chi != chi0]
-    return fixed + [(group.neg(chi0), degree)]
+    support = sorted(chi for chi, dim in profile.items() if dim and chi != oracle.zero(group))
+    fixed = [(oracle.neg(group, chi), 1 - b) for chi in support if chi != chi0]
+    return fixed + [(oracle.neg(group, chi0), degree)]
 
 
 def _indexed(group, requirements):
@@ -120,8 +121,8 @@ def _indexed(group, requirements):
 
 def _box_solutions(group, requirements):
     """Every vector in the box d_e <= budget/coef meeting all degrees, in product order."""
-    nonzero = [e for e in group.elements() if e != group.identity]
-    cols = [[group.pair_num(chi, e) for e in nonzero] for chi, _ in requirements]
+    nonzero = group.elements()[1:]
+    cols = [[oracle.pair_num(group, chi, e) for e in nonzero] for chi, _ in requirements]
     budgets = [deg * group.exponent for _, deg in requirements]
     caps = [
         min(budget // col[i] for col, budget in zip(cols, budgets) if col[i])
@@ -152,7 +153,7 @@ def test_branch_solutions_match_a_brute_force_box(factors, branch, chars, degree
     witness = make_cover(group, 0, branch)
     profile = eigen_profile(witness)
     if chars is None:
-        chars = [chi for chi, dim in sorted(profile.items()) if dim == 1 and chi != group.identity]
+        chars = [chi for chi, dim in sorted(profile.items()) if dim == 1 and chi != oracle.zero(group)]
     assert chars
     checked = 0
     for chi0 in chars:
@@ -190,19 +191,11 @@ def _quotient_is_cyclic(cover):
     """Brute force: some g has order |G/Omega| modulo Omega, the subgroup the
     branch elements span, closed under coordinate sums."""
     group = cover.group
-    fs = group.factors
-    omega = {group.identity}
-    while True:
-        bigger = omega | {
-            tuple((a + b) % n for a, b, n in zip(x, e, fs)) for x in omega for e, _ in cover.branch
-        }
-        if bigger == omega:
-            break
-        omega = bigger
+    omega = oracle.span(group, [e for e, _ in cover.branch])
     index = group.order // len(omega)
     for g in group.elements():
         k = 1
-        while tuple(k * a % n for a, n in zip(g, fs)) not in omega:
+        while oracle.scale(group, k, g) not in omega:
             k += 1
         if k == index:
             return True
@@ -363,7 +356,7 @@ def bounded_orders(row):
     orders = []
     for e, m in last.items():
         if first.get(e) == m:
-            orders.extend([group.element_order(e)] * m)
+            orders.extend([oracle.order(group, e)] * m)
     return tuple(sorted(orders))
 
 
@@ -426,7 +419,7 @@ def test_search_is_complete_within_a_box():
 
     expected = {indexed(s.chi0, s.cover_d.branch) for s in sols}
     found = set()
-    elems = sorted(e for e in group.elements() if e != group.identity)
+    elems = sorted(group.elements()[1:])
     for d1 in range(13):
         for d2 in range(13):
             for d3 in range(13):
@@ -467,8 +460,10 @@ def test_every_search_cell_matches_a_brute_force_over_small_second_curves():
             for cover_f in enumerate_covers(group, a, genus=genus_f, up_to_aut=True):
                 for cover_d in curves_d[factors, b]:
                     sw = make_sandwich(cover_f, cover_d)
-                    if pg[0] <= geometric_genus(sw) <= pg[1] and canonical_character(sw) is not None:
+                    p_g, chi = oracle.pencil(sw)
+                    if pg[0] <= p_g <= pg[1] and chi is not None:
                         r = invariants(sw)
+                        assert (r.p_g, r.canonical_character) == (p_g, chi)
                         found.add((r.p_g, genus(cover_d), r.K2, r.t_z, r.euler_e))
             expected = {
                 (s.p_g, s.genus_d, s.report.K2, s.report.t_z, s.report.euler_e)
@@ -605,22 +600,20 @@ def _per_solution_bucket_key(group, sol):
     index at the end."""
     profile_f = eigen_profile(sol.cover_f)
     constraint_chars = [
-        group.neg(chi)
+        oracle.neg(group, chi)
         for chi, dim in sorted(profile_f.items())
-        if dim and chi not in (group.identity, sol.chi0)
+        if dim and chi not in (oracle.zero(group), sol.chi0)
     ]
-    target = group.neg(sol.chi0)
+    target = oracle.neg(group, sol.chi0)
     branch = dict(sol.cover_d.branch)
     bounded = []
     residues = []
-    for e in group.elements():
-        if e == group.identity:
-            continue
-        if any(group.pair_num(chi, e) for chi in constraint_chars):
+    for e in group.elements()[1:]:
+        if any(oracle.pair_num(group, chi, e) for chi in constraint_chars):
             if branch.get(e):
                 bounded.append((group.index[e], branch[e]))
         else:
-            step = group.exponent // gcd(group.exponent, group.pair_num(target, e))
+            step = group.exponent // gcd(group.exponent, oracle.pair_num(group, target, e))
             residues.append((group.index[e], branch.get(e, 0) % step))
     return (
         sol.cover_f.branch_ix, sol.cover_f.twist_ix, sol.chi0, tuple(bounded), tuple(residues)

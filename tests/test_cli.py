@@ -15,7 +15,7 @@ from isopencil.compare import compare_with_reference
 from isopencil.covers import make_cover
 from isopencil.errors import InternalConsistencyError
 from isopencil.groups import make_group
-from isopencil.reference_tables import family_reference
+from isopencil.reference_tables import family_reference, family_table_ids
 from isopencil.sandwich import make_sandwich
 from isopencil.specfile import parse_sandwich, sandwich_record
 
@@ -175,6 +175,18 @@ def test_invalid_inputs_exit_one(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("table", ["nope", "tabelladue"])
+def test_classify_checks_the_compare_table_before_searching(capsys, monkeypatch, table):
+    # tabelladue is an atlas table, not a family table.
+    def searched(*args, **kwargs):
+        raise AssertionError("the search ran before the table id was checked")
+
+    monkeypatch.setattr(cli, "classify_cells", searched)
+    code, out, err = run(capsys, "classify", "--genus-f", "2", "--group", "all", "--pg", "3..60", "--compare", table)
+    known = ", ".join(family_table_ids())
+    assert (code, out, err) == (1, "", f"error: unknown family table {table!r}; known ids: {known}\n")
 
 
 def test_consistency_failures_exit_two(capsys, monkeypatch):

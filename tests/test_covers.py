@@ -4,18 +4,17 @@ import inspect
 import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from math import gcd, lcm
 
 import pytest
 
+import oracle
+from conftest import degrees_from_dims
 from isopencil import classifier as classifier_module
 from isopencil import covers as covers_module
 from isopencil.atlas import abelian_groups_up_to
 from isopencil.covers import (
     CoverData,
-    bundle_degree,
     canonical_cover_form,
-    eigen_dim,
     eigen_profile,
     enumerate_covers,
     genus,
@@ -91,18 +90,20 @@ def test_make_cover_free_elliptic():
 
 def test_bundle_degree_examples():
     c = make_cover(Z22, 0, {(1, 0): 2, (0, 1): 8})
-    assert bundle_degree(c, (0, 1)) == 4
-    assert bundle_degree(c, (0, 0)) == 0
+    assert degrees_from_dims(c)[(0, 1)] == oracle.bundle_degree(c, (0, 1)) == 4
+    assert degrees_from_dims(c)[(0, 0)] == oracle.bundle_degree(c, (0, 0)) == 0
 
     f = make_cover(Z28, 0, {(0, 7): 1, (1, 4): 1, (1, 5): 1})
-    assert bundle_degree(f, (0, 1)) == 2
+    assert degrees_from_dims(f)[(0, 1)] == oracle.bundle_degree(f, (0, 1)) == 2
 
 
 def test_eigen_dims_z2z8_action():
     f = make_cover(Z28, 0, {(0, 7): 1, (1, 4): 1, (1, 5): 1})
-    support = {chi for chi in Z28.elements() if eigen_dim(f, chi) > 0}
+    dims = eigen_profile(f)
+    assert dims == oracle.eigen_profile(f)
+    support = {chi for chi in Z28.elements() if dims[chi] > 0}
     assert support == {(0, 1), (0, 3), (1, 2)}
-    assert all(eigen_dim(f, chi) == 1 for chi in support)
+    assert all(dims[chi] == 1 for chi in support)
     assert genus(f) == 3
 
 
@@ -118,9 +119,21 @@ def test_eigen_dims_elliptic_base():
 
 def test_eigen_dim_trivial_character_is_base_genus():
     c = make_cover(Z22, 1, {(1, 1): 2}, twist=((1, 0), (0, 0)))
-    assert eigen_dim(c, (0, 0)) == 1
+    assert eigen_profile(c)[(0, 0)] == oracle.eigen_dim(c, (0, 0)) == 1
     h = make_cover(Z2, 0, {(1,): 6})
-    assert eigen_dim(h, (0,)) == 0
+    assert eigen_profile(h)[(0,)] == oracle.eigen_dim(h, (0,)) == 0
+
+
+def test_a_profile_of_unchecked_data_that_breaks_chevalley_weil_raises():
+    # Neither can come out of make_cover: a branch that does not close, and
+    # a rational-base branch that does not generate, so that a nontrivial
+    # character has a degree-0 bundle.
+    open_branch = CoverData(Z22, 0, ((Z22.index[(1, 0)], 1), (Z22.index[(0, 1)], 1)), ())
+    with pytest.raises(InternalConsistencyError, match="not integral"):
+        open_branch._dims
+    disconnected = CoverData(Z22, 0, ((Z22.index[(1, 0)], 2),), ())
+    with pytest.raises(InternalConsistencyError, match="degree-0 bundle"):
+        disconnected._dims
 
 
 def test_genus_examples():
@@ -136,12 +149,12 @@ def test_profile_sums_to_genus():
 
 def test_cached_profile_matches_the_per_character_route(random_covers):
     for c in random_covers:
-        assert eigen_profile(c) == {chi: eigen_dim(c, chi) for chi in c.group.elements()}
+        assert eigen_profile(c) == {chi: oracle.eigen_dim(c, chi) for chi in c.group.elements()}
         assert genus(c) == genus_rh(c)
     c = random_covers[0]
     first = eigen_profile(c)
     expected = dict(first)
-    first[c.group.identity] += 1
+    first[oracle.zero(c.group)] += 1
     first.clear()
     assert eigen_profile(c) == expected
 
@@ -152,7 +165,7 @@ def _fraction_genus_rh(cover):
     n = g.order
     total = Fraction(1 + n * (cover.base_genus - 1))
     for e, m in cover.branch:
-        o = lcm(*(k // gcd(a, k) for a, k in zip(e, g.factors)))
+        o = oracle.order(g, e)
         total += Fraction(n, 2) * m * Fraction(o - 1, o)
     return total
 
@@ -181,16 +194,20 @@ def test_genus_check_fires_and_keeps_nothing_on_a_mismatch():
 def test_pardini_carry_on_one_cover():
     c = make_cover(Z22, 0, {(1, 0): 1, (0, 1): 1, (1, 1): 3})
     g = c.group
+    degrees = degrees_from_dims(c)
     for chi in g.elements():
         for psi in g.elements():
             carry = 0
             for h, mult in c.branch:
-                o = g.element_order(h)
-                # <x, h> = a/o with a = pair_num(x, h) * o // exponent in [0, o)
-                if sum(g.pair_num(x, h) * o // g.exponent for x in (chi, psi)) >= o:
+                o = oracle.order(g, h)
+                # <x, h> = a/o with a in [0, o)
+                if sum(oracle.pairing(g, x, h) * o for x in (chi, psi)) >= o:
                     carry += mult
-            lhs = bundle_degree(c, chi) + bundle_degree(c, psi) - bundle_degree(c, g.add(chi, psi))
+            lhs = degrees[chi] + degrees[psi] - degrees[oracle.add(g, chi, psi)]
             assert lhs == carry
+            assert lhs == oracle.bundle_degree(c, chi) + oracle.bundle_degree(c, psi) - oracle.bundle_degree(
+                c, oracle.add(g, chi, psi)
+            )
 
 
 def test_enumerate_covers_z3_genus2():
@@ -241,7 +258,7 @@ def test_make_cover_validates_every_element_but_the_groups_own_tuples():
 
 def _reference_make_cover(group, base_genus, branch, twist):
     """make_cover written the old way: validate every element, add the branch
-    sum with group.add, test generation by the spanned subgroup."""
+    sum by coordinates, test generation by the spanned subgroup."""
     if not isinstance(base_genus, int) or isinstance(base_genus, bool) or base_genus < 0:
         raise InvalidInputError("base genus")
     merged = {}
@@ -252,21 +269,21 @@ def _reference_make_cover(group, base_genus, branch, twist):
             raise InvalidInputError("multiplicity")
         if mult == 0:
             continue
-        if e == group.identity:
+        if e == oracle.zero(group):
             raise InvalidInputError("identity")
         merged[e] = merged.get(e, 0) + mult
         points += mult
     twist_t = tuple(group.validate(t) for t in twist)
     if len(twist_t) != 2 * base_genus:
         raise InvalidInputError("twist length")
-    total = group.identity
+    total = oracle.zero(group)
     for e, m in merged.items():
-        total = group.add(total, group.scale(m, e))
-    if total != group.identity:
+        total = oracle.add(group, total, oracle.scale(group, m, e))
+    if total != oracle.zero(group):
         raise InvalidMonodromyError("sum")
     if base_genus == 0 and group.order > 1 and points < 2:
         raise InvalidMonodromyError("two points")
-    if group.subgroup(list(merged) + list(twist_t)) != frozenset(group.elements()):
+    if oracle.span(group, list(merged) + list(twist_t)) != frozenset(group.elements()):
         raise DisconnectedCoverError("generation")
     return tuple(sorted(merged.items())), twist_t
 
@@ -325,7 +342,7 @@ def test_make_cover_matches_the_element_reference_on_a_bounded_box():
                         assert (got.branch, got.twist) == expected, args
                         built += 1
                         assert "_dims" in got.__dict__  # recorded by make_cover
-                        assert got._dims == tuple(eigen_dim(got, chi) for chi in els)
+                        assert got._dims == tuple(oracle.eigen_dim(got, chi) for chi in els)
                         assert genus(got) == genus_rh(got)
                         direct = CoverData(group, base_genus, got.branch_ix, got.twist_ix)
                         assert "_dims" not in direct.__dict__
@@ -368,20 +385,12 @@ def test_enumerate_covers_elliptic_base_with_twists():
 
 def _reference_form(cover):
     """Smallest (branch, twist) over Aut(G), by coordinate arithmetic on alpha.images."""
-    grp = cover.group
-
-    def image(alpha, g):
-        out = grp.identity
-        for coeff, img in zip(g, alpha.images):
-            out = grp.add(out, grp.scale(coeff, img))
-        return out
-
     return min(
         (
-            tuple(sorted((image(alpha, e), m) for e, m in cover.branch)),
-            tuple(image(alpha, t) for t in cover.twist),
+            tuple(sorted((oracle.apply(alpha, e), m) for e, m in cover.branch)),
+            tuple(oracle.apply(alpha, t) for t in cover.twist),
         )
-        for alpha in grp.automorphisms()
+        for alpha in cover.group.automorphisms()
     )
 
 
@@ -420,13 +429,7 @@ def _dict_route_orbit(cover):
     if tables is None:
         tables = _DICT_TABLES[grp.factors] = []
         for alpha in grp.automorphisms():
-            table = {}
-            for g in grp.elements():
-                image = grp.identity
-                for coeff, img in zip(g, alpha.images):
-                    image = grp.add(image, grp.scale(coeff, img))
-                table[g] = image
-            tables.append(table)
+            tables.append({g: oracle.apply(alpha, g) for g in grp.elements()})
     return {
         (tuple(sorted((table[e], m) for e, m in cover.branch)), tuple(table[t] for t in cover.twist))
         for table in tables
@@ -470,9 +473,9 @@ def test_cover_data_is_hashable_and_frozen():
 
 def _brute_force_covers(group, base_genus, genus=None, max_branch_points=None):
     """Every weight-feasible multiplicity vector times every twist, through make_cover."""
-    nonzero = [e for e in group.elements() if e != group.identity]
+    nonzero = group.elements()[1:]
     m_exp = group.exponent
-    weights = [m_exp - m_exp // group.element_order(e) for e in nonzero]
+    weights = [m_exp - m_exp // oracle.order(group, e) for e in nonzero]
     target = None
     if genus is not None:
         weight = Fraction(2 * (genus - 1 - group.order * (base_genus - 1)), group.order) * m_exp
@@ -538,10 +541,10 @@ def test_enumerator_only_builds_closed_branch_vectors(monkeypatch):
     built = []
 
     def closed_make_cover(group, base_genus, branch, twist=()):
-        total = group.identity
+        total = oracle.zero(group)
         for e, m in branch:
-            total = group.add(total, group.scale(m, group.elements()[e]))
-        assert total == group.identity, f"branch {branch} sums to {total}"
+            total = oracle.add(group, total, oracle.scale(group, m, group.elements()[e]))
+        assert total == oracle.zero(group), f"branch {branch} sums to {total}"
         built.append(branch)
         return make_cover(group, base_genus, branch, twist)
 
@@ -626,14 +629,15 @@ def _completions(group, base_genus):
     els = group.elements()
     nonzero = els[1:]
     m_exp = group.exponent
-    weights = [m_exp - m_exp // group.element_order(e) for e in nonzero]
+    weights = [m_exp - m_exp // oracle.order(group, e) for e in nonzero]
+    zero = oracle.zero(group)
     memo = {}
 
     def search(k, total, rest, left, span):
         key = (k, total, rest, left, span)
         if key not in memo:
             if k == len(nonzero):
-                closes = int(total == group.identity and rest in (None, 0))
+                closes = int(total == zero and rest in (None, 0))
                 memo[key] = (closes, closes if base_genus > 0 or len(span) == group.order else 0)
             else:
                 closing = connected = 0
@@ -641,10 +645,10 @@ def _completions(group, base_genus):
                 while m <= left and (rest is None or m * weights[k] <= rest):
                     below = search(
                         k + 1,
-                        group.add(total, group.scale(m, nonzero[k])),
+                        oracle.add(group, total, oracle.scale(group, m, nonzero[k])),
                         None if rest is None else rest - m * weights[k],
                         left - m,
-                        span if m == 0 or nonzero[k] in span else group.subgroup([*span, nonzero[k]]),
+                        span if m == 0 or nonzero[k] in span else oracle.span(group, [*span, nonzero[k]]),
                     )
                     closing += below[0]
                     connected += below[1]
@@ -653,7 +657,7 @@ def _completions(group, base_genus):
         return memo[key]
 
     def count(i, s, remaining, count_left, path):
-        return search(i, els[s], remaining, count_left, group.subgroup(path))
+        return search(i, els[s], remaining, count_left, oracle.span(group, path))
 
     return count
 
@@ -679,8 +683,8 @@ def _degree_completions(group, fixed, target, goal):
                 e = nonzero[k]
                 total = m = 0
                 while True:
-                    left = tuple(r - m * group.pair_num(chi, e) for r, chi in zip(remaining, chars))
-                    u = used + m * group.pair_num(target, e)
+                    left = tuple(r - m * oracle.pair_num(group, chi, e) for r, chi in zip(remaining, chars))
+                    u = used + m * oracle.pair_num(group, target, e)
                     if min(left, default=0) < 0 or u > goal[-1]:
                         break
                     total += count(k + 1, left, u)

@@ -1,0 +1,50 @@
+"""Every exported name, and every function the benchmark tracer wraps, resolves."""
+
+from __future__ import annotations
+
+import importlib
+import pkgutil
+import sys
+from importlib.util import module_from_spec, spec_from_file_location
+from pathlib import Path
+
+import pytest
+
+import isopencil
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+MODULES = ["isopencil"] + [f"isopencil.{info.name}" for info in pkgutil.iter_modules(isopencil.__path__)]
+
+
+def _resolve(module_name: str, path: str):
+    obj = importlib.import_module(module_name)
+    for part in path.split("."):
+        obj = getattr(obj, part)
+    return obj
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_every_name_in_all_resolves(module_name):
+    module = importlib.import_module(module_name)
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def test_every_tracer_target_resolves(monkeypatch):
+    # The tracer is only loaded, never installed, and no bytecode is written
+    # beside it.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = [(module, path) for module, path, *_ in tracer.SPANS + tracer.COUNTS] + [tracer.ENUMERATE]
+    assert len(targets) >= 30
+    unresolved = []
+    for module_name, path in targets:
+        try:
+            _resolve(module_name, path)
+        except AttributeError:
+            unresolved.append((module_name, path))
+    assert unresolved == []
+    for module_name in tracer._MODULES:
+        importlib.import_module(module_name)

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracle
 from isopencil.atlas import abelian_groups_up_to
 from isopencil.errors import CapabilityError, InvalidInputError
 from isopencil.groups import (
@@ -52,9 +53,10 @@ def test_element_validation():
 
 def test_element_order():
     g = make_group([2, 8])
-    assert g.element_order((1, 4)) == 2
-    assert g.element_order((1, 5)) == 8
-    assert make_group([2, 2]).element_order((0, 0)) == 1
+    assert g.orders[g.index[(1, 4)]] == oracle.order(g, (1, 4)) == 2
+    assert g.orders[g.index[(1, 5)]] == oracle.order(g, (1, 5)) == 8
+    k = make_group([2, 2])
+    assert k.orders[k.index[(0, 0)]] == oracle.order(k, (0, 0)) == 1
 
 
 def test_generates():
@@ -71,29 +73,32 @@ def test_generates():
 
 def test_pairing_values():
     g = make_group([2, 8])
-    assert g.pairing((0, 1), (0, 7)) == Fraction(7, 8)
-    assert g.pairing((1, 0), (1, 4)) == Fraction(1, 2)
-    assert g.pairing((0, 0), (1, 1)) == 0
+
+    def table(chi, x):
+        return Fraction(g.pairing_row(g.index[x])[g.index[chi]], g.exponent)
+
+    for chi, x, value in [((0, 1), (0, 7), Fraction(7, 8)), ((1, 0), (1, 4), Fraction(1, 2)), ((0, 0), (1, 1), 0)]:
+        assert table(chi, x) == oracle.pairing(g, chi, x) == value
 
 
 def test_pairing_bilinear_small():
     for factors in ([2, 2], [4], [2, 4], [3, 3]):
         g = make_group(factors)
-        els = g.elements()
-        for chi in els:
-            for x in els:
-                for y in els:
-                    lhs = g.pairing(chi, g.add(x, y))
-                    rhs = (g.pairing(chi, x) + g.pairing(chi, y)) % 1
+        rows = [g.pairing_row(i) for i in range(g.order)]
+        for chi in range(g.order):
+            for x in range(g.order):
+                for y in range(g.order):
+                    lhs = rows[g.add_row(y)[x]][chi]
+                    rhs = (rows[x][chi] + rows[y][chi]) % g.exponent
                     assert lhs == rhs
 
 
 def test_pairing_nondegenerate():
     g = make_group([2, 8])
-    trivial = [
-        chi for chi in g.elements() if all(g.pairing(chi, x) == 0 for x in g.elements())
-    ]
-    assert trivial == [(0, 0)]
+    rows = [g.pairing_row(i) for i in range(g.order)]
+    trivial = [chi for chi in range(g.order) if not any(row[chi] for row in rows)]
+    assert trivial == [0] and g.elements()[0] == (0, 0)
+    assert g.common_kernel(range(g.order)) == 1
 
 
 def test_automorphism_counts():
@@ -111,7 +116,7 @@ def test_automorphisms_are_bijective_homomorphisms():
         assert len(seen) == g.order
         for x in g.elements():
             for y in g.elements():
-                assert alpha.apply(g.add(x, y)) == g.add(alpha.apply(x), alpha.apply(y))
+                assert alpha.apply(oracle.add(g, x, y)) == oracle.add(g, alpha.apply(x), alpha.apply(y))
 
 
 def test_automorphism_character_action_compatible():
@@ -120,7 +125,7 @@ def test_automorphism_character_action_compatible():
         for chi in g.elements():
             pulled = alpha.apply_char(chi)
             for x in g.elements():
-                assert g.pairing(chi, alpha.apply(x)) == g.pairing(pulled, x)
+                assert oracle.pairing(g, chi, alpha.apply(x)) == oracle.pairing(g, pulled, x)
 
 
 @pytest.mark.parametrize(
@@ -131,7 +136,6 @@ def test_automorphism_character_action_compatible():
 def test_automorphism_tables_match_coordinate_formulas(factors):
     g = make_group(factors)
     els = g.elements()
-    fs = g.factors
     auts = g.automorphisms()
     assert len(auts) == g.automorphism_count()
     if len(auts) > 2000:  # (2,2,2,2): a fixed sample keeps the test fast
@@ -139,10 +143,8 @@ def test_automorphism_tables_match_coordinate_formulas(factors):
     for alpha in auts:
         assert len(alpha.perm) == len(alpha.char_perm) == g.order
         for x, image_index, pulled_index in zip(els, alpha.perm, alpha.char_perm):
-            image = tuple(sum(c * img[j] for c, img in zip(x, alpha.images)) % n for j, n in enumerate(fs))
-            pulled = tuple(g.pair_num(x, img) * n // g.exponent for img, n in zip(alpha.images, fs))
-            assert alpha.apply(x) == els[image_index] == image
-            assert alpha.apply_char(x) == els[pulled_index] == pulled
+            assert alpha.apply(x) == els[image_index] == oracle.apply(alpha, x)
+            assert alpha.apply_char(x) == els[pulled_index] == oracle.apply_char(alpha, x)
         assert sorted(alpha.perm) == sorted(alpha.char_perm) == list(range(g.order))
         # The public constructor derives both permutations from the images alone.
         rebuilt = Automorphism(g, alpha.images)
@@ -178,10 +180,7 @@ def test_image_matches_the_coordinate_route(factors):
     els, index = g.elements(), g.index
     everything = [(i, g.order - i) for i in reversed(range(g.order))]
     for alpha in g.automorphisms():
-        moved = [
-            index[tuple(sum(c * img[j] for c, img in zip(x, alpha.images)) % n for j, n in enumerate(factors))]
-            for x in els
-        ]
+        moved = [index[oracle.apply(alpha, x)] for x in els]
         for pairs in (everything, everything[::3], []):
             assert image(alpha.perm, pairs) == tuple(sorted((moved[i], v) for i, v in pairs))
 
@@ -214,7 +213,7 @@ def _closure_automorphism_images(g):
     fs = g.factors
     if not fs:
         return [()]
-    candidates = [[x for x in g.elements() if g.scale(n, x) == g.identity] for n in fs]
+    candidates = [[x for x in g.elements() if oracle.scale(g, n, x) == oracle.zero(g)] for n in fs]
     tail_bound = [math.prod(fs[i:]) for i in range(len(fs))] + [1]
     found = []
 
@@ -225,11 +224,11 @@ def _closure_automorphism_images(g):
                 found.append(tuple(chosen))
             return
         for x in candidates[i]:
-            new_span = span if x in span else g.subgroup(chosen + [x])
+            new_span = span if x in span else oracle.span(g, chosen + [x])
             if len(new_span) * tail_bound[i + 1] >= g.order:
                 extend(chosen + [x], new_span)
 
-    extend([], frozenset({g.identity}))
+    extend([], oracle.span(g, []))
     return found
 
 
@@ -304,21 +303,6 @@ def test_element_serialization_round_trip():
         g.validate("nope")
 
 
-def _coordinate_closure(g, elems):
-    """The subgroup generated by elems, closed by coordinate addition of multiples."""
-    span = {g.identity}
-    for x in elems:
-        if x in span:
-            continue
-        multiples = []
-        m = x
-        while m != g.identity:
-            multiples.append(m)
-            m = g.add(m, x)
-        span |= {g.add(s, m) for s in span for m in multiples}
-    return frozenset(span)
-
-
 @pytest.mark.parametrize(
     "factors",
     [g.factors for g in abelian_groups_up_to(16)],
@@ -330,21 +314,23 @@ def test_index_subgroup_matches_the_coordinate_closure(factors):
     els = g.elements()
     assert [g.index[x] for x in els] == list(range(g.order))
     for i, x in enumerate(els):
-        assert [els[j] for j in g.add_row(i)] == [g.add(y, x) for y in els]
+        assert [els[j] for j in g.add_row(i)] == [oracle.add(g, y, x) for y in els]
         assert g.kernel_mask(i) == sum(1 << j for j, v in enumerate(g.pairing_row(i)) if v == 0)
-    sets = [[], [g.identity], list(els)]
+    zero = oracle.zero(g)
+    sets = [[], [zero], list(els)]
     for _ in range(40):
         gens = [rng.choice(els) for _ in range(rng.randrange(4))]
         if rng.random() < 0.3:
-            gens.append(g.identity)
+            gens.append(zero)
         sets.append(gens)
     for gens in sets:
-        span = _coordinate_closure(g, gens)
-        assert g.subgroup(gens) == span
+        span = oracle.span(g, gens)
+        assert frozenset(els[i] for i in g._span([g.index[x] for x in gens])) == span
         assert g.generates([g.index[x] for x in gens]) == (len(span) == g.order)
         assert g.generates([g.index[tuple(list(x))] for x in gens]) == g.generates([g.index[x] for x in gens])
     for x in els:
-        assert g.subgroup([x]) == _coordinate_closure(g, [x])
+        # One generator's span lists its multiples in order, as _point_type reads them.
+        assert [els[i] for i in g._span([g.index[x]])] == oracle.multiples(g, x)
 
 
 @pytest.mark.parametrize(
@@ -357,7 +343,7 @@ def test_add_rows_match_the_coordinate_sum(factors):
     els = g.elements()
     for i, x in enumerate(els):
         row = g.add_row(i)
-        assert row == tuple(g.index[g.add(y, x)] for y in els)
+        assert row == tuple(g.index[oracle.add(g, y, x)] for y in els)
         assert g.add_row(i) is row
 
 
@@ -411,11 +397,22 @@ def test_covers_built_before_and_after_a_new_make_group_are_equal():
     ids=lambda factors: ",".join(map(str, factors)) or "trivial",
 )
 def test_lookup_tables_match_the_coordinate_formulas(factors):
-    g = make_group(factors)
-    els = g.elements()
-    for i, x in enumerate(els):
-        multiples = _coordinate_closure(g, [x])
-        assert g.orders[i] == g.element_order(x) == len(multiples)
-        neg = tuple((-a) % n for a, n in zip(x, factors))
-        assert els[g.neg_index[i]] == g.neg(x) == neg
-        assert g.pairing_row(i) == tuple(g.pair_num(chi, x) for chi in els)
+    oracle.check_tables(make_group(factors))
+
+
+@pytest.mark.parametrize("table", ["orders", "neg_index"])
+def test_one_wrong_table_entry_fails_the_coordinate_check(monkeypatch, table):
+    # Groups are interned, so the wrong table is set through monkeypatch,
+    # which puts the right one back for every later test.
+    g = make_group([2, 4])
+    oracle.check_tables(g)
+    good = getattr(g, table)
+    for i in (1, g.order - 1):
+        bad = list(good)
+        bad[i] = good[0]  # the identity's order, or the index of -0
+        monkeypatch.setitem(g.__dict__, table, tuple(bad))
+        with pytest.raises(AssertionError):
+            oracle.check_tables(g)
+    monkeypatch.undo()
+    assert getattr(g, table) is good
+    oracle.check_tables(g)

@@ -7,16 +7,15 @@ from math import gcd
 
 import pytest
 
+import oracle
 from isopencil import sandwich
 from isopencil.atlas import abelian_groups_up_to
 from isopencil.covers import CoverData, eigen_profile, genus, make_cover
-from isopencil.errors import InvalidInputError, NotApplicableError
+from isopencil.errors import InvalidInputError
 from isopencil.groups import make_group
 from isopencil.sandwich import (
     InvariantReport,
     SingularClass,
-    canonical_character,
-    geometric_genus,
     invariants,
     irregularity,
     make_sandwich,
@@ -139,13 +138,13 @@ def test_two_hyperelliptic_halves():
     g = make_group([2])
     f = make_cover(g, 0, {(1,): 6})
     sw = make_sandwich(f, f)
-    assert geometric_genus(sw) == 4
     rep = invariants(sw)
     assert (rep.p_g, rep.q, rep.chi) == (4, 0, 5)
     assert (rep.euler_e, rep.K2, rep.t_z) == (56, 4, 36)
     assert rep.sing == (SingularClass(2, 1, 36, 36),)
     # A single character carries all sections but with a 2-dimensional half.
-    assert canonical_character(sw) is None
+    assert rep.canonical_character is None
+    assert oracle.pencil(sw) == (4, None)
 
 
 def test_irregular_pair_over_elliptic_bases():
@@ -166,10 +165,10 @@ def test_canonical_character_needs_two_sections():
     f = make_cover(g, 0, {(1, 0): 1, (0, 1): 1, (1, 1): 3})
     d = make_cover(g, 0, {(0, 1): 1, (1, 1): 1, (1, 0): 3})
     sw = make_sandwich(f, d)
-    assert geometric_genus(sw) == 1
-    with pytest.raises(NotApplicableError):
-        canonical_character(sw)
-    assert invariants(sw).canonical_character is None
+    rep = invariants(sw)
+    # One character carries the one section, with a 1-dimensional half on F.
+    assert oracle.eigen_profile(f)[(1, 0)] == oracle.eigen_profile(d)[(1, 0)] == 1
+    assert (rep.p_g, rep.canonical_character) == oracle.pencil(sw) == (1, None)
 
 
 def test_swap_keeps_numbers_but_not_orientation():
@@ -195,9 +194,9 @@ def test_profiles_feed_geometric_genus():
     pd = eigen_profile(sw.cover_d)
     g = sw.cover_f.group
     expected = sum(
-        pf.get(chi, 0) * pd.get(g.neg(chi), 0) for chi in g.elements()
+        pf.get(chi, 0) * pd.get(oracle.neg(g, chi), 0) for chi in g.elements()
     )
-    assert geometric_genus(sw) == expected == 3
+    assert invariants(sw).p_g == oracle.pencil(sw)[0] == expected == 3
 
 
 def test_random_pairs_stay_within_the_bmy_bound(random_covers):
@@ -227,19 +226,7 @@ def test_invariants_builds_the_pairing_list_once(monkeypatch):
         calls.clear()
         report = invariants(sw)
         assert len(calls) == 1
-        assert report.p_g == geometric_genus(sw)
-        if report.p_g >= 2:
-            assert report.canonical_character == canonical_character(sw)
-
-
-def _coordinate_multiples(g, h):
-    """[0*h, 1*h, ..., (o-1)*h] by coordinate addition."""
-    out = [g.identity]
-    m = h
-    while m != g.identity:
-        out.append(m)
-        m = g.add(m, h)
-    return out
+        assert (report.p_g, report.canonical_character) == oracle.pencil(sw)
 
 
 def _oracle_point(g, h1, h2):
@@ -247,8 +234,8 @@ def _oracle_point(g, h1, h2):
 
     Returns (n, canonical (n, q), |G|/o1 * |G|/o2), or None when n == 1.
     """
-    mult1 = _coordinate_multiples(g, h1)
-    mult2 = _coordinate_multiples(g, h2)
+    mult1 = oracle.multiples(g, h1)
+    mult2 = oracle.multiples(g, h2)
     o1, o2 = len(mult1), len(mult2)
     n = len(set(mult1) & set(mult2))
     if n == 1:
@@ -288,7 +275,7 @@ def test_point_type_table_matches_the_per_pair_oracle(factors):
     sandwich._point_type.cache_clear()
     g = make_group(factors)
     els, index = g.elements(), g.index
-    nonzero = [e for e in els if e != g.identity]
+    nonzero = els[1:]
     # Every ordered pair at once: singular_locus fills the cache from both branches.
     every = CoverData(g, 0, tuple((index[e], 1) for e in nonzero), ())
     sw = sandwich.Sandwich(every, every)
