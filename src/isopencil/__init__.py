@@ -24,7 +24,6 @@ from .errors import (
     InvalidInputError,
     InvalidMonodromyError,
     IsopencilError,
-    NotApplicableError,
 )
 from .groups import FiniteAbelianGroup, make_group
 from .linear import LinearForm
@@ -49,7 +48,6 @@ __all__ = [
     "InvariantReport",
     "IsopencilError",
     "LinearForm",
-    "NotApplicableError",
     "Sandwich",
     "SurfaceSolution",
     "atlas_table",

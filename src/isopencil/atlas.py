@@ -102,7 +102,7 @@ def _actions_cell(genus: int, quotient_genus: int, factors: tuple[int, ...]) -> 
     group = make_group(factors)
     rows: dict[Profile, AtlasRow] = {}
     for cover in enumerate_covers(group, quotient_genus, genus=genus, up_to_aut=True):
-        prof = _canonical_index_profile(group, [(i, dim) for i, dim in enumerate(cover._dims) if dim])
+        prof = _canonical_index_profile(group, [(i, dim) for i, dim in enumerate(cover.dims) if dim])
         if prof not in rows:
             rows[prof] = AtlasRow(genus, quotient_genus, group, prof, cover)
     return tuple(rows[key] for key in sorted(rows))

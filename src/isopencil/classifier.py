@@ -214,7 +214,7 @@ def _pencil_requirements(cover_f: CoverData, chi0: int, b: int):
     """
     neg = cover_f.group.neg_index
     fixed = tuple(
-        (neg[chi], 1 - b) for chi, dim in enumerate(cover_f._dims) if chi and dim and chi != chi0
+        (neg[chi], 1 - b) for chi, dim in enumerate(cover_f.dims) if chi and dim and chi != chi0
     )
     return fixed, neg[chi0]
 
@@ -252,7 +252,7 @@ def classify_cell(
         cover_f = row.witness
         stab = _stabilizer(cover_f)
         # character indices with a one-dimensional eigenspace on F
-        candidates = [chi for chi, dim in enumerate(cover_f._dims) if chi and dim == 1]
+        candidates = [chi for chi, dim in enumerate(cover_f.dims) if chi and dim == 1]
         for chi0 in candidates:
             if any(pull[chi0] < chi0 for pull, _ in stab):
                 continue  # the orbit's smallest character ran first and found these

@@ -9,7 +9,7 @@ from .atlas import ATLAS_TABLE_FOR_GENUS, atlas_table, check_genera
 from .classifier import cell_of, classify, classify_cells, search_cells
 from .covers import enumerate_covers
 from .compare import compare_atlas_with_reference, compare_with_reference
-from .errors import InternalConsistencyError, InvalidInputError, IsopencilError
+from .errors import InvalidInputError, IsopencilError
 from .groups import make_group, parse_group
 from .reference_tables import atlas_table_ids, family_reference, family_table_ids
 from .render import (
@@ -171,12 +171,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         sys.stdout.write(_RUNNERS[args.subcommand](args))
-    except InternalConsistencyError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except IsopencilError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 1
+        return err.exit_code
     return 0
 
 

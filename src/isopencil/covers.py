@@ -7,9 +7,9 @@ branch and twist properties give the same data as element tuples, for
 records, rendering and the spec format. Every derived quantity (bundle
 degrees, eigenspace dimensions, genus) is computed by exact integer
 arithmetic from that data alone. make_cover takes each element as a tuple or
-as an index, resolves it once, and records the eigen-profile from the same
-pass over the character numerators sum(m * <chi, e>) that checks that the
-branch sum closes.
+as an index, resolves it once, and records the eigen-profile, and its sum
+the genus, from the same pass over the character numerators
+sum(m * <chi, e>) that checks that the branch sum closes.
 _multiplicity_vectors is the one search for branch multiplicities: it closes
 the branch sum for enumerate_covers and meets the classifier's degree equations.
 _index_orbit is the one Aut(G) orbit scan: it moves index-space branch data by
@@ -18,8 +18,6 @@ canonical_cover_form take their orbit minimum from it.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 from .errors import (
     CapabilityError,
@@ -50,16 +48,16 @@ FIBER_GENUS_RANGE = (2, 5)
 
 
 class CoverData(Record):
-    """Cover data in element indices; its eigen-profile and genus are computed
-    on first use and kept.
+    """Cover data in element indices, with the eigen-profile and genus that
+    make_cover derives from it.
 
     branch_ix holds (element index, multiplicity) pairs sorted by index, and
-    twist_ix the twist's element indices. The eigen-profile is the cached
-    ``_dims``; genus() keeps the checked genus under ``"_genus"`` in the
-    instance ``__dict__``.
+    twist_ix the twist's element indices. dims is the eigenspace dimension of
+    every character, in elements() order, and genus their sum, checked
+    against the ramification count.
     """
 
-    __slots__ = ("group", "base_genus", "branch_ix", "twist_ix", "__dict__")
+    __slots__ = ("group", "base_genus", "branch_ix", "twist_ix", "dims", "genus")
 
     def __init__(
         self,
@@ -67,11 +65,15 @@ class CoverData(Record):
         base_genus: int,
         branch_ix: tuple[tuple[int, int], ...],
         twist_ix: tuple[int, ...],
+        dims: tuple[int, ...],
+        genus: int,
     ):
         _set(self, "group", group)
         _set(self, "base_genus", base_genus)
         _set(self, "branch_ix", branch_ix)
         _set(self, "twist_ix", twist_ix)
+        _set(self, "dims", dims)
+        _set(self, "genus", genus)
 
     @property
     def branch(self) -> tuple[tuple[Element, int], ...]:
@@ -84,11 +86,6 @@ class CoverData(Record):
         """The twist as element tuples."""
         els = self.group.elements()
         return tuple([els[i] for i in self.twist_ix])
-
-    @cached_property
-    def _dims(self) -> tuple[int, ...]:
-        """Eigenspace dimension of every character, in elements() order."""
-        return _profile(self.group, self.base_genus, _numerators(self.group, self.branch_ix))
 
 
 def make_cover(group: FiniteAbelianGroup, base_genus, branch, twist=()) -> CoverData:
@@ -142,8 +139,13 @@ def make_cover(group: FiniteAbelianGroup, base_genus, branch, twist=()) -> Cover
     if not group.generates([i for i, _ in branch_ix] + list(twist_ix)):
         raise DisconnectedCoverError("branch and twist data do not generate the group")
 
-    cover = CoverData(group, base_genus, branch_ix, twist_ix)
-    cover.__dict__["_dims"] = _profile(group, base_genus, nums)
+    dims = _profile(group, base_genus, nums)
+    cover = CoverData(group, base_genus, branch_ix, twist_ix, dims, sum(dims))
+    by_rh = genus_rh(cover)
+    if cover.genus != by_rh:
+        raise InternalConsistencyError(
+            f"genus mismatch: eigenspace total {cover.genus} vs ramification count {by_rh}"
+        )
     return cover
 
 
@@ -196,8 +198,8 @@ def _profile(grp: FiniteAbelianGroup, b: int, nums: list[int]) -> tuple[int, ...
 
 
 def eigen_profile(cover: CoverData) -> dict[Element, int]:
-    """Character -> eigenspace dimension, read from the cover's cached profile as a fresh dict."""
-    return dict(zip(cover.group.elements(), cover._dims))
+    """Character -> eigenspace dimension, read from the cover's profile as a fresh dict."""
+    return dict(zip(cover.group.elements(), cover.dims))
 
 
 def genus_rh(cover: CoverData) -> int:
@@ -215,20 +217,8 @@ def genus_rh(cover: CoverData) -> int:
 
 
 def genus(cover: CoverData) -> int:
-    """Genus by the eigenspace total, checked against genus_rh once per cover."""
-    # A plain dict read: on Python 3.11 a cached_property takes a lock on the
-    # first read of every cover, and each invariants request reads two fresh ones.
-    kept = cover.__dict__
-    value = kept.get("_genus")
-    if value is None:
-        value = sum(cover._dims)
-        by_rh = genus_rh(cover)
-        if value != by_rh:
-            raise InternalConsistencyError(
-                f"genus mismatch: eigenspace total {value} vs ramification count {by_rh}"
-            )
-        kept["_genus"] = value
-    return value
+    """Genus by the eigenspace total, which make_cover checked against genus_rh."""
+    return cover.genus
 
 
 def _index_orbit(group: FiniteAbelianGroup, branch: tuple, twist: tuple) -> set[tuple]:
@@ -460,10 +450,14 @@ def _iter_covers(group, base_genus, target_genus, max_branch_points, up_to_aut):
             known = least.get(key) if up_to_aut else None
             if known is not None and known != key:
                 continue
+            # A leaf's branch sum closes, its masks say it generates and its
+            # twist has 2b elements; over a rational base that means at least
+            # two points when G is nontrivial (one closing point is the
+            # identity). So make_cover accepts every leaf.
             try:
                 cover = make_cover(group, base_genus, branch, twist)
-            except InvalidInputError:
-                continue
+            except InvalidInputError as err:
+                raise InternalConsistencyError(f"solved branch data are not a cover: {err}") from err
             if up_to_aut and known is None:
                 if key != (cover.branch_ix, cover.twist_ix):
                     raise InternalConsistencyError(

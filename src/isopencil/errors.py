@@ -1,7 +1,8 @@
 """Exception hierarchy shared by the whole package.
 
 Exit-code contract: invalid user input maps to 1, a disagreement between
-two independent internal computations maps to 2.
+two independent internal computations maps to 2. Each class carries its code
+as exit_code, which the CLI returns.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ __all__ = [
     "InvalidInputError",
     "InvalidMonodromyError",
     "DisconnectedCoverError",
-    "NotApplicableError",
     "CapabilityError",
     "InternalConsistencyError",
 ]
@@ -38,10 +38,6 @@ class InvalidMonodromyError(InvalidInputError):
 
 class DisconnectedCoverError(InvalidInputError):
     """Branch and twist data fail to generate the whole group."""
-
-
-class NotApplicableError(InvalidInputError):
-    """The operation's hypothesis does not hold for this input."""
 
 
 class CapabilityError(InvalidInputError):

@@ -234,12 +234,10 @@ class FiniteAbelianGroup:
         columns = {}
         auts = []
         for images, perm in perms.items():
-            alpha = Automorphism(self, images)
             # Characters add coordinate-wise like elements, so chi -> chi o alpha
             # is itself an automorphism; its perm is alpha's char_perm.
             dual = _dual_images(images, self.factors, columns)
-            alpha.__dict__.update(perm=perm, char_perm=perms[dual])
-            auts.append(alpha)
+            auts.append(Automorphism(self, images, perm, perms[dual]))
         return tuple(auts)
 
     def _automorphism_search(self):
@@ -313,38 +311,23 @@ class Automorphism(Record):
 
     perm[i] is the index (position in elements()) of alpha(g) for the g at
     index i, and char_perm[i] the index of the pulled-back character
-    chi o alpha for the chi at index i. Both are built from images on first
-    use and kept with the instance; FiniteAbelianGroup.automorphisms() fills
-    them in from its search.
+    chi o alpha for the chi at index i. FiniteAbelianGroup.automorphisms()
+    builds every automorphism, with both permutations from its search.
     """
 
-    __slots__ = ("group", "images", "__dict__")
+    __slots__ = ("group", "images", "perm", "char_perm")
 
-    def __init__(self, group: FiniteAbelianGroup, images: tuple[Element, ...]):
+    def __init__(
+        self,
+        group: FiniteAbelianGroup,
+        images: tuple[Element, ...],
+        perm: tuple[int, ...],
+        char_perm: tuple[int, ...],
+    ):
         _set(self, "group", group)
         _set(self, "images", images)
-
-    def _linear_perm(self, basis_images) -> tuple[int, ...]:
-        """Index of sum(g_i * basis_images[i]) for every g, in elements() order."""
-        grp = self.group
-        values = [0]  # indices of the partial sums
-        for n, img in zip(grp.factors, basis_images):
-            step = grp.add_row(grp.index[img])
-            extended = []
-            for v in values:
-                for _ in range(n):  # v + c * img for c = 0 .. n-1
-                    extended.append(v)
-                    v = step[v]
-            values = extended
-        return tuple(values)
-
-    @cached_property
-    def perm(self) -> tuple[int, ...]:
-        return self._linear_perm(self.images)
-
-    @cached_property
-    def char_perm(self) -> tuple[int, ...]:
-        return self._linear_perm(_dual_images(self.images, self.group.factors, {}))
+        _set(self, "perm", perm)
+        _set(self, "char_perm", char_perm)
 
     def apply(self, g: Element) -> Element:
         grp = self.group

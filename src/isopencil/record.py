@@ -13,12 +13,12 @@ _set = object.__setattr__
 class Record:
     """An immutable value with named fields.
 
-    A subclass lists its fields in constructor order as ``__slots__``, plus
-    ``"__dict__"`` when it keeps ``cached_property`` values; trailing fields
-    may take defaults from ``_defaults``. Records compare field-wise, and
-    only with records of the same class; they hash like the tuple of their
-    fields, print like a constructor call and pickle by their field values
-    (with any cached values). Assigning or deleting a field raises
+    A subclass lists its fields in constructor order as ``__slots__``;
+    trailing fields may take defaults from ``_defaults``. A value derived
+    from other fields is a field too, set by the record's builder. Records
+    compare field-wise, and only with records of the same class; they hash
+    like the tuple of their fields, print like a constructor call and pickle
+    by their field values. Assigning or deleting a field raises
     AttributeError.
 
     Equality, hashing and pickling read the field tuple through one
@@ -38,7 +38,7 @@ class Record:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         if "__slots__" in cls.__dict__:  # else a subclass keeps its base's fields
-            cls._fields = tuple(f for f in cls.__slots__ if f != "__dict__")
+            cls._fields = tuple(cls.__slots__)
             # Every record has at least two fields, so the getter returns a tuple.
             cls._get_fields = attrgetter(*cls._fields)
 
@@ -79,5 +79,4 @@ class Record:
         return f"{type(self).__qualname__}({inner})"
 
     def __reduce__(self):
-        # Unpickling writes the state dict straight into __dict__, past __setattr__.
-        return self.__class__, self._get_fields(self), getattr(self, "__dict__", None) or None
+        return self.__class__, self._get_fields(self)

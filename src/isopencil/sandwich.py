@@ -97,8 +97,8 @@ def _pairing_dims(sw: Sandwich) -> list[tuple[int, int, int]]:
     """(character index chi, dim on F, dim of -chi on D) for every chi where
     both are nonzero."""
     neg = sw.group.neg_index
-    dims_f = sw.cover_f._dims
-    dims_d = sw.cover_d._dims
+    dims_f = sw.cover_f.dims
+    dims_d = sw.cover_d.dims
     return [(i, df, dims_d[neg[i]]) for i, df in enumerate(dims_f) if df and dims_d[neg[i]]]
 
 

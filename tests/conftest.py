@@ -74,7 +74,7 @@ def degrees_from_dims(cover) -> dict:
     0 at the trivial character, dim - b + 1 at any other (Chevalley-Weil)."""
     b = cover.base_genus
     chars = cover.group.elements()
-    return {chi: (dim - b + 1 if k else 0) for k, (chi, dim) in enumerate(zip(chars, cover._dims))}
+    return {chi: (dim - b + 1 if k else 0) for k, (chi, dim) in enumerate(zip(chars, cover.dims))}
 
 
 def check_carry_relation(covers) -> None:

@@ -491,7 +491,7 @@ def _every_character_route(factors, genus_f, a, b, pg):
         witness = row.witness
         stab = _stabilizer(witness)
         seen = set()
-        for chi0 in [chi for chi, dim in enumerate(witness._dims) if chi and dim == 1]:
+        for chi0 in [chi for chi, dim in enumerate(witness.dims) if chi and dim == 1]:
             runs += 1
             fixed, target = _pencil_requirements(witness, chi0, b)
             for _, branch in _branch_solutions(group, fixed, target, range(lo + 1 - b, hi + 2 - b)):

@@ -13,7 +13,7 @@ from isopencil import classifier, cli
 from isopencil.classifier import cell_of, classify, classify_cells, search_cells
 from isopencil.compare import compare_with_reference
 from isopencil.covers import make_cover
-from isopencil.errors import InternalConsistencyError
+from isopencil.errors import CapabilityError, InternalConsistencyError, InvalidInputError
 from isopencil.groups import make_group
 from isopencil.reference_tables import family_reference, family_table_ids
 from isopencil.sandwich import make_sandwich
@@ -190,13 +190,15 @@ def test_classify_checks_the_compare_table_before_searching(capsys, monkeypatch,
 
 
 def test_consistency_failures_exit_two(capsys, monkeypatch):
-    def boom(args):
-        raise InternalConsistencyError("routes disagree")
+    # main returns the exit code each error class carries: 1 for bad input, 2 for a bug.
+    for error, code in [(InvalidInputError, 1), (CapabilityError, 1), (InternalConsistencyError, 2)]:
 
-    monkeypatch.setitem(cli._RUNNERS, "atlas", boom)
-    code, _, err = run(capsys, "atlas", "--genus", "2")
-    assert code == 2
-    assert "routes disagree" in err
+        def boom(args):
+            raise error("routes disagree")
+
+        monkeypatch.setitem(cli._RUNNERS, "atlas", boom)
+        assert error.exit_code == code
+        assert run(capsys, "atlas", "--genus", "2") == (code, "", "error: routes disagree\n"), error
 
 
 def test_compare_subcommand_covers_both_table_kinds(capsys):
@@ -217,6 +219,31 @@ def test_cli_import_leaves_the_process_pool_unloaded():
         [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--genus-f", "2", "--group", "all", "--pg", "3..30", "--format", "json"),
+        ("atlas", "--genus", "3", "--format", "json"),
+        ("compare", "mostro"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_stdout_is_byte_identical_under_two_hash_seeds(argv):
+    # Each run is a fresh process, so the iteration order of any set of
+    # strings differs between the two seeds.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outs = [
+        subprocess.run(
+            [sys.executable, "-m", "isopencil.cli", *argv],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            capture_output=True,
+            check=True,
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert outs[0] and outs[0] == outs[1]
 
 
 def test_workers_variable_is_ignored_and_no_pool_is_loaded():

@@ -128,12 +128,12 @@ def test_a_profile_of_unchecked_data_that_breaks_chevalley_weil_raises():
     # Neither can come out of make_cover: a branch that does not close, and
     # a rational-base branch that does not generate, so that a nontrivial
     # character has a degree-0 bundle.
-    open_branch = CoverData(Z22, 0, ((Z22.index[(1, 0)], 1), (Z22.index[(0, 1)], 1)), ())
+    open_branch = ((Z22.index[(1, 0)], 1), (Z22.index[(0, 1)], 1))
     with pytest.raises(InternalConsistencyError, match="not integral"):
-        open_branch._dims
-    disconnected = CoverData(Z22, 0, ((Z22.index[(1, 0)], 2),), ())
+        covers_module._profile(Z22, 0, covers_module._numerators(Z22, open_branch))
+    disconnected = ((Z22.index[(1, 0)], 2),)
     with pytest.raises(InternalConsistencyError, match="degree-0 bundle"):
-        disconnected._dims
+        covers_module._profile(Z22, 0, covers_module._numerators(Z22, disconnected))
 
 
 def test_genus_examples():
@@ -174,21 +174,22 @@ def test_integer_genus_rh_matches_the_fraction_formula(random_covers):
     for c in random_covers:
         assert genus_rh(c) == _fraction_genus_rh(c)
     # Unchecked data with an odd ramification count: non-integral either way.
-    odd = CoverData(Z2, 0, ((Z2.index[(1,)], 1),), ())
+    # genus_rh reads only the group, base genus and branch, so dims and genus
+    # are left empty.
+    odd = CoverData(Z2, 0, ((Z2.index[(1,)], 1),), (), dims=(), genus=None)
     assert _fraction_genus_rh(odd).denominator == 2
     with pytest.raises(InternalConsistencyError):
         genus_rh(odd)
 
 
-def test_genus_check_fires_and_keeps_nothing_on_a_mismatch():
+def test_genus_check_fires_and_keeps_nothing_on_a_mismatch(monkeypatch):
     # Riemann-Hurwitz gives genus 2 for six points over Z/2; the planted profile sums to 3.
-    c = CoverData(Z2, 0, ((Z2.index[(1,)], 6),), ())
-    c.__dict__["_dims"] = (0, 3)
+    monkeypatch.setattr(covers_module, "_profile", lambda grp, b, nums: (0, 3))
     with pytest.raises(InternalConsistencyError, match="eigenspace total 3 vs ramification count 2"):
-        genus(c)
-    assert "_genus" not in c.__dict__
-    c.__dict__["_dims"] = (0, 2)
-    assert genus(c) == c.__dict__["_genus"] == 2
+        make_cover(Z2, 0, {(1,): 6})
+    monkeypatch.undo()
+    c = make_cover(Z2, 0, {(1,): 6})
+    assert (c.dims, c.genus, genus(c)) == ((0, 2), 2, 2)
 
 
 def test_pardini_carry_on_one_cover():
@@ -341,12 +342,8 @@ def test_make_cover_matches_the_element_reference_on_a_bounded_box():
                             continue
                         assert (got.branch, got.twist) == expected, args
                         built += 1
-                        assert "_dims" in got.__dict__  # recorded by make_cover
-                        assert got._dims == tuple(oracle.eigen_dim(got, chi) for chi in els)
-                        assert genus(got) == genus_rh(got)
-                        direct = CoverData(group, base_genus, got.branch_ix, got.twist_ix)
-                        assert "_dims" not in direct.__dict__
-                        assert direct._dims == got._dims
+                        assert got.dims == tuple(oracle.eigen_dim(got, chi) for chi in els)
+                        assert genus(got) == got.genus == sum(got.dims) == genus_rh(got)
     for base_genus in (-1, True, 1.0, "0"):
         assert _outcome(make_cover, Z2, base_genus, {(1,): 2}) is InvalidInputError
         assert _outcome(_reference_make_cover, Z2, base_genus, {(1,): 2}, ()) is InvalidInputError
@@ -562,6 +559,16 @@ def test_enumerator_only_builds_closed_branch_vectors(monkeypatch):
         for up_to_aut in (False, True):
             list(enumerate_covers(make_group(factors), base_genus, up_to_aut=up_to_aut, **bound))
     assert len(built) >= 100
+
+
+def test_a_leaf_that_make_cover_rejects_is_an_internal_error(monkeypatch):
+    def reject(group, base_genus, branch, twist=()):
+        raise DisconnectedCoverError("branch and twist data do not generate the group")
+
+    monkeypatch.setattr(covers_module, "make_cover", reject)
+    for up_to_aut in (False, True):
+        with pytest.raises(InternalConsistencyError, match="solved branch data are not a cover: branch"):
+            next(enumerate_covers(Z22, 0, genus=3, up_to_aut=up_to_aut))
 
 
 def test_up_to_aut_builds_only_yielded_covers_and_first_orbit_members(monkeypatch):
@@ -785,7 +792,7 @@ def test_every_enumerator_frame_ends_in_a_leaf():
         group = make_group(factors)
         witness = make_cover(group, 0, branch)
         if chars is None:
-            chars = [chi for chi, dim in zip(group.elements()[1:], witness._dims[1:]) if dim == 1]
+            chars = [chi for chi, dim in zip(group.elements()[1:], witness.dims[1:]) if dim == 1]
         for chi0 in chars:
             for b in (0, 1):
                 window = range(min(degrees[b]), max(degrees[b]) + 1)

@@ -33,8 +33,18 @@ DISCREPANCY = Discrepancy("zero", 1, "K2", LinearForm(8, 0), FORM, -4)
 # Every record type with one value per field, in constructor order.
 CASES = [
     (LinearForm, {"slope": 8, "intercept": -4}),
-    (CoverData, {"group": KLEIN, "base_genus": 0, "branch_ix": F_COVER.branch_ix, "twist_ix": ()}),
-    (Automorphism, {"group": KLEIN, "images": ((0, 1), (1, 0))}),
+    (
+        CoverData,
+        {
+            "group": KLEIN,
+            "base_genus": 0,
+            "branch_ix": F_COVER.branch_ix,
+            "twist_ix": (),
+            "dims": F_COVER.dims,
+            "genus": F_COVER.genus,
+        },
+    ),
+    (Automorphism, {"group": KLEIN, "images": ((0, 1), (1, 0)), "perm": (0, 2, 1, 3), "char_perm": (0, 2, 1, 3)}),
     (Sandwich, {"cover_f": F_COVER, "cover_d": D_COVER}),
     (SingularClass, {"n": 2, "q": 1, "count": 12, "z_points": 24}),
     (
@@ -235,29 +245,39 @@ def test_pickle_round_trip(cls, fields):
             setattr(back, next(iter(fields)), None)
 
 
-def test_cached_properties_are_kept_and_pickled():
+def test_derived_fields_are_pickled():
     cover = make_cover(KLEIN, 0, {(0, 1): 1, (1, 0): 1, (1, 1): 3})
     # The same cover from element indices, in another entry order.
     by_index = make_cover(KLEIN, 0, [(3, 3), (2, 1), (1, 1)])
     assert by_index == cover and hash(by_index) == hash(cover)
     assert (by_index.branch, by_index.twist) == (cover.branch, cover.twist) == (F_COVER.branch, ())
-    assert "_genus" not in cover.__dict__
-    assert genus(cover) == genus(F_COVER)
-    assert cover.__dict__["_genus"] == genus(F_COVER)
+    assert genus(cover) == cover.genus == sum(cover.dims) == genus(F_COVER)
     for built in (cover, by_index):
         back = pickle.loads(pickle.dumps(built))
-        assert back.__dict__["_dims"] == cover._dims
-        assert back.__dict__.get("_genus") == built.__dict__.get("_genus")
+        assert (back.dims, back.genus) == (cover.dims, cover.genus)
         assert back == cover and hash(back) == hash(cover)
     before = _bucket_split.cache_info()
     assert _bucket_split(cover, (1, 1), 1) is _bucket_split(by_index, (1, 1), 1)
     after = _bucket_split.cache_info()
     assert after.currsize - before.currsize <= 1 and after.hits - before.hits >= 1
 
-    alpha = KLEIN.automorphisms()[1]
-    perm = alpha.perm
-    assert alpha.perm is perm
-    assert pickle.loads(pickle.dumps(alpha)).perm == perm
+    for alpha in KLEIN.automorphisms():
+        back = pickle.loads(pickle.dumps(alpha))
+        assert (back.perm, back.char_perm) == (alpha.perm, alpha.char_perm)
+        assert back == alpha and back.group is KLEIN
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_no_package_record_keeps_an_instance_dict():
+    package = [cls for cls in _subclasses(Record) if cls.__module__.startswith("isopencil.")]
+    assert {CoverData, Automorphism} <= set(package)
+    for cls in package:
+        assert "__dict__" not in cls.__slots__ and cls.__dictoffset__ == 0, cls.__name__
 
 
 def test_linear_form_total_order():

@@ -10,7 +10,7 @@ import pytest
 import oracle
 from isopencil import sandwich
 from isopencil.atlas import abelian_groups_up_to
-from isopencil.covers import CoverData, eigen_profile, genus, make_cover
+from isopencil.covers import eigen_profile, genus, make_cover
 from isopencil.errors import InvalidInputError
 from isopencil.groups import make_group
 from isopencil.sandwich import (
@@ -277,7 +277,7 @@ def test_point_type_table_matches_the_per_pair_oracle(factors):
     els, index = g.elements(), g.index
     nonzero = els[1:]
     # Every ordered pair at once: singular_locus fills the cache from both branches.
-    every = CoverData(g, 0, tuple((index[e], 1) for e in nonzero), ())
+    every = make_cover(g, 0, {e: 2 for e in nonzero})
     sw = sandwich.Sandwich(every, every)
     assert singular_locus(sw) == _oracle_locus(sw)
     assert sandwich._point_type.cache_info().misses == len(nonzero) ** 2
