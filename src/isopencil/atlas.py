@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import product
 
 from .covers import FIBER_GENUS_RANGE, enumerate_covers
 from .errors import InvalidInputError, is_int
-from .groups import Element, FiniteAbelianGroup, factorize, image, make_group
+from .groups import Element, FiniteAbelianGroup, image, make_group
 from .parallel import parallel_map
 from .record import Record
 from .reference_tables import atlas_reference
@@ -41,38 +40,23 @@ class AtlasRow(Record):
     _defaults = {"in_reference": None}
 
 
-def _partitions(n: int):
-    """Partitions of n in descending part order."""
-
-    def rec(left: int, top: int):
-        if left == 0:
-            yield ()
-            return
-        for part in range(min(left, top), 0, -1):
-            for rest in rec(left - part, part):
-                yield (part,) + rest
-
-    yield from rec(n, n)
-
-
 def abelian_groups_up_to(bound: int) -> list[FiniteAbelianGroup]:
     """One representative per isomorphism class of order 2..bound.
 
-    Representatives use invariant factors: each factor divides the next.
+    Representatives use invariant factors d_1 | d_2 | ... with every d_i >= 2,
+    and each such chain with product <= bound is one class.
     """
     if not is_int(bound) or bound < 1:
         raise InvalidInputError(f"order bound must be an integer >= 1, got {bound!r}")
-    found: list[tuple[int, ...]] = []
-    for order in range(2, bound + 1):
-        primes = factorize(order)
-        for combo in product(*(tuple(_partitions(e)) for _, e in primes)):
-            length = max(len(part) for part in combo)
-            descending = [
-                math.prod(p ** part[j] for (p, _), part in zip(primes, combo) if j < len(part))
-                for j in range(length)
-            ]
-            found.append(tuple(reversed(descending)))
-    return [make_group(f) for f in sorted(found, key=lambda f: (math.prod(f), f))]
+
+    def chains(prev: int, budget: int):
+        # Every next factor is a multiple of prev and at most budget.
+        for d in range(max(prev, 2), budget + 1, prev):
+            yield (d,)
+            for rest in chains(d, budget // d):
+                yield (d,) + rest
+
+    return [make_group(f) for f in sorted(chains(1, bound), key=lambda f: (math.prod(f), f))]
 
 
 def canonical_profile(group: FiniteAbelianGroup, profile) -> Profile:

@@ -23,8 +23,8 @@ from .errors import (
 from .groups import Element, FiniteAbelianGroup, image, make_group
 from .linear import LinearForm
 from .parallel import parallel_map
-from .record import Record, _set
-from .sandwich import InvariantReport, invariants, make_sandwich
+from .record import Record
+from .sandwich import invariants, make_sandwich
 
 __all__ = [
     "SurfaceSolution",
@@ -42,22 +42,6 @@ class SurfaceSolution(Record):
     """One pencil-bearing surface found at a specific section count."""
 
     __slots__ = ("p_g", "chi0", "cover_f", "cover_d", "genus_d", "report")
-
-    def __init__(
-        self,
-        p_g: int,
-        chi0: Element,
-        cover_f: CoverData,
-        cover_d: CoverData,
-        genus_d: int,
-        report: InvariantReport,
-    ):
-        _set(self, "p_g", p_g)
-        _set(self, "chi0", chi0)
-        _set(self, "cover_f", cover_f)
-        _set(self, "cover_d", cover_d)
-        _set(self, "genus_d", genus_d)
-        _set(self, "report", report)
 
 
 class FamilyRow(Record):

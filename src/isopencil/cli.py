@@ -134,9 +134,7 @@ def _run_classify(args) -> str:
         return render_family_rows(rows, args.format)
     family_reference(args.compare)  # an unknown table id fails before the search
     cells = search_cells(args.genus_f, args.group, args.base_a, args.base_b)
-    rows = classify_cells(cells, args.pg)
-    report = compare_with_reference(rows, args.compare, cells=set(cells))
-    return render_family_comparison(report, args.format)
+    return _compare_families(cells, args.compare, args)
 
 
 def _run_invariants(args) -> str:
@@ -150,9 +148,14 @@ def _run_compare(args) -> str:
     if args.table not in family_table_ids():
         known = ", ".join(atlas_table_ids() + family_table_ids())
         raise InvalidInputError(f"unknown table {args.table!r}; known ids: {known}")
-    cells = set(map(cell_of, family_reference(args.table)))
-    rows = classify_cells(sorted(cells), args.pg)
-    report = compare_with_reference(rows, args.table, cells=cells)
+    cells = sorted(set(map(cell_of, family_reference(args.table))))
+    return _compare_families(cells, args.table, args)
+
+
+def _compare_families(cells: list, table: str, args) -> str:
+    """Classify the cells in the order given, compare with one family table, render."""
+    rows = classify_cells(cells, args.pg)
+    report = compare_with_reference(rows, table, cells=set(cells))
     return render_family_comparison(report, args.format)
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from .atlas import atlas_table, reference_keys, row_key
 from .classifier import FamilyRow, cell_of
-from .linear import LinearForm
 from .record import Record
 from .reference_tables import atlas_reference, family_reference
 

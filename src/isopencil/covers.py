@@ -28,7 +28,7 @@ from .errors import (
     is_int,
 )
 from .groups import Element, FiniteAbelianGroup, image
-from .record import Record, _set
+from .record import Record
 
 __all__ = [
     "CoverData",
@@ -58,22 +58,6 @@ class CoverData(Record):
     """
 
     __slots__ = ("group", "base_genus", "branch_ix", "twist_ix", "dims", "genus")
-
-    def __init__(
-        self,
-        group: FiniteAbelianGroup,
-        base_genus: int,
-        branch_ix: tuple[tuple[int, int], ...],
-        twist_ix: tuple[int, ...],
-        dims: tuple[int, ...],
-        genus: int,
-    ):
-        _set(self, "group", group)
-        _set(self, "base_genus", base_genus)
-        _set(self, "branch_ix", branch_ix)
-        _set(self, "twist_ix", twist_ix)
-        _set(self, "dims", dims)
-        _set(self, "genus", genus)
 
     @property
     def branch(self) -> tuple[tuple[Element, int], ...]:

@@ -18,7 +18,7 @@ from functools import cached_property
 from math import gcd, lcm, prod
 
 from .errors import CapabilityError, InvalidInputError, is_int
-from .record import Record, _set
+from .record import Record
 
 __all__ = [
     "Element",
@@ -211,7 +211,12 @@ class FiniteAbelianGroup:
         return count
 
     def check_aut_size(self) -> None:
-        """Raise CapabilityError when Aut(G) has more than AUT_SIZE_BOUND elements."""
+        """Raise CapabilityError when G has order above AUT_ORDER_BOUND or
+        Aut(G) more than AUT_SIZE_BOUND elements."""
+        if self.order > AUT_ORDER_BOUND:
+            raise CapabilityError(
+                f"automorphism enumeration limited to order {AUT_ORDER_BOUND}, got {self.order}"
+            )
         size = self.automorphism_count()
         if size > AUT_SIZE_BOUND:
             raise CapabilityError(
@@ -220,10 +225,6 @@ class FiniteAbelianGroup:
             )
 
     def automorphisms(self) -> tuple["Automorphism", ...]:
-        if self.order > AUT_ORDER_BOUND:
-            raise CapabilityError(
-                f"automorphism enumeration limited to order {AUT_ORDER_BOUND}, got {self.order}"
-            )
         return self._automorphisms
 
     @cached_property
@@ -316,18 +317,6 @@ class Automorphism(Record):
     """
 
     __slots__ = ("group", "images", "perm", "char_perm")
-
-    def __init__(
-        self,
-        group: FiniteAbelianGroup,
-        images: tuple[Element, ...],
-        perm: tuple[int, ...],
-        char_perm: tuple[int, ...],
-    ):
-        _set(self, "group", group)
-        _set(self, "images", images)
-        _set(self, "perm", perm)
-        _set(self, "char_perm", char_perm)
 
     def apply(self, g: Element) -> Element:
         grp = self.group

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from functools import total_ordering
 
-from .record import Record, _set
+from .record import Record
 
 __all__ = ["LinearForm"]
 
@@ -14,10 +14,6 @@ class LinearForm(Record):
     """slope * m + intercept, ordered by (slope, intercept)."""
 
     __slots__ = ("slope", "intercept")
-
-    def __init__(self, slope: int, intercept: int):
-        _set(self, "slope", slope)
-        _set(self, "intercept", intercept)
 
     def __lt__(self, other):
         if other.__class__ is not self.__class__:

@@ -6,9 +6,6 @@ from operator import attrgetter
 
 __all__ = ["Record"]
 
-# Sets a field past Record.__setattr__; the __init__ of every record uses it.
-_set = object.__setattr__
-
 
 class Record:
     """An immutable value with named fields.
@@ -21,14 +18,11 @@ class Record:
     by their field values. Assigning or deleting a field raises
     AttributeError.
 
-    Equality, hashing and pickling read the field tuple through one
-    ``operator.attrgetter`` per class, the same for every record. Of the
-    methods here, subclasses write only ``__init__`` by hand, and only for
-    records built in hot loops (the two ``classify`` runs of fibre genus 2
-    and 3 build about 17,600 records, ``Aut((2,2,2,2))`` 20,160). On Python
-    3.11 the generic ``__init__`` here takes 2.8 us per ``CoverData`` against
-    1.1 us by hand, and compiling an ``__init__`` per class with ``exec``
-    would add about 2 ms, a tenth of ``import isopencil.cli``, to every process.
+    Every record is built by the one constructor made here for its class,
+    which takes the fields by position or keyword; a subclass that defines
+    its own ``__init__`` is refused when the class is created. Equality,
+    hashing and pickling read the field tuple through one
+    ``operator.attrgetter`` per class.
     """
 
     __slots__ = ()
@@ -37,13 +31,28 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
+        if "__init__" in cls.__dict__:
+            raise TypeError(f"record {cls.__name__} defines __init__; Record builds every record")
         if "__slots__" in cls.__dict__:  # else a subclass keeps its base's fields
-            cls._fields = tuple(cls.__slots__)
+            cls._fields = fields = tuple(cls.__slots__)
             # Every record has at least two fields, so the getter returns a tuple.
-            cls._get_fields = attrgetter(*cls._fields)
+            cls._get_fields = attrgetter(*fields)
+            setters = tuple(cls.__dict__[field].__set__ for field in fields)
+            size = len(fields)
 
-    def __init__(self, *args, **kwargs):
-        name, fields = type(self).__name__, self._fields
+            def __init__(self, *args, **kwargs):
+                # A call giving every field by position sets the slots directly.
+                if kwargs or len(args) != size:
+                    args = self._bind(args, kwargs)
+                for set_field, value in zip(setters, args):
+                    set_field(self, value)
+
+            cls.__init__ = __init__
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The field values of a call in field order, defaults filled in."""
+        name, fields = cls.__name__, cls._fields
         if len(args) > len(fields):
             raise TypeError(f"{name} takes {len(fields)} fields, got {len(args)}")
         values = dict(zip(fields, args))
@@ -52,12 +61,11 @@ class Record:
                 raise TypeError(f"{name} got an unknown or repeated field {field!r}")
             values[field] = value
         for field in fields:
-            if field in values:
-                _set(self, field, values[field])
-            elif field in self._defaults:
-                _set(self, field, self._defaults[field])
-            else:
-                raise TypeError(f"{name} is missing the field {field!r}")
+            if field not in values:
+                if field not in cls._defaults:
+                    raise TypeError(f"{name} is missing the field {field!r}")
+                values[field] = cls._defaults[field]
+        return [values[field] for field in fields]
 
     def __setattr__(self, field, value):
         raise AttributeError(f"cannot assign to field {field!r} of {type(self).__name__}")

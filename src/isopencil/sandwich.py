@@ -13,8 +13,8 @@ from math import gcd, lcm
 
 from .covers import FIBER_GENUS_RANGE, CoverData, genus
 from .errors import InternalConsistencyError, InvalidInputError
-from .groups import Element, FiniteAbelianGroup
-from .record import Record, _set
+from .groups import FiniteAbelianGroup
+from .record import Record
 from .singularities import canonical_type, hj_expansion, k2_correction
 
 __all__ = [
@@ -33,10 +33,6 @@ class Sandwich(Record):
 
     __slots__ = ("cover_f", "cover_d")
 
-    def __init__(self, cover_f: CoverData, cover_d: CoverData):
-        _set(self, "cover_f", cover_f)
-        _set(self, "cover_d", cover_d)
-
     @property
     def group(self) -> FiniteAbelianGroup:
         return self.cover_f.group
@@ -47,37 +43,11 @@ class SingularClass(Record):
 
     __slots__ = ("n", "q", "count", "z_points")
 
-    def __init__(self, n: int, q: int, count: int, z_points: int):
-        _set(self, "n", n)
-        _set(self, "q", q)
-        _set(self, "count", count)
-        _set(self, "z_points", z_points)
-
 
 class InvariantReport(Record):
     """Numerical invariants of the minimal resolution of the quotient."""
 
     __slots__ = ("p_g", "q", "chi", "euler_e", "K2", "t_z", "sing", "canonical_character")
-
-    def __init__(
-        self,
-        p_g: int,
-        q: int,
-        chi: int,
-        euler_e: int,
-        K2: int,
-        t_z: int,
-        sing: tuple[SingularClass, ...],
-        canonical_character: Element | None,
-    ):
-        _set(self, "p_g", p_g)
-        _set(self, "q", q)
-        _set(self, "chi", chi)
-        _set(self, "euler_e", euler_e)
-        _set(self, "K2", K2)
-        _set(self, "t_z", t_z)
-        _set(self, "sing", sing)
-        _set(self, "canonical_character", canonical_character)
 
 
 def make_sandwich(cover_f: CoverData, cover_d: CoverData) -> Sandwich:

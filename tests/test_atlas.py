@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import pytest
 
@@ -64,6 +65,33 @@ def test_groups_up_to_sixteen():
         for d, e in zip(g.factors, g.factors[1:]):
             assert e % d == 0
         assert math.prod(g.factors) == g.order <= 16
+
+
+def _partition_count(n: int) -> int:
+    ways = [1] + [0] * n
+    for part in range(1, n + 1):
+        for total in range(part, n + 1):
+            ways[total] += ways[total - part]
+    return ways[n]
+
+
+def test_groups_of_each_order_are_counted_by_partitions_of_the_prime_exponents():
+    # OEIS A000688: an abelian group of order prod p^e is a choice of one
+    # partition of every exponent e.
+    groups = abelian_groups_up_to(64)
+    assert len(factor_set(groups)) == len(groups)
+    counts = Counter(g.order for g in groups)
+    for order in range(2, 65):
+        expected, rest, p = 1, order, 2
+        while rest > 1:
+            e = 0
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            expected *= _partition_count(e)
+            p += 1
+        assert counts[order] == expected, order
+    assert (counts[16], counts[32], counts[48], counts[64]) == (5, 7, 5, 11)
 
 
 def test_groups_bad_bound():

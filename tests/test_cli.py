@@ -170,6 +170,8 @@ def test_compare_maps_every_cell_in_one_call(capsys, monkeypatch):
     ("covers", "--group", "2,2,2,2,2", "--base-genus", "0", "--genus", "17"),
     ("atlas", "--genus", "3", "--quotient-genus", "9"),
     ("atlas", "--genus", "3", "--quotient-genus", "-1"),
+    # Above the order bound of Aut(G), even where the search finds no cover.
+    ("covers", "--group", "100", "--base-genus", "0", "--genus", "2"),
 ])
 def test_invalid_inputs_exit_one(capsys, argv):
     code, _, err = run(capsys, *argv)

@@ -355,6 +355,16 @@ def test_enumerate_covers_requires_a_bound():
         list(enumerate_covers(Z22, 0))
 
 
+def test_orbit_enumeration_refuses_a_group_above_the_order_bound_before_searching():
+    # Z/100 has 40 automorphisms, so only the order bound refuses it, and it
+    # does so at the call, whether or not the search would find a cover.
+    z100 = make_group((100,))
+    for genus_bound in (2, 25):
+        with pytest.raises(CapabilityError, match="limited to order 64, got 100"):
+            enumerate_covers(z100, 0, genus=genus_bound, up_to_aut=True)
+    assert list(enumerate_covers(z100, 0, genus=2)) == []
+
+
 def test_enumerate_covers_by_branch_point_bound():
     covers = list(enumerate_covers(Z2, 0, max_branch_points=4))
     branches = {c.branch for c in covers}

@@ -303,6 +303,26 @@ def test_every_record_shares_the_generic_equality_and_hash():
         assert vars(LinearForm)[op].__module__ == "functools", op
 
 
+def test_every_record_is_built_by_the_one_generic_constructor():
+    generic = vars(LinearForm)["__init__"].__code__
+    assert generic.co_filename.endswith("record.py")
+    for cls, _ in CASES:
+        assert vars(cls)["__init__"].__code__ is generic, cls.__name__
+    with pytest.raises(TypeError, match="HandBuilt defines __init__"):
+
+        class HandBuilt(LinearForm):
+            __slots__ = ("label",)
+
+            def __init__(self, slope, intercept, label):
+                pass
+
+    with pytest.raises(TypeError, match="HandBuiltNoSlots defines __init__"):
+
+        class HandBuiltNoSlots(LinearForm):
+            def __init__(self, slope, intercept):
+                pass
+
+
 def test_a_subclass_without_slots_keeps_its_base_fields():
     form = LabelledForm(8, -4)
     assert repr(form) == "LabelledForm(slope=8, intercept=-4)"
