@@ -147,18 +147,21 @@ def _twist_interchangeable(cover: CoverData) -> bool:
 
 
 def _stabilizer(cover: CoverData):
-    """Automorphisms fixing the cover's branch data, and its twist when that matters.
+    """(char_perm, perm) of every automorphism fixing the cover's branch data,
+    and its twist when that matters.
 
     When the twist is not interchangeable, only automorphisms fixing the twist
     tuple itself are kept: a subgroup of the cover's symmetries, so no two
-    distinct solutions are merged, though one may be listed twice. Each kept
-    automorphism alpha comes as two index permutations: its char_perm
-    (chi -> chi o alpha) and the inverse of its perm (alpha(g) -> g).
+    distinct solutions are merged, though one may be listed twice. Either way
+    the kept automorphisms form a group.
 
     Every kept alpha fixes the cover's eigen-profile, so it carries the degree
     equations of a pencil at chi0 onto those at chi0 o alpha, solution by
     solution. classify_cell therefore solves one character per orbit, the
-    smallest, and canonicalizes its solutions under that character's fixers.
+    smallest, found through char_perm (chi -> chi o alpha). The automorphisms
+    whose char_perm fixes chi0 are a subgroup too, so they move a solution's
+    branch data onto the same set of images as their inverses do, and
+    classify_cell canonicalizes with their perm as it stands.
     """
     group = cover.group
     branch, twist = cover.branch_ix, cover.twist_ix
@@ -170,23 +173,8 @@ def _stabilizer(cover: CoverData):
             continue
         if not loose_twist and tuple([perm[t] for t in twist]) != twist:
             continue
-        kept.append((alpha.char_perm, sorted(range(group.order), key=perm.__getitem__)))
+        kept.append((alpha.char_perm, perm))
     return tuple(kept)
-
-
-def _canonical_solution(stab, chi0: int, branch: tuple):
-    """Smallest cover-symmetry image of the pair (character, branch data), in
-    index space: a character index and (element index, multiplicity) pairs.
-
-    Pulling the character back along alpha pairs with pushing the branch
-    forward along the inverse, so both sides transform as one solution. The
-    character decides first, so only the automorphisms carrying chi0 to the
-    smallest image need their branch image. Given only the fixers of a
-    character that is smallest in its orbit, the character stays put and the
-    result is the canonical form under the whole of stab.
-    """
-    low = min(pull[chi0] for pull, _ in stab)
-    return low, min(image(preimage, branch) for pull, preimage in stab if pull[chi0] == low)
 
 
 def _pencil_requirements(cover_f: CoverData, chi0: int, b: int):
@@ -240,14 +228,14 @@ def classify_cell(
         for chi0 in candidates:
             if any(pull[chi0] < chi0 for pull, _ in stab):
                 continue  # the orbit's smallest character ran first and found these
-            fixers = [(pull, pre) for pull, pre in stab if pull[chi0] == chi0]
+            fixers = [perm for pull, perm in stab if pull[chi0] == chi0]
             seen = set()
             fixed, target = _pencil_requirements(cover_f, chi0, b)
             window = range(lo + 1 - b, hi + 2 - b)  # target degree p_g + 1 - b
             for degree, branch in _branch_solutions(group, fixed, target, window):
                 p_g = degree - 1 + b
                 if len(fixers) > 1:
-                    branch = _canonical_solution(fixers, chi0, branch)[1]
+                    branch = min(image(perm, branch) for perm in fixers)
                 if branch in seen:
                     continue
                 seen.add(branch)

@@ -118,10 +118,11 @@ def _field_records(table: str, ref, group: ExtraRow, shift: int) -> tuple[Discre
     return tuple(records)
 
 
-def _mismatch_weight(records: tuple[Discrepancy, ...]) -> tuple[int, int]:
+def _mismatch_weight(records: tuple[Discrepancy, ...]) -> tuple[int, int, int]:
+    """(shape mismatches, mismatched fields, total offset): smaller is closer."""
     shape = sum(1 for d in records if d.delta is None)
     offset = sum(abs(d.delta) for d in records if d.delta is not None)
-    return (shape, len(records) * 1000 + offset)
+    return (shape, len(records), offset)
 
 
 def compare_with_reference(

@@ -14,7 +14,7 @@ each table, and Aut(G), from first use on.
 from __future__ import annotations
 
 import json
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd, lcm, prod
 
 from .errors import CapabilityError, InvalidInputError, is_int
@@ -53,7 +53,10 @@ class FiniteAbelianGroup:
     There is one object per factors tuple: the constructor, make_group and
     unpickling all return the one in _GROUPS. So groups compare and hash by
     identity, and the lookup tables and Aut(G) a group builds on first use
-    serve every caller with the same factors.
+    serve every caller with the same factors. Whole-group tables are cached
+    properties; per-element rows, elements() and automorphisms() are
+    functools.cache methods, which is safe only because interned groups are
+    never freed.
     """
 
     def __new__(cls, factors: tuple[int, ...]):
@@ -65,9 +68,6 @@ class FiniteAbelianGroup:
             group.exponent = lcm(*factors) if factors else 1
             # <chi, g> = sum(chi_i * g_i * weight_i) / exponent, mod 1
             group._weights = tuple(group.exponent // n for n in factors)
-            group._rows = {}  # index of x -> add_row(x)
-            group._pairing = {}  # index of g -> pairing_row(g)
-            group._kernel = {}  # index of g -> kernel_mask(g)
             group = _GROUPS.setdefault(factors, group)
         return group
 
@@ -92,11 +92,8 @@ class FiniteAbelianGroup:
                 raise InvalidInputError(f"coordinate {c!r} out of range [0, {n}) in {t}")
         return t
 
+    @cache
     def elements(self) -> list[Element]:
-        return self._elements
-
-    @cached_property
-    def _elements(self) -> list[Element]:
         els = [()]
         for n in self.factors:
             els = [e + (c,) for e in els for c in range(n)]
@@ -107,21 +104,18 @@ class FiniteAbelianGroup:
         """Element -> its position in elements(); the identity is 0."""
         return {e: i for i, e in enumerate(self.elements())}
 
+    @cache
     def add_row(self, i: int) -> tuple[int, ...]:
-        """Index of y + x for every y, in elements() order, where x has index i;
-        built on first use.
+        """Index of y + x for every y, in elements() order, where x has index i.
 
         The index of an element is its mixed-radix number over the factors,
         so the row is built digit by digit, each digit shifted by x's.
         """
-        row = self._rows.get(i)
-        if row is None:
-            values = [0]
-            for n, a in zip(self.factors, self.elements()[i]):
-                digits = [(c + a) % n for c in range(n)]
-                values = [v * n + d for v in values for d in digits]
-            row = self._rows[i] = tuple(values)
-        return row
+        values = [0]
+        for n, a in zip(self.factors, self.elements()[i]):
+            digits = [(c + a) % n for c in range(n)]
+            values = [v * n + d for v in values for d in digits]
+        return tuple(values)
 
     @cached_property
     def orders(self) -> tuple[int, ...]:
@@ -135,26 +129,21 @@ class FiniteAbelianGroup:
         index, fs = self.index, self.factors
         return tuple(index[tuple((-a) % n for a, n in zip(x, fs))] for x in self.elements())
 
+    @cache
     def pairing_row(self, i: int) -> tuple[int, ...]:
         """Numerator of <chi, g> over the group exponent for every character
-        chi, in elements() order, where g has index i; built on first use."""
-        row = self._pairing.get(i)
-        if row is None:
-            values = [0]
-            for n, a, w in zip(self.factors, self.elements()[i], self._weights):
-                step = a * w
-                values = [(v + c * step) % self.exponent for v in values for c in range(n)]
-            row = self._pairing[i] = tuple(values)
-        return row
+        chi, in elements() order, where g has index i."""
+        values = [0]
+        for n, a, w in zip(self.factors, self.elements()[i], self._weights):
+            step = a * w
+            values = [(v + c * step) % self.exponent for v in values for c in range(n)]
+        return tuple(values)
 
+    @cache
     def kernel_mask(self, i: int) -> int:
         """Bit j set when the j-th character (elements() order) vanishes on the
-        element of index i; built on first use."""
-        mask = self._kernel.get(i)
-        if mask is None:
-            row = self.pairing_row(i)
-            mask = self._kernel[i] = int("".join("0" if v else "1" for v in reversed(row)), 2)
-        return mask
+        element of index i."""
+        return int("".join("0" if v else "1" for v in reversed(self.pairing_row(i))), 2)
 
     def common_kernel(self, indices) -> int:
         """Mask of the characters vanishing on every element index given (all of them for none)."""
@@ -163,20 +152,12 @@ class FiniteAbelianGroup:
             mask &= self.kernel_mask(i)
         return mask
 
-    def _span(self, indices) -> list[int]:
-        """Indices of the subgroup the element indices generate, by breadth-first
-        closure. For one element x that lists 0, x, 2x, ..., in order."""
-        rows = [self.add_row(i) for i in set(indices)]
-        seen = bytearray(self.order)
-        seen[0] = 1
-        span = [0]
-        for i in span:
-            for row in rows:
-                j = row[i]
-                if not seen[j]:
-                    seen[j] = 1
-                    span.append(j)
-        return span
+    def _multiples(self, i: int) -> list[int]:
+        """Indices of 0, x, 2x, ..., (o - 1)x, where x of order o has index i."""
+        row, multiples = self.add_row(i), [0]
+        while j := row[multiples[-1]]:
+            multiples.append(j)
+        return multiples
 
     def generates(self, indices) -> bool:
         """True when only the trivial character (bit 0) vanishes on all the
@@ -224,22 +205,17 @@ class FiniteAbelianGroup:
                 f"group {list(self.factors)} has {size}"
             )
 
+    @cache
     def automorphisms(self) -> tuple["Automorphism", ...]:
-        return self._automorphisms
-
-    @cached_property
-    def _automorphisms(self) -> tuple["Automorphism", ...]:
         """Aut(G) in search order; kept only once check_aut_size has passed."""
         self.check_aut_size()
         perms = dict(self._automorphism_search())
-        columns = {}
-        auts = []
-        for images, perm in perms.items():
-            # Characters add coordinate-wise like elements, so chi -> chi o alpha
-            # is itself an automorphism; its perm is alpha's char_perm.
-            dual = _dual_images(images, self.factors, columns)
-            auts.append(Automorphism(self, images, perm, perms[dual]))
-        return tuple(auts)
+        # Characters add coordinate-wise like elements, so chi -> chi o alpha
+        # is itself an automorphism; its perm is alpha's char_perm.
+        return tuple(
+            Automorphism(self, images, perm, perms[_dual_images(images, self.factors)])
+            for images, perm in perms.items()
+        )
 
     def _automorphism_search(self):
         """(images, perm) of every automorphism, in search order.
@@ -266,10 +242,9 @@ class FiniteAbelianGroup:
             level = []
             for j, o in enumerate(self.orders):
                 if n % o == 0:
-                    multiples = [0]  # indices of c * x for c = 0 .. n-1, x = els[j]
-                    for _ in range(n - 1):
-                        multiples.append(rows[j][multiples[-1]])
-                    level.append((els[j], self.kernel_mask(j), [rows[m] for m in multiples]))
+                    # rows adding c * x for c = 0 .. n-1, x = els[j]
+                    shifts = [rows[m] for m in self._multiples(j) * (n // o)]
+                    level.append((els[j], self.kernel_mask(j), shifts))
             candidates.append(level)
         tail_bound = [prod(fs[i + 1 :]) for i in range(len(fs))]
         chosen: list[Element] = []
@@ -290,20 +265,13 @@ class FiniteAbelianGroup:
         yield from extend(0, (1 << order) - 1, [0])
 
 
-def _dual_images(images, factors, columns: dict) -> tuple[Element, ...]:
+def _dual_images(images, factors) -> tuple[Element, ...]:
     """Images of the standard characters e_i under chi -> chi o alpha.
 
     The j-th coordinate of e_i o alpha is <e_i, images[j]> * n_j, that is
-    images[j][i] * n_j / n_i. That column depends only on (j, images[j]), so
-    it is cached in columns, which the caller keeps across automorphisms.
+    images[j][i] * n_j / n_i.
     """
-    cols = []
-    for j, img in enumerate(images):
-        col = columns.get((j, img))
-        if col is None:
-            m = factors[j]
-            col = columns[(j, img)] = tuple(c * m // n for c, n in zip(img, factors))
-        cols.append(col)
+    cols = [[c * m // n for c, n in zip(img, factors)] for img, m in zip(images, factors)]
     return tuple(zip(*cols))
 
 

@@ -20,22 +20,19 @@ class LinearForm(Record):
             return NotImplemented
         return (self.slope, self.intercept) < (other.slope, other.intercept)
 
-    def __call__(self, m: int) -> int:
-        return self.slope * m + self.intercept
-
     def shift(self, delta: int) -> "LinearForm":
         """The same form with the parameter replaced by (parameter + delta)."""
         return LinearForm(self.slope, self.intercept + self.slope * delta)
 
-    def render(self, var: str = "m") -> str:
+    def render(self) -> str:
         if self.slope == 0:
             return str(self.intercept)
         if self.slope == 1:
-            head = var
+            head = "m"
         elif self.slope == -1:
-            head = f"-{var}"
+            head = "-m"
         else:
-            head = f"{self.slope}{var}"
+            head = f"{self.slope}m"
         if self.intercept > 0:
             return f"{head}+{self.intercept}"
         if self.intercept < 0:

@@ -86,8 +86,8 @@ def _point_type(grp: FiniteAbelianGroup, h1: int, h2: int):
     is computed once per (group, h1, h2); groups are interned, so the cache
     key hashes by identity.
     """
-    powers1 = grp._span([h1])  # indices of 0, h1, 2 h1, ...
-    powers2 = grp._span([h2])
+    powers1 = grp._multiples(h1)  # indices of 0, h1, 2 h1, ...
+    powers2 = grp._multiples(h2)
     o1, o2 = len(powers1), len(powers2)
     n = len(set(powers1).intersection(powers2))
     if n == 1:

@@ -11,11 +11,10 @@ import pytest
 
 import oracle
 from isopencil import classifier, groups
-from isopencil.atlas import _actions_cell, abelian_groups_up_to
+from isopencil.atlas import _actions_cell, abelian_groups_up_to, groups_acting_on
 from isopencil.classifier import (
     _branch_solutions,
     _bucket_key,
-    _canonical_solution,
     _complete_twist,
     _pencil_requirements,
     _stabilizer,
@@ -34,7 +33,7 @@ from isopencil.errors import (
     InternalConsistencyError,
     InvalidInputError,
 )
-from isopencil.groups import make_group
+from isopencil.groups import image, make_group
 from isopencil.sandwich import invariants, make_sandwich
 
 
@@ -401,6 +400,44 @@ def test_short_ranges_fall_back_to_sporadic_rows():
     assert got == {(3, 12), (3, 10), (3, 8), (4, 16), (4, 14), (4, 12)}
 
 
+def _inverse(perm) -> tuple[int, ...]:
+    inverse = [0] * len(perm)
+    for i, j in enumerate(perm):
+        inverse[j] = i
+    return tuple(inverse)
+
+
+def _canonical_pair(stab, chi0: int, branch: tuple):
+    """Smallest image of the pair (character, branch data) under the
+    (char_perm, perm) pairs of a stabilizer, all in index space.
+
+    Pulling the character back along alpha pairs with pushing the branch
+    forward along alpha's inverse, so both sides move as one solution; the
+    character decides first.
+    """
+    return min((pull[chi0], image(_inverse(perm), branch)) for pull, perm in stab)
+
+
+def test_the_fixers_of_every_pencil_character_are_closed_under_inverse():
+    # classify_cell canonicalizes a solution with the perms of the
+    # automorphisms fixing its character, not with their inverses, which
+    # gives the same minimum only because those fixers form a group.
+    witnesses = pairs = largest = 0
+    for genus_f in range(2, 6):
+        for group in groups_acting_on(genus_f):
+            for a in range(genus_f + 1):
+                for row in _actions_cell(genus_f, a, group.factors):
+                    witnesses += 1
+                    stab = _stabilizer(row.witness)
+                    for chi0, dim in enumerate(row.witness.dims):
+                        if chi0 and dim == 1:
+                            fixers = {perm for pull, perm in stab if pull[chi0] == chi0}
+                            assert {_inverse(perm) for perm in fixers} == fixers
+                            pairs += 1
+                            largest = max(largest, len(fixers))
+    assert (witnesses, pairs, largest) == (129, 346, 24)
+
+
 def test_search_is_complete_within_a_box():
     # Scan every branch vector with multiplicities up to 12 against the same
     # first curve and keep the sandwiches whose canonical image is a pencil;
@@ -435,9 +472,7 @@ def test_search_is_complete_within_a_box():
                 report = invariants(make_sandwich(cover_f, cover_d))
                 if report.p_g != 3 or report.canonical_character is None:
                     continue
-                found.add(
-                    _canonical_solution(stab, *indexed(report.canonical_character, cover_d.branch))
-                )
+                found.add(_canonical_pair(stab, *indexed(report.canonical_character, cover_d.branch)))
     assert found == expected
 
 
@@ -495,7 +530,7 @@ def _every_character_route(factors, genus_f, a, b, pg):
             runs += 1
             fixed, target = _pencil_requirements(witness, chi0, b)
             for _, branch in _branch_solutions(group, fixed, target, range(lo + 1 - b, hi + 2 - b)):
-                canon = _canonical_solution(stab, chi0, branch)
+                canon = _canonical_pair(stab, chi0, branch)
                 if canon in seen:
                     continue
                 seen.add(canon)

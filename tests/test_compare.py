@@ -2,6 +2,7 @@
 
 import pytest
 
+from isopencil import compare
 from isopencil.classifier import FamilyRow, cell_of, classify
 from isopencil.compare import (
     compare_atlas_with_reference,
@@ -10,7 +11,13 @@ from isopencil.compare import (
 from isopencil.cli import main
 from isopencil.errors import InvalidInputError
 from isopencil.linear import LinearForm
-from isopencil.reference_tables import atlas_reference, atlas_table_ids, family_reference, family_table_ids
+from isopencil.reference_tables import (
+    FamilyReferenceRow,
+    atlas_reference,
+    atlas_table_ids,
+    family_reference,
+    family_table_ids,
+)
 
 
 def test_table_ids_are_checked():
@@ -183,6 +190,31 @@ def test_a_row_aligned_only_with_a_claimed_family_is_noted():
     aligned = {i for i, note in notes.items() if note == aligns}
     assert aligned == {2, 3}
     assert all("mod 8" in notes[i] for i in set(notes) - aligned)
+
+
+def test_fewer_mismatched_fields_outrank_a_smaller_total_offset(monkeypatch):
+    # One reference row and two families in its cell: one misses K2 and t_z
+    # by 1 each, the other misses K2 alone, by 1500. The row takes the family
+    # with fewer mismatched fields, however large its offset.
+    ref_forms = {
+        "p_g": LinearForm(1, 0),
+        "g_D": LinearForm(4, 1),
+        "K2": LinearForm(4, 0),
+        "t_z": LinearForm(2, 2),
+    }
+    ref = FamilyReferenceRow("synthetic", 1, (2, 2), 0, 1, 2, ref_forms, "")
+    monkeypatch.setattr(compare, "family_reference", lambda table_id: [ref])
+
+    def family(k2, t_z):
+        forms = {**ref_forms, "K2": LinearForm(4, k2), "t_z": LinearForm(2, t_z)}
+        return FamilyRow((2, 2), 0, 1, 2, (0, 1), "family", 3, 8, forms, ())
+
+    two_fields, one_field = family(1, 3), family(1500, 2)
+    report = compare_with_reference([two_fields, one_field], "synthetic")
+    matched, = report.matched
+    assert [(d.field, d.delta) for d in matched.discrepancies] == [("K2", 1500)]
+    extra, = report.extra
+    assert dict(extra.forms)["t_z"] == LinearForm(2, 3)
 
 
 def test_sporadic_rows_never_match_but_are_kept():

@@ -1,4 +1,5 @@
-"""Every exported name, and every function the benchmark tracer wraps, resolves."""
+"""Every exported name, and every function the benchmark tracer wraps, resolves;
+no package module imports a name it never uses or caches a method it may not."""
 
 from __future__ import annotations
 
@@ -74,3 +75,43 @@ def test_no_module_imports_a_name_it_never_uses():
     sources = sorted(Path(isopencil.__file__).parent.glob("*.py"))
     assert len(sources) >= 15
     assert [entry for path in sources for entry in _unused_imports(path)] == []
+
+
+def _cached_methods(path: Path) -> list[str]:
+    """Class.method for every method decorated with functools.cache or lru_cache."""
+    found = []
+    for cls in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+                if name in ("cache", "lru_cache"):
+                    found.append(f"{path.name}:{node.lineno} {cls.name}.{node.name}")
+    return found
+
+
+def test_only_the_interned_group_class_caches_methods():
+    # A method cache keys on self and keeps every instance it saw alive.
+    # Groups are interned and never freed, so only their methods may use one.
+    sources = sorted(Path(isopencil.__file__).parent.glob("*.py"))
+    cached = [entry for path in sources for entry in _cached_methods(path)]
+    assert any(entry.endswith("FiniteAbelianGroup.automorphisms") for entry in cached)
+    assert [entry for entry in cached if " FiniteAbelianGroup." not in entry] == []
+
+
+def test_the_method_cache_scan_sees_every_decorator_spelling(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "import functools\nfrom functools import cache, lru_cache\n"
+        "class Cover:\n"
+        "    @cache\n    def a(self): pass\n"
+        "    @functools.lru_cache(maxsize=None)\n    def b(self): pass\n"
+        "    @lru_cache\n    def c(self): pass\n"
+        "    @property\n    def d(self): pass\n"
+        "@cache\ndef e(): pass\n"
+    )
+    assert [entry.split(" ")[1] for entry in _cached_methods(path)] == ["Cover.a", "Cover.b", "Cover.c"]

@@ -256,9 +256,11 @@ def test_automorphism_size_bound():
     for factors in [(2, 2, 2, 2, 2), (4, 4, 4), (2, 2, 4, 4)]:
         g = make_group(factors)
         assert g.order <= AUT_ORDER_BOUND and g.automorphism_count() > AUT_SIZE_BOUND
-        with pytest.raises(CapabilityError, match="automorphisms"):
-            g.automorphisms()
-        assert "_automorphisms" not in vars(g)
+        cached = FiniteAbelianGroup.automorphisms.cache_info().currsize
+        for _ in range(2):  # a refused Aut(G) is not kept, so it is refused again
+            with pytest.raises(CapabilityError, match="automorphisms"):
+                g.automorphisms()
+        assert FiniteAbelianGroup.automorphisms.cache_info().currsize == cached
 
 
 def test_group_serialization_round_trip():
@@ -320,12 +322,11 @@ def test_index_subgroup_matches_the_coordinate_closure(factors):
         sets.append(gens)
     for gens in sets:
         span = oracle.span(g, gens)
-        assert frozenset(els[i] for i in g._span([g.index[x] for x in gens])) == span
         assert g.generates([g.index[x] for x in gens]) == (len(span) == g.order)
         assert g.generates([g.index[tuple(list(x))] for x in gens]) == g.generates([g.index[x] for x in gens])
     for x in els:
-        # One generator's span lists its multiples in order, as _point_type reads them.
-        assert [els[i] for i in g._span([g.index[x]])] == oracle.multiples(g, x)
+        # _multiples lists 0, x, 2x, ... in order, as _point_type reads them.
+        assert [els[i] for i in g._multiples(g.index[x])] == oracle.multiples(g, x)
 
 
 @pytest.mark.parametrize(
