@@ -20,7 +20,7 @@ from .errors import (
     InvalidMonodromyError,
     is_int,
 )
-from .groups import Element, FiniteAbelianGroup, image, make_group
+from .groups import FiniteAbelianGroup, image, make_group
 from .linear import LinearForm
 from .parallel import parallel_map
 from .record import Record
@@ -29,7 +29,10 @@ from .sandwich import invariants, make_sandwich
 __all__ = [
     "SurfaceSolution",
     "FamilyRow",
+    "PencilPair",
     "cell_of",
+    "pencil_pairs",
+    "pair_solutions",
     "classify_cell",
     "fit_families",
     "search_cells",
@@ -42,6 +45,14 @@ class SurfaceSolution(Record):
     """One pencil-bearing surface found at a specific section count."""
 
     __slots__ = ("p_g", "chi0", "cover_f", "cover_d", "genus_d", "report")
+
+
+class PencilPair(Record):
+    """One pencil character chi0, an index, of one witness over base genus b of
+    D: the requirements and element split of _pencil_pair, and the perms of the
+    automorphisms fixing chi0."""
+
+    __slots__ = ("witness", "chi0", "b", "fixed", "target", "fixers", "bounded", "steps")
 
 
 class FamilyRow(Record):
@@ -157,11 +168,11 @@ def _stabilizer(cover: CoverData):
 
     Every kept alpha fixes the cover's eigen-profile, so it carries the degree
     equations of a pencil at chi0 onto those at chi0 o alpha, solution by
-    solution. classify_cell therefore solves one character per orbit, the
-    smallest, found through char_perm (chi -> chi o alpha). The automorphisms
-    whose char_perm fixes chi0 are a subgroup too, so they move a solution's
-    branch data onto the same set of images as their inverses do, and
-    classify_cell canonicalizes with their perm as it stands.
+    solution. pencil_pairs therefore builds one pair per orbit, at the
+    smallest character, found through char_perm (chi -> chi o alpha). The
+    automorphisms whose char_perm fixes chi0 are a subgroup too, so they move
+    a solution's branch data onto the same set of images as their inverses
+    do, and pair_solutions canonicalizes with their perm as it stands.
     """
     group = cover.group
     branch, twist = cover.branch_ix, cover.twist_ix
@@ -177,35 +188,71 @@ def _stabilizer(cover: CoverData):
     return tuple(kept)
 
 
-def _pencil_requirements(cover_f: CoverData, chi0: int, b: int):
-    """Fixed degree requirements and target character of a pencil at the
-    character index chi0, all as character indices.
-
-    Every other character in F's eigen-profile needs degree 1 - b on D at its
-    negative; the target -chi0 carries the degree that grows with p_g.
-    """
-    neg = cover_f.group.neg_index
+def _pencil_pair(cover_f: CoverData, chi0: int, b: int, fixers=()) -> PencilPair:
+    """The pair of the witness cover_f at the character index chi0: every other
+    character in F's eigen-profile is fixed, needing degree 1 - b on D at its
+    negative, and the target -chi0 carries the degree that grows with p_g. An
+    element pairing with a fixed character is bounded; a free one pairs only
+    with the target, with numerator t, so its multiplicity moves in steps of
+    exponent / gcd(exponent, t). The split reads the rows _branch_solutions
+    solves."""
+    group = cover_f.group
+    exponent, neg = group.exponent, group.neg_index
     fixed = tuple(
         (neg[chi], 1 - b) for chi, dim in enumerate(cover_f.dims) if chi and dim and chi != chi0
     )
-    return fixed, neg[chi0]
+    target = neg[chi0]
+    bounded, steps = [], []
+    for i, (cs, t) in enumerate(_degree_rows(group, fixed, target)[1:], 1):
+        if any(cs):
+            bounded.append(i)
+        else:
+            steps.append((i, exponent // gcd(exponent, t)))
+    return PencilPair(cover_f, chi0, b, fixed, target, tuple(fixers), tuple(bounded), tuple(steps))
+
+
+def pencil_pairs(group: FiniteAbelianGroup, genus_f: int, a: int, b: int):
+    """One PencilPair per _stabilizer orbit of one-dimensional characters of
+    each witness of the cell, at the orbit's smallest character: a solution at
+    another character of the orbit only repeats the image of one found there.
+    """
+    for row in _actions_cell(genus_f, a, group.factors):
+        cover_f = row.witness
+        stab = _stabilizer(cover_f)
+        for chi0, dim in enumerate(cover_f.dims):
+            if chi0 and dim == 1 and not any(pull[chi0] < chi0 for pull, _ in stab):
+                fixers = [perm for pull, perm in stab if pull[chi0] == chi0]
+                yield _pencil_pair(cover_f, chi0, b, fixers)
+
+
+def pair_solutions(pair: PencilPair, pg_range):
+    """(p_g, branch, twist) as element indices for every pencil of the pair
+    with p_g in pg_range, each branch in canonical form under the fixers and
+    listed once; branch data with no connecting twist are dropped.
+    """
+    group, b, fixers = pair.witness.group, pair.b, pair.fixers
+    seen = set()
+    window = range(pg_range[0] + 1 - b, pg_range[1] + 2 - b)  # target degree p_g + 1 - b
+    for degree, branch in _branch_solutions(group, pair.fixed, pair.target, window):
+        if len(fixers) > 1:
+            branch = min(image(perm, branch) for perm in fixers)
+        if branch in seen:
+            continue
+        seen.add(branch)
+        twist = _complete_twist(group, b, group.common_kernel([i for i, _ in branch]))
+        if twist is not None:
+            yield degree - 1 + b, branch, twist
 
 
 def classify_cell(
     factors, genus_f: int, quotient_genus_a: int, quotient_genus_b: int, pg_range
 ) -> list[SurfaceSolution]:
-    """All pencil solutions in one (group, base genera, fiber genus) cell.
-
-    Each witness F is solved once per orbit of its one-dimensional characters
-    under _stabilizer(F): the smallest character of the orbit is solved, and
-    each branch vector is put in canonical form under the automorphisms fixing
-    that character (left as it is when only the identity does). Any solution
-    at another character of the orbit is an image of one found here, so it
-    would only repeat a canonical form already listed. Solutions come by
-    witness, then ascending character index, then as the solver yields them.
+    """All pencil solutions in one (group, base genera, fiber genus) cell: for
+    each pair of pencil_pairs, the surfaces of pair_solutions. Solutions come
+    by witness, then ascending character index, then as the solver yields them.
     """
     group = make_group(factors)
-    lo, hi = _validate_pg_range(pg_range)
+    pg_range = _validate_pg_range(pg_range)
     check_genus(genus_f, "fiber genus")
     for name, value in (("a", quotient_genus_a), ("b", quotient_genus_b)):
         if not is_int(value) or value < 0:
@@ -214,98 +261,43 @@ def classify_cell(
     # With b >= 2 every character keeps sections on the second curve, and with
     # a, b >= 1 the trivial character does; either way no single character can
     # carry the whole canonical space.
-    if b >= 2 or (quotient_genus_a >= 1 and b >= 1):
-        return []
-    if quotient_genus_a > genus_f:
+    if b >= 2 or (quotient_genus_a >= 1 and b >= 1) or quotient_genus_a > genus_f:
         return []
 
     solutions = []
-    for row in _actions_cell(genus_f, quotient_genus_a, group.factors):
-        cover_f = row.witness
-        stab = _stabilizer(cover_f)
-        # character indices with a one-dimensional eigenspace on F
-        candidates = [chi for chi, dim in enumerate(cover_f.dims) if chi and dim == 1]
-        for chi0 in candidates:
-            if any(pull[chi0] < chi0 for pull, _ in stab):
-                continue  # the orbit's smallest character ran first and found these
-            fixers = [perm for pull, perm in stab if pull[chi0] == chi0]
-            seen = set()
-            fixed, target = _pencil_requirements(cover_f, chi0, b)
-            window = range(lo + 1 - b, hi + 2 - b)  # target degree p_g + 1 - b
-            for degree, branch in _branch_solutions(group, fixed, target, window):
-                p_g = degree - 1 + b
-                if len(fixers) > 1:
-                    branch = min(image(perm, branch) for perm in fixers)
-                if branch in seen:
-                    continue
-                seen.add(branch)
-                twist = _complete_twist(group, b, group.common_kernel([i for i, _ in branch]))
-                if twist is None:
-                    continue
-                # G acts faithfully on F's 1-forms when g_F >= 2, so F's
-                # eigen-characters generate the dual group: the solved degrees
-                # are integral on every character and the branch sum closes.
-                # And g_D is at least the dimension of D's -chi0 eigenspace,
-                # which is p_g >= 2. So neither check below can fire.
-                try:
-                    cover_d = make_cover(group, b, branch, twist)
-                except InvalidMonodromyError as err:
-                    raise InternalConsistencyError(f"solved branch data are not a cover: {err}") from err
-                g_d = genus(cover_d)
-                if g_d < 2:
-                    raise InternalConsistencyError(f"solution for p_g={p_g} has g(D)={g_d} < 2")
-                report = invariants(make_sandwich(cover_f, cover_d))
-                chi0_c = group.elements()[chi0]  # records hold the character as a tuple
-                if report.canonical_character != chi0_c:
-                    raise InternalConsistencyError(
-                        f"solution for {chi0_c} reports pencil character "
-                        f"{report.canonical_character}"
-                    )
-                if report.p_g != p_g:
-                    raise InternalConsistencyError(
-                        f"solution built for p_g={p_g} reports p_g={report.p_g}"
-                    )
-                solutions.append(
-                    SurfaceSolution(p_g, chi0_c, cover_f, cover_d, g_d, report)
+    for pair in pencil_pairs(group, genus_f, quotient_genus_a, b):
+        chi0 = group.elements()[pair.chi0]  # records hold the character as a tuple
+        for p_g, branch, twist in pair_solutions(pair, pg_range):
+            # G acts faithfully on F's 1-forms when g_F >= 2, so F's
+            # eigen-characters generate the dual group: the solved degrees
+            # are integral on every character and the branch sum closes.
+            # And g_D is at least the dimension of D's -chi0 eigenspace,
+            # which is p_g >= 2. So neither check below can fire.
+            try:
+                cover_d = make_cover(group, b, branch, twist)
+            except InvalidMonodromyError as err:
+                raise InternalConsistencyError(f"solved branch data are not a cover: {err}") from err
+            g_d = genus(cover_d)
+            if g_d < 2:
+                raise InternalConsistencyError(f"solution for p_g={p_g} has g(D)={g_d} < 2")
+            report = invariants(make_sandwich(pair.witness, cover_d))
+            if report.canonical_character != chi0:
+                raise InternalConsistencyError(
+                    f"solution for {chi0} reports pencil character {report.canonical_character}"
                 )
+            if report.p_g != p_g:
+                raise InternalConsistencyError(f"solution built for p_g={p_g} reports p_g={report.p_g}")
+            solutions.append(SurfaceSolution(p_g, chi0, pair.witness, cover_d, g_d, report))
     return solutions
 
 
-@lru_cache(maxsize=None)
-def _bucket_split(cover_f: CoverData, chi0: Element, b: int):
-    """The bounded element indices and the free ones with their growth steps,
-    for one pencil at the character chi0, a tuple as records hold it.
-
-    An element pairing nontrivially with a character other than the pencil's
-    is bounded by that character's degree, which does not move with p_g. A
-    free element pairs only with the target -chi0, with numerator t over the
-    exponent, so as p_g grows its multiplicity moves along a progression of
-    step exponent / gcd(exponent, t). Both are read off the same per-element
-    rows that _branch_solutions hands to the solver.
-    """
-    group = cover_f.group
-    exponent = group.exponent
-    rows = _degree_rows(group, *_pencil_requirements(cover_f, group.index[chi0], b))
-    bounded, steps = [], []
-    for i, (cs, t) in enumerate(rows[1:], 1):
-        if any(cs):
-            bounded.append(i)
-        else:
-            steps.append((i, exponent // gcd(exponent, t)))
-    return tuple(bounded), tuple(steps)
-
-
-def _bucket_key(sol: SurfaceSolution):
-    """Witness, pencil character, bounded multiplicities and free residues of a
-    solution, all in element indices but the pencil character, a record field."""
-    bounded, steps = _bucket_split(sol.cover_f, sol.chi0, sol.cover_d.base_genus)
-    branch = dict(sol.cover_d.branch_ix)
+def _bucket_key(pair: PencilPair, branch_ix: tuple) -> tuple:
+    """Bounded multiplicities and free residues of a solution's branch data,
+    as (element index, value) pairs, under its pencil pair."""
+    branch = dict(branch_ix)
     return (
-        sol.cover_f.branch_ix,
-        sol.cover_f.twist_ix,
-        sol.chi0,
-        tuple((i, branch[i]) for i in bounded if i in branch),
-        tuple((i, branch.get(i, 0) % step) for i, step in steps),
+        tuple((i, branch[i]) for i in pair.bounded if i in branch),
+        tuple((i, branch.get(i, 0) % step) for i, step in pair.steps),
     )
 
 
@@ -327,10 +319,17 @@ def _row_order(r: FamilyRow):
 
 
 def fit_families(solutions: list[SurfaceSolution]) -> list[FamilyRow]:
-    """Group solutions into linear-in-p_g families, leaving the rest sporadic."""
+    """Group solutions into linear-in-p_g families, leaving the rest sporadic;
+    solutions of two pencil pairs are never merged."""
+    pairs: dict[tuple, tuple[int, PencilPair]] = {}  # (witness, chi0, b) -> (position, pair)
     buckets: dict[tuple, list[SurfaceSolution]] = {}
     for sol in solutions:
-        key = _bucket_key(sol)
+        cover_f, b = sol.cover_f, sol.cover_d.base_genus
+        found = pairs.get((cover_f, sol.chi0, b))
+        if found is None:
+            pair = _pencil_pair(cover_f, cover_f.group.index[sol.chi0], b)
+            found = pairs[cover_f, sol.chi0, b] = (len(pairs), pair)
+        key = (found[0], *_bucket_key(found[1], sol.cover_d.branch_ix))
         buckets.setdefault(key, []).append(sol)
 
     rows = []

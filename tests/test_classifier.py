@@ -13,10 +13,11 @@ import oracle
 from isopencil import classifier, groups
 from isopencil.atlas import _actions_cell, abelian_groups_up_to, groups_acting_on
 from isopencil.classifier import (
+    PencilPair,
     _branch_solutions,
     _bucket_key,
     _complete_twist,
-    _pencil_requirements,
+    _pencil_pair,
     _stabilizer,
     _twist_interchangeable,
     cell_of,
@@ -24,6 +25,7 @@ from isopencil.classifier import (
     classify_cell,
     classify_cells,
     fit_families,
+    pencil_pairs,
     search_cells,
 )
 from isopencil.covers import eigen_profile, enumerate_covers, genus, make_cover
@@ -105,7 +107,7 @@ def test_escaping_element_is_reported():
 
 
 def _requirements(witness, chi0, b, degree):
-    """The degree requirements classify_cell builds for one witness and character."""
+    """The degree requirements _pencil_pair builds for one witness and character."""
     group = witness.group
     profile = eigen_profile(witness)
     support = sorted(chi for chi, dim in profile.items() if dim and chi != oracle.zero(group))
@@ -419,7 +421,7 @@ def _canonical_pair(stab, chi0: int, branch: tuple):
 
 
 def test_the_fixers_of_every_pencil_character_are_closed_under_inverse():
-    # classify_cell canonicalizes a solution with the perms of the
+    # pair_solutions canonicalizes a solution with the perms of the
     # automorphisms fixing its character, not with their inverses, which
     # gives the same minimum only because those fixers form a group.
     witnesses = pairs = largest = 0
@@ -528,8 +530,8 @@ def _every_character_route(factors, genus_f, a, b, pg):
         seen = set()
         for chi0 in [chi for chi, dim in enumerate(witness.dims) if chi and dim == 1]:
             runs += 1
-            fixed, target = _pencil_requirements(witness, chi0, b)
-            for _, branch in _branch_solutions(group, fixed, target, range(lo + 1 - b, hi + 2 - b)):
+            pair = _pencil_pair(witness, chi0, b)
+            for _, branch in _branch_solutions(group, pair.fixed, pair.target, range(lo + 1 - b, hi + 2 - b)):
                 canon = _canonical_pair(stab, chi0, branch)
                 if canon in seen:
                     continue
@@ -630,9 +632,9 @@ def test_a_solution_that_is_not_a_cover_raises(monkeypatch):
 
 
 def _per_solution_bucket_key(group, sol):
-    """The bucket key as fit_families once computed it, afresh for every
-    solution, with every element but the pencil character mapped to its
-    index at the end."""
+    """The bounded multiplicities and free residues of a solution, computed
+    afresh from coordinates, with every element mapped to its index at the
+    end."""
     profile_f = eigen_profile(sol.cover_f)
     constraint_chars = [
         oracle.neg(group, chi)
@@ -650,21 +652,71 @@ def _per_solution_bucket_key(group, sol):
         else:
             step = group.exponent // gcd(group.exponent, oracle.pair_num(group, target, e))
             residues.append((group.index[e], branch.get(e, 0) % step))
-    return (
-        sol.cover_f.branch_ix, sol.cover_f.twist_ix, sol.chi0, tuple(bounded), tuple(residues)
-    )
+    return tuple(bounded), tuple(residues)
 
 
 @pytest.mark.parametrize("factors, genus_f, pg, least", [
     ((2, 6), 2, (3, 30), 1452),
     ((2, 2, 2), 3, (3, 8), 78),
 ])
-def test_cached_bucket_split_matches_the_per_solution_key(factors, genus_f, pg, least):
+def test_pencil_pair_split_matches_the_per_solution_key(factors, genus_f, pg, least):
     group = make_group(factors)
     checked = 0
     for a in range(genus_f + 1):
         for b in (0, 1):
             for sol in classify_cell(factors, genus_f, a, b, pg):
-                assert _bucket_key(sol) == _per_solution_bucket_key(group, sol)
+                pair = _pencil_pair(sol.cover_f, group.index[sol.chi0], b)
+                assert _bucket_key(pair, sol.cover_d.branch_ix) == _per_solution_bucket_key(group, sol)
                 checked += 1
     assert checked >= least
+
+
+def test_the_klein_genus_two_cell_has_one_hand_worked_pencil_pair():
+    # F has the one-dimensional characters (0,1) and (1,0), at indices 1 and
+    # 2, swapped by its stabilizer; the pair sits at the smaller. Over an
+    # elliptic base D needs degree 0 at -(1,0) = (1,0), which bounds the
+    # elements (1,0) and (1,1); (0,1) pairs only with the target -(0,1), with
+    # numerator 1 over the exponent 2, so its multiplicity moves in steps of 2.
+    group = make_group((2, 2))
+    (pair,) = pencil_pairs(group, 2, 0, 1)
+    witness = make_cover(group, 0, {(0, 1): 1, (1, 0): 1, (1, 1): 3})
+    assert pair == PencilPair(witness, 1, 1, ((2, 0),), 1, ((0, 1, 2, 3),), (2, 3), ((1, 2),))
+
+
+def test_pencil_pairs_are_counted_per_fiber_genus(monkeypatch):
+    # Over the search cells classify_cell does not return early on: those
+    # with b = 0, or with a = 0 and b = 1.
+    counts = {
+        genus_f: sum(
+            len(list(pencil_pairs(make_group(factors), genus_f, a, b)))
+            for factors, a, b, _ in search_cells(genus_f)
+            if b == 0 or a == 0
+        )
+        for genus_f in range(2, 6)
+    }
+    assert counts == {2: 25, 3: 88, 4: 135, 5: 197}
+    # classify_cell runs the solver once per pair.
+    calls = Counter()
+    real = classifier._branch_solutions
+
+    def counting(*args):
+        calls["solve"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(classifier, "_branch_solutions", counting)
+    for genus_f in (2, 3):
+        for factors, a, b, _ in search_cells(genus_f):
+            classify_cell(factors, genus_f, a, b, (3, 3))
+    assert calls["solve"] == counts[2] + counts[3]
+
+
+def test_fit_families_never_merges_two_pencil_pairs():
+    # Fitting every g_F = 2 solution at once gives the rows of fitting each
+    # cell alone, and every row holds the solutions of one pencil pair.
+    pg = (3, 12)
+    cells = search_cells(2)
+    pooled = [sol for factors, a, b, genus_f in cells for sol in classify_cell(factors, genus_f, a, b, pg)]
+    rows = fit_families(pooled)
+    assert rows == classify_cells(cells, pg)
+    for row in rows:
+        assert len({(s.cover_f, s.chi0, s.cover_d.base_genus) for s in row.members}) == 1

@@ -1,11 +1,13 @@
 """Every exported name, and every function the benchmark tracer wraps, resolves;
-no package module imports a name it never uses or caches a method it may not."""
+no package module imports a name it never uses, caches a method it may not
+or keys a module-level cache on a record."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import pkgutil
+import re
 import sys
 from importlib.util import module_from_spec, spec_from_file_location
 from pathlib import Path
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import isopencil
+from isopencil.record import Record
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -77,30 +80,61 @@ def test_no_module_imports_a_name_it_never_uses():
     assert [entry for path in sources for entry in _unused_imports(path)] == []
 
 
+def _is_cached(node) -> bool:
+    """True for a function decorated with functools.cache or lru_cache."""
+    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return False
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+        if name in ("cache", "lru_cache"):
+            return True
+    return False
+
+
 def _cached_methods(path: Path) -> list[str]:
     """Class.method for every method decorated with functools.cache or lru_cache."""
+    return [
+        f"{path.name}:{node.lineno} {cls.name}.{node.name}"
+        for cls in ast.walk(ast.parse(path.read_text()))
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if _is_cached(node)
+    ]
+
+
+def _record_keyed_caches(path: Path, records: set[str]) -> list[str]:
+    """Every module-level cached function with a parameter whose annotation
+    names one of the record classes."""
     found = []
-    for cls in ast.walk(ast.parse(path.read_text())):
-        if not isinstance(cls, ast.ClassDef):
+    for node in ast.parse(path.read_text()).body:
+        if not _is_cached(node):
             continue
-        for node in cls.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for decorator in node.decorator_list:
-                target = decorator.func if isinstance(decorator, ast.Call) else decorator
-                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
-                if name in ("cache", "lru_cache"):
-                    found.append(f"{path.name}:{node.lineno} {cls.name}.{node.name}")
+        args = node.args
+        for arg in args.posonlyargs + args.args + [args.vararg] + args.kwonlyargs + [args.kwarg]:
+            if arg and arg.annotation and set(re.findall(r"\w+", ast.unparse(arg.annotation))) & records:
+                found.append(f"{path.name}:{node.lineno} {node.name}({arg.arg})")
     return found
+
+
+def _record_names() -> set[str]:
+    """The names of the package's record classes, every module loaded."""
+    for module_name in MODULES:
+        importlib.import_module(module_name)
+    return {cls.__name__ for cls in Record.__subclasses__() if cls.__module__.startswith("isopencil.")}
 
 
 def test_only_the_interned_group_class_caches_methods():
     # A method cache keys on self and keeps every instance it saw alive.
     # Groups are interned and never freed, so only their methods may use one.
+    # A module-level cache keyed on a record does the same to the records.
     sources = sorted(Path(isopencil.__file__).parent.glob("*.py"))
     cached = [entry for path in sources for entry in _cached_methods(path)]
     assert any(entry.endswith("FiniteAbelianGroup.automorphisms") for entry in cached)
     assert [entry for entry in cached if " FiniteAbelianGroup." not in entry] == []
+    records = _record_names()
+    assert {"CoverData", "Sandwich", "SurfaceSolution"} <= records
+    assert [entry for path in sources for entry in _record_keyed_caches(path, records)] == []
 
 
 def test_the_method_cache_scan_sees_every_decorator_spelling(tmp_path):
@@ -115,3 +149,18 @@ def test_the_method_cache_scan_sees_every_decorator_spelling(tmp_path):
         "@cache\ndef e(): pass\n"
     )
     assert [entry.split(" ")[1] for entry in _cached_methods(path)] == ["Cover.a", "Cover.b", "Cover.c"]
+
+
+def test_the_record_cache_scan_reads_every_parameter_annotation(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "from functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=None)\ndef a(group: Group, cover: CoverData): pass\n"
+        "@cache\ndef b(n: int, *, pair: 'PencilPair | None'): pass\n"
+        "@cache\ndef c(*covers: tuple[CoverData, ...]): pass\n"
+        "@cache\ndef d(group: Group, n: int): pass\n"
+        "def e(cover: CoverData): pass\n"
+        "class Holder:\n    @cache\n    def f(self, cover: CoverData): pass\n"
+    )
+    found = _record_keyed_caches(path, {"CoverData", "PencilPair"})
+    assert [entry.split(" ")[1] for entry in found] == ["a(cover)", "b(pair)", "c(covers)"]
