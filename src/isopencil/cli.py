@@ -73,8 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     covers = sub.add_parser("covers", help="enumerate covers for one group and base")
     covers.add_argument("--group", type=_parse_factors, required=True)
     covers.add_argument("--base-genus", type=int, required=True)
-    covers.add_argument("--genus", type=int, default=None)
-    covers.add_argument("--max-branch-points", type=int, default=None)
+    covers.add_argument("--genus", type=int, required=True)
     covers.add_argument("--format", choices=FORMATS, default="table")
 
     classify_cmd = sub.add_parser("classify", help="search for pencil-bearing surfaces")
@@ -107,18 +106,8 @@ def _run_atlas(args) -> str:
 
 
 def _run_covers(args) -> str:
-    if args.genus is None and args.max_branch_points is None:
-        raise InvalidInputError("covers needs --genus or --max-branch-points to bound the search")
     group = make_group(args.group)
-    found = list(
-        enumerate_covers(
-            group,
-            args.base_genus,
-            genus=args.genus,
-            max_branch_points=args.max_branch_points,
-            up_to_aut=True,
-        )
-    )
+    found = list(enumerate_covers(group, args.base_genus, genus=args.genus, up_to_aut=True))
     return render_covers(found, args.format)
 
 

@@ -229,27 +229,20 @@ def canonical_cover_form(cover: CoverData) -> tuple:
     return tuple([(els[i], m) for i, m in branch]), tuple([els[t] for t in twist])
 
 
-def enumerate_covers(
-    group: FiniteAbelianGroup,
-    base_genus: int,
-    *,
-    genus: int | None = None,
-    max_branch_points: int | None = None,
-    up_to_aut: bool = False,
-):
-    """Yield every valid cover meeting the constraints, once per branch multiset.
-
-    At least one of genus or max_branch_points must be supplied, otherwise the
-    search space is unbounded.
+def enumerate_covers(group: FiniteAbelianGroup, base_genus: int, *, genus: int, up_to_aut: bool = False):
+    """Yield one cover of the given genus over a genus-base_genus curve per
+    generating (branch, twist) pair: branch multisets in ascending
+    lexicographic order of their multiplicity vectors on the elements in index
+    order, each with its 2 * base_genus twist elements in itertools.product
+    order. (2,2) over an elliptic base at genus 3 gives 36 covers from 3
+    multisets. up_to_aut keeps only the least (branch, twist) of each
+    Aut(G)-orbit, in its place in that order: 6 covers there.
     """
     if not is_int(base_genus) or base_genus < 0:
         raise InvalidInputError(f"base genus must be an integer >= 0, got {base_genus!r}")
-    for name, bound in (("genus", genus), ("max_branch_points", max_branch_points)):
-        if bound is not None and (not is_int(bound) or bound < 0):
-            raise InvalidInputError(f"{name} must be an integer >= 0, got {bound!r}")
-    if genus is None and max_branch_points is None:
-        raise CapabilityError("unbounded constraint set: give genus or max_branch_points")
-    if genus is not None and genus < 1 + group.order * (base_genus - 1):
+    if not is_int(genus) or genus < 0:
+        raise InvalidInputError(f"genus must be an integer >= 0, got {genus!r}")
+    if genus < 1 + group.order * (base_genus - 1):
         return iter(())
     if base_genus >= 1 and group.order ** (2 * base_genus) > TWIST_SPACE_BOUND:
         raise CapabilityError(
@@ -257,7 +250,7 @@ def enumerate_covers(
         )
     if up_to_aut:
         group.check_aut_size()
-    return _iter_covers(group, base_genus, genus, max_branch_points, up_to_aut)
+    return _iter_covers(group, base_genus, genus, up_to_aut)
 
 
 def _multiplicity_vectors(step, weights, start, final, goal: range):
@@ -392,24 +385,18 @@ def _twist_table(group: FiniteAbelianGroup, base_genus: int) -> list:
     return twists
 
 
-def _iter_covers(group, base_genus, target_genus, max_branch_points, up_to_aut):
+def _iter_covers(group, base_genus, target_genus, up_to_aut):
     n = group.order
     m_exp = group.exponent
 
     # Branch sums are carried as element indices (0 is the identity); a branch
     # vector is a leaf only when its sum m_1*e_1 + ... + m_k*e_k is 0, since
     # make_cover rejects every other one whatever the base genus or twist.
-    if target_genus is None:
-        weights = [1] * n  # count branch points
-        goal = range(max_branch_points + 1)
-    else:
-        weight = 2 * (target_genus - 1 - n * (base_genus - 1)) * m_exp
-        if weight < 0 or weight % n:
-            return
-        weights = [m_exp - m_exp // o for o in group.orders]  # scaled RH weight
-        goal = range(weight // n, weight // n + 1)
-        if max_branch_points is not None and max_branch_points * max(weights) < goal[0]:
-            return  # even the heaviest elements need more points than the cap
+    weight = 2 * (target_genus - 1 - n * (base_genus - 1)) * m_exp
+    if weight % n:
+        return
+    weights = [m_exp - m_exp // o for o in group.orders]  # scaled RH weight
+    goal = range(weight // n, weight // n + 1)
     rows = [group.add_row(i) for i in range(n)]
     masks = [group.kernel_mask(i) for i in range(n)]
     vectors = _multiplicity_vectors(lambda i, s: rows[i][s], weights, 0, 0, goal)
@@ -421,9 +408,6 @@ def _iter_covers(group, base_genus, target_genus, max_branch_points, up_to_aut):
     least: dict[tuple, tuple] = {}
     twists = _twist_table(group, base_genus)
     for branch, _ in vectors:
-        if target_genus is not None and max_branch_points is not None:
-            if sum([m for _, m in branch]) > max_branch_points:
-                continue
         branch_mask = masks[0]
         for j, _ in branch:
             branch_mask &= masks[j]

@@ -1,5 +1,6 @@
 """Exit codes, spec examples, and byte-determinism of the command line."""
 
+import argparse
 import json
 import os
 import re
@@ -164,8 +165,8 @@ def test_compare_maps_every_cell_in_one_call(capsys, monkeypatch):
     # --workers was removed: every search runs in one process.
     ("atlas", "--genus", "2", "--workers", "0"),
     ("compare", "tabelladue", "--workers", "x"),
-    ("covers", "--group", "4", "--base-genus", "0", "--max-branch-points", "-1"),
-    ("covers", "--group", "4", "--base-genus", "0", "--genus", "3", "--max-branch-points", "-1"),
+    ("covers", "--group", "4", "--base-genus", "0", "--genus", "-1"),
+    ("covers", "--group", "4", "--base-genus", "-1", "--genus", "3"),
     ("covers", "--group", "200000", "--base-genus", "0"),
     ("covers", "--group", "2,2,2,2,2", "--base-genus", "0", "--genus", "17"),
     ("atlas", "--genus", "3", "--quotient-genus", "9"),
@@ -177,6 +178,18 @@ def test_invalid_inputs_exit_one(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith("error: ")
+
+
+def test_covers_requires_the_genus(capsys):
+    code, out, err = run(capsys, "covers", "--group", "4", "--base-genus", "0")
+    assert (code, out) == (1, "")
+    assert "--genus" in err
+
+
+def test_covers_has_no_branch_point_cap(capsys):
+    code, out, err = run(capsys, "covers", "--group", "4", "--base-genus", "0", "--genus", "3", "--max-branch-points", "4")
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments" in err
 
 
 @pytest.mark.parametrize("table", ["nope", "tabelladue"])
@@ -282,6 +295,23 @@ def test_cli_import_without_site_loads_neither_typing_nor_pathlib():
         [sys.executable, "-S", "-c", probe], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_readme_names_exactly_the_cli_options():
+    # Flags in code spans and blocks; the README names --workers only as absent,
+    # and --no-build-isolation belongs to pip.
+    spans = re.findall(r"```.*?```|`[^`\n]+`", README.read_text(), flags=re.S)
+    named = {flag for span in spans for flag in re.findall(r"(?<![\w-])--[a-z][a-z-]*", span)}
+    (subcommands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        flag
+        for parser in subcommands.choices.values()
+        for action in parser._actions
+        if not isinstance(action, argparse._HelpAction)
+        for flag in action.option_strings
+    }
+    assert named - options <= {"--workers", "--no-build-isolation"}
+    assert options <= named
 
 
 def test_readme_examples_match_the_cli_byte_for_byte(tmp_path, capsys, monkeypatch):

@@ -351,8 +351,8 @@ def test_make_cover_matches_the_element_reference_on_a_bounded_box():
 
 
 def test_enumerate_covers_requires_a_bound():
-    with pytest.raises(CapabilityError):
-        list(enumerate_covers(Z22, 0))
+    with pytest.raises(TypeError, match="genus"):
+        enumerate_covers(Z22, 0)
 
 
 def test_orbit_enumeration_refuses_a_group_above_the_order_bound_before_searching():
@@ -365,10 +365,11 @@ def test_orbit_enumeration_refuses_a_group_above_the_order_bound_before_searchin
     assert list(enumerate_covers(z100, 0, genus=2)) == []
 
 
-def test_enumerate_covers_by_branch_point_bound():
-    covers = list(enumerate_covers(Z2, 0, max_branch_points=4))
-    branches = {c.branch for c in covers}
-    assert branches == {(((1,), 2),), (((1,), 4),)}
+def test_enumerate_covers_of_z2_by_genus():
+    # A Z/2 cover of the line of genus g is branched over 2g + 2 points.
+    for g in range(4):
+        (cover,) = enumerate_covers(Z2, 0, genus=g)
+        assert cover.branch == (((1,), 2 * g + 2),)
 
 
 def test_enumerate_covers_all_valid_and_unique():
@@ -401,22 +402,20 @@ def _reference_form(cover):
     )
 
 
-@pytest.mark.parametrize("factors, base_genus, genera, max_branch_points", [
-    ((2, 2, 2), 0, range(2, 8), None),
-    ((2, 4), 0, range(2, 10), None),
-    ((4, 4), 0, range(2, 10), None),
-    ((3, 3), 0, range(2, 12), None),
-    ((2, 2), 1, range(1, 6), None),
-    ((2, 4), 0, range(2, 10), 4),
+@pytest.mark.parametrize("factors, base_genus, genera", [
+    ((2, 2, 2), 0, range(2, 8)),
+    ((2, 4), 0, range(2, 10)),
+    ((4, 4), 0, range(2, 10)),
+    ((3, 3), 0, range(2, 12)),
+    ((2, 2), 1, range(1, 6)),
 ])
-def test_enumerate_covers_up_to_aut_matches_brute_force(factors, base_genus, genera, max_branch_points):
+def test_enumerate_covers_up_to_aut_matches_brute_force(factors, base_genus, genera):
     group = make_group(factors)
     yielded = 0
     for g in genera:
-        bounds = {"genus": g, "max_branch_points": max_branch_points}
-        every = list(enumerate_covers(group, base_genus, **bounds))
+        every = list(enumerate_covers(group, base_genus, genus=g))
         expected = [c for c in every if (c.branch, c.twist) == _reference_form(c)]
-        assert list(enumerate_covers(group, base_genus, up_to_aut=True, **bounds)) == expected
+        assert list(enumerate_covers(group, base_genus, genus=g, up_to_aut=True)) == expected
         assert [canonical_cover_form(c) for c in expected] == [(c.branch, c.twist) for c in expected]
         yielded += len(expected)
     assert yielded >= 3
@@ -478,26 +477,18 @@ def test_cover_data_is_hashable_and_frozen():
         c.base_genus = 1  # type: ignore[misc]
 
 
-def _brute_force_covers(group, base_genus, genus=None, max_branch_points=None):
-    """Every weight-feasible multiplicity vector times every twist, through make_cover."""
+def _brute_force_covers(group, base_genus, genus):
+    """Every multiplicity vector of the genus's weight times every twist, through make_cover."""
     nonzero = group.elements()[1:]
     m_exp = group.exponent
     weights = [m_exp - m_exp // oracle.order(group, e) for e in nonzero]
-    target = None
-    if genus is not None:
-        weight = Fraction(2 * (genus - 1 - group.order * (base_genus - 1)), group.order) * m_exp
-        if weight < 0 or weight.denominator != 1:
-            return []
-        target = int(weight)
-    tops = [
-        min(t for t in (max_branch_points, None if target is None else target // w) if t is not None)
-        for w in weights
-    ]
+    weight = Fraction(2 * (genus - 1 - group.order * (base_genus - 1)), group.order) * m_exp
+    if weight < 0 or weight.denominator != 1:
+        return []
+    target = int(weight)
     covers = []
-    for mults in product(*(range(top + 1) for top in tops)):
-        if target is not None and sum(m * w for m, w in zip(mults, weights)) != target:
-            continue
-        if max_branch_points is not None and sum(mults) > max_branch_points:
+    for mults in product(*(range(target // w + 1) for w in weights)):
+        if sum(m * w for m, w in zip(mults, weights)) != target:
             continue
         branch = [(e, m) for e, m in zip(nonzero, mults) if m]
         for twist in product(group.elements(), repeat=2 * base_genus):
@@ -511,15 +502,14 @@ def _brute_force_covers(group, base_genus, genus=None, max_branch_points=None):
 @pytest.mark.parametrize("factors, base_genus, bounds", [
     ((3,), 0, [{"genus": g} for g in range(0, 7)]),
     ((2, 2), 0, [{"genus": g} for g in range(0, 7)]),
-    ((4,), 0, [{"genus": g} for g in range(0, 7)] + [{"max_branch_points": 5}]),
-    ((2, 4), 0, [{"genus": g} for g in range(2, 5)] + [{"genus": 4, "max_branch_points": m} for m in (3, 4, 5)]),
-    ((2, 2, 2), 0, [{"genus": 1}, {"genus": 3}, {"max_branch_points": 3}, {"genus": 3, "max_branch_points": 4},
-                   {"genus": 3, "max_branch_points": 5}]),
+    ((4,), 0, [{"genus": g} for g in range(0, 9)]),
+    ((2, 4), 0, [{"genus": g} for g in range(2, 5)]),
+    ((2, 2, 2), 0, [{"genus": g} for g in range(0, 4)]),
     ((6,), 0, [{"genus": g} for g in range(2, 5)]),
-    ((2,), 1, [{"genus": g} for g in range(1, 6)] + [{"max_branch_points": 3}]),
+    ((2,), 1, [{"genus": g} for g in range(0, 8)]),
     ((3,), 1, [{"genus": g} for g in range(1, 6)]),
-    ((2, 2), 1, [{"genus": g} for g in range(1, 5)] + [{"genus": 3, "max_branch_points": 2}]),
-    ((), 0, [{"genus": 0}, {"max_branch_points": 2}]),
+    ((2, 2), 1, [{"genus": g} for g in range(1, 5)]),
+    ((), 0, [{"genus": g} for g in range(0, 3)]),
     ((), 1, [{"genus": 1}]),
 ])
 def test_enumerate_covers_matches_the_brute_force_list(factors, base_genus, bounds):
@@ -532,16 +522,18 @@ def test_enumerate_covers_matches_the_brute_force_list(factors, base_genus, boun
     assert yielded >= 1
 
 
-def test_a_cap_below_the_genus_ends_the_search_at_once(monkeypatch):
-    # Genus 1001 over (2,2,2) needs 504 branch points of weight 1 each, so a
-    # cap of 4 leaves nothing: the solver is never asked for a vector. Over
-    # (2,4) the heaviest elements weigh 3 and the genus needs weight 1008.
+def test_a_genus_with_no_covers_ends_the_search_at_once(monkeypatch):
+    # Over a genus-b base no cover has genus below 1 + |G|(b - 1): 1 over an
+    # elliptic base, 3 for Z/2 over genus 2. Riemann-Hurwitz also needs |G| to
+    # divide the scaled weight: over (2,2,2) at genus 2 that is 2 * 9 * 2 = 36.
     def unreachable(*args):
         raise AssertionError("the solver was called")
 
     monkeypatch.setattr(covers_module, "_multiplicity_vectors", unreachable)
-    assert list(enumerate_covers(make_group((2, 2, 2)), 0, genus=1001, max_branch_points=4)) == []
-    assert list(enumerate_covers(make_group((2, 4)), 0, genus=1001, max_branch_points=335)) == []
+    for up_to_aut in (False, True):
+        assert list(enumerate_covers(make_group((2, 4)), 1, genus=0, up_to_aut=up_to_aut)) == []
+        assert list(enumerate_covers(Z2, 2, genus=2, up_to_aut=up_to_aut)) == []
+        assert list(enumerate_covers(Z222, 0, genus=2, up_to_aut=up_to_aut)) == []
 
 
 def test_enumerator_only_builds_closed_branch_vectors(monkeypatch):
@@ -556,18 +548,18 @@ def test_enumerator_only_builds_closed_branch_vectors(monkeypatch):
         return make_cover(group, base_genus, branch, twist)
 
     monkeypatch.setattr(covers_module, "make_cover", closed_make_cover)
-    for factors, base_genus, bound in [
-        ((2, 2, 2), 0, {"genus": 5}),
-        ((2, 4), 0, {"genus": 7}),
-        ((4, 4), 0, {"genus": 9}),
-        ((3, 3), 0, {"max_branch_points": 4}),
-        ((2, 2), 1, {"genus": 5}),
-        ((3,), 1, {"max_branch_points": 3}),
+    for factors, base_genus, g in [
+        ((2, 2, 2), 0, 5),
+        ((2, 4), 0, 7),
+        ((4, 4), 0, 9),
+        ((3, 3), 0, 4),
+        ((2, 2), 1, 5),
+        ((3,), 1, 4),
     ]:
         # Up to Aut(G) the enumerator builds a few covers per orbit only, so
         # the full listing is checked too.
         for up_to_aut in (False, True):
-            list(enumerate_covers(make_group(factors), base_genus, up_to_aut=up_to_aut, **bound))
+            list(enumerate_covers(make_group(factors), base_genus, genus=g, up_to_aut=up_to_aut))
     assert len(built) >= 100
 
 
@@ -591,17 +583,17 @@ def test_up_to_aut_builds_only_yielded_covers_and_first_orbit_members(monkeypatc
 
     monkeypatch.setattr(covers_module, "make_cover", recording_make_cover)
     skipped = 0
-    for factors, base_genus, bound in [
-        ((2, 2, 2), 0, {"genus": 7}),
-        ((2, 4), 0, {"genus": 9}),
-        ((4, 4), 0, {"genus": 9}),
-        ((3, 3), 0, {"max_branch_points": 4}),
-        ((2, 2), 1, {"genus": 5}),
-        ((3,), 1, {"max_branch_points": 3}),
+    for factors, base_genus, g in [
+        ((2, 2, 2), 0, 7),
+        ((2, 4), 0, 9),
+        ((4, 4), 0, 9),
+        ((3, 3), 0, 4),
+        ((2, 2), 1, 5),
+        ((3,), 1, 4),
     ]:
-        every = list(enumerate_covers(make_group(factors), base_genus, **bound))
+        every = list(enumerate_covers(make_group(factors), base_genus, genus=g))
         built.clear()
-        yielded = list(enumerate_covers(make_group(factors), base_genus, up_to_aut=True, **bound))
+        yielded = list(enumerate_covers(make_group(factors), base_genus, genus=g, up_to_aut=True))
         assert set(yielded) <= set(built)
         met = set()  # (branch, twist) of every orbit member of a cover built so far
         for cover in built:
@@ -615,15 +607,16 @@ def test_up_to_aut_builds_only_yielded_covers_and_first_orbit_members(monkeypatc
 
 @pytest.mark.parametrize("base_genus, bounds", [
     (True, {"genus": 3}),
-    (0, {"max_branch_points": -1}),
-    (0, {"genus": 3, "max_branch_points": -1}),
-    (0, {"max_branch_points": 2.5}),
-    (0, {"max_branch_points": True}),
-    (0, {"max_branch_points": "3"}),
+    (0, {"genus": None}),
+    (0, {"genus": None, "up_to_aut": True}),
+    (0, {"genus": False}),
+    (0, {"genus": 3.0}),
+    (0, {"genus": Fraction(3)}),
     (0, {"genus": True}),
     (0, {"genus": 2.5}),
     (0, {"genus": "3"}),
-    (0, {"genus": -1, "max_branch_points": 4}),
+    (0, {"genus": -1}),
+    (-1, {"genus": 3}),
 ])
 def test_enumerate_covers_rejects_bad_bounds(base_genus, bounds):
     with pytest.raises(InvalidInputError):
@@ -633,11 +626,10 @@ def test_enumerate_covers_rejects_bad_bounds(base_genus, bounds):
 def _completions(group, base_genus):
     """Oracle for enumerator states, by plain recursion over element tuples.
 
-    The returned count(i, s, remaining, count_left, path) counts the
-    multiplicity vectors of the nonzero elements from the i-th on that close
-    the running sum (the element at index s): with a genus target they add
-    scaled weight exactly `remaining`, without one at most count_left branch
-    points. It returns (closing, connected): how many there are, and how
+    The returned count(i, s, remaining, path) counts the multiplicity
+    vectors of the nonzero elements from the i-th on that close the running
+    sum (the element at index s) and add scaled weight exactly `remaining`.
+    It returns (closing, connected): how many there are, and how
     many of them, with the elements of path, can still give a connected
     cover. A twist may hold any element, so with base genus >= 1 every
     closing completion counts as connected; with base genus 0 the branch
@@ -650,21 +642,20 @@ def _completions(group, base_genus):
     zero = oracle.zero(group)
     memo = {}
 
-    def search(k, total, rest, left, span):
-        key = (k, total, rest, left, span)
+    def search(k, total, rest, span):
+        key = (k, total, rest, span)
         if key not in memo:
             if k == len(nonzero):
-                closes = int(total == zero and rest in (None, 0))
+                closes = int(total == zero and rest == 0)
                 memo[key] = (closes, closes if base_genus > 0 or len(span) == group.order else 0)
             else:
                 closing = connected = 0
                 m = 0
-                while m <= left and (rest is None or m * weights[k] <= rest):
+                while m * weights[k] <= rest:
                     below = search(
                         k + 1,
                         oracle.add(group, total, oracle.scale(group, m, nonzero[k])),
-                        None if rest is None else rest - m * weights[k],
-                        left - m,
+                        rest - m * weights[k],
                         span if m == 0 or nonzero[k] in span else oracle.span(group, [*span, nonzero[k]]),
                     )
                     closing += below[0]
@@ -673,8 +664,8 @@ def _completions(group, base_genus):
                 memo[key] = (closing, connected)
         return memo[key]
 
-    def count(i, s, remaining, count_left, path):
-        return search(i, els[s], remaining, count_left, oracle.span(group, path))
+    def count(i, s, remaining, path):
+        return search(i, els[s], remaining, oracle.span(group, path))
 
     return count
 
@@ -787,17 +778,16 @@ def test_every_enumerator_frame_ends_in_a_leaf():
         return None
 
     runs = []  # (case, function, arguments)
-    for factors, base_genus, bound in [
-        ((2, 2, 2), 0, {"genus": 9}),
-        ((2, 4), 0, {"genus": 7}),
-        ((4, 4), 0, {"genus": 9}),
-        ((3, 3), 0, {"max_branch_points": 4}),
-        ((2, 2), 1, {"genus": 5}),
-        ((6,), 0, {"max_branch_points": 5}),
+    for factors, base_genus, g in [
+        ((2, 2, 2), 0, 9),
+        ((2, 4), 0, 7),
+        ((4, 4), 0, 9),
+        ((3, 3), 0, 4),
+        ((2, 2), 1, 5),
+        ((6,), 0, 7),
     ]:
         group = make_group(factors)
-        covers_case = ("covers", group, base_genus, bound.get("genus"), bound.get("max_branch_points"))
-        runs.append((covers_case, enumerate_covers, (group, base_genus), bound))
+        runs.append((("covers", group, base_genus, g), enumerate_covers, (group, base_genus), {"genus": g}))
     for factors, branch, chars, degrees in ORACLE_CASES:
         group = make_group(factors)
         witness = make_cover(group, 0, branch)
@@ -832,15 +822,12 @@ def test_every_enumerator_frame_ends_in_a_leaf():
     for case, i, state, used, path, yields in entries:
         group = case[1]
         if case[0] == "covers":
-            _, _, base_genus, target_genus, cap = case
+            _, _, base_genus, target_genus = case
             count = oracles.setdefault(case[:3], _completions(group, base_genus))
             elems = [group.elements()[j] for j, _ in path]
-            if target_genus is None:
-                closing, connected = count(i - 1, state, None, cap - used, elems)
-            else:
-                n = group.order
-                target = 2 * (target_genus - 1 - n * (base_genus - 1)) * group.exponent // n
-                closing, connected = count(i - 1, state, target - used, target - used, elems)
+            n = group.order
+            target = 2 * (target_genus - 1 - n * (base_genus - 1)) * group.exponent // n
+            closing, connected = count(i - 1, state, target - used, elems)
         else:
             count = oracles.setdefault(case, _degree_completions(*case[1:]))
             closing = connected = count(i - 1, state, used)
