@@ -8,10 +8,10 @@ from math import gcd
 from .atlas import _actions_cell, check_genus, groups_acting_on
 from .covers import (
     CoverData,
+    _checked_cover,
     _multiplicity_vectors,
     _twist_table,
     genus,
-    make_cover,
 )
 from .errors import (
     CapabilityError,
@@ -24,7 +24,7 @@ from .groups import FiniteAbelianGroup, image, make_group
 from .linear import LinearForm
 from .parallel import parallel_map
 from .record import Record
-from .sandwich import invariants, make_sandwich
+from .sandwich import _fiber_stage, _surface_stage
 
 __all__ = [
     "SurfaceSolution",
@@ -250,6 +250,11 @@ def classify_cell(
     """All pencil solutions in one (group, base genera, fiber genus) cell: for
     each pair of pencil_pairs, the surfaces of pair_solutions. Solutions come
     by witness, then ascending character index, then as the solver yields them.
+
+    Each solution is checked as make_cover and invariants check a cover and a
+    sandwich given from outside, less what holds by construction: the solver's
+    branch data are in make_cover's normal form, D has the witness's group,
+    and F's side of invariants is built once per pair.
     """
     group = make_group(factors)
     pg_range = _validate_pg_range(pg_range)
@@ -267,6 +272,7 @@ def classify_cell(
     solutions = []
     for pair in pencil_pairs(group, genus_f, quotient_genus_a, b):
         chi0 = group.elements()[pair.chi0]  # records hold the character as a tuple
+        fiber = _fiber_stage(pair.witness)
         for p_g, branch, twist in pair_solutions(pair, pg_range):
             # G acts faithfully on F's 1-forms when g_F >= 2, so F's
             # eigen-characters generate the dual group: the solved degrees
@@ -274,13 +280,13 @@ def classify_cell(
             # And g_D is at least the dimension of D's -chi0 eigenspace,
             # which is p_g >= 2. So neither check below can fire.
             try:
-                cover_d = make_cover(group, b, branch, twist)
+                cover_d = _checked_cover(group, b, branch, twist)
             except InvalidMonodromyError as err:
                 raise InternalConsistencyError(f"solved branch data are not a cover: {err}") from err
-            g_d = genus(cover_d)
+            g_d = cover_d.genus
             if g_d < 2:
                 raise InternalConsistencyError(f"solution for p_g={p_g} has g(D)={g_d} < 2")
-            report = invariants(make_sandwich(pair.witness, cover_d))
+            report = _surface_stage(fiber, cover_d)
             if report.canonical_character != chi0:
                 raise InternalConsistencyError(
                     f"solution for {chi0} reports pencil character {report.canonical_character}"

@@ -7,9 +7,9 @@ branch and twist properties give the same data as element tuples, for
 records, rendering and the spec format. Every derived quantity (bundle
 degrees, eigenspace dimensions, genus) is computed by exact integer
 arithmetic from that data alone. make_cover takes each element as a tuple or
-as an index, resolves it once, and records the eigen-profile, and its sum
-the genus, from the same pass over the character numerators
-sum(m * <chi, e>) that checks that the branch sum closes.
+as an index and resolves it once into that normal form; _checked_cover then
+records the eigen-profile, and its sum the genus, from the same pass over the
+character numerators sum(m * <chi, e>) that checks that the branch sum closes.
 _multiplicity_vectors is the one search for branch multiplicities: it closes
 the branch sum for enumerate_covers and meets the classifier's degree equations.
 _index_orbit is the one Aut(G) orbit scan: it moves index-space branch data by
@@ -80,7 +80,6 @@ def make_cover(group: FiniteAbelianGroup, base_genus, branch, twist=()) -> Cover
 
     index, els = group.index, group.elements()
     merged: dict[int, int] = {}  # element index -> multiplicity
-    points = 0
     try:
         for elem, mult in branch.items() if hasattr(branch, "items") else branch:
             i = _index(group, index, els, elem)
@@ -91,7 +90,6 @@ def make_cover(group: FiniteAbelianGroup, base_genus, branch, twist=()) -> Cover
             if i == 0:
                 raise InvalidInputError("the identity cannot be a branch element")
             merged[i] = merged.get(i, 0) + mult
-            points += mult
         twist_ix = tuple([_index(group, index, els, t) for t in twist])
     except (TypeError, ValueError):  # not iterable, or a branch entry that is not a pair
         raise InvalidInputError(
@@ -104,7 +102,20 @@ def make_cover(group: FiniteAbelianGroup, base_genus, branch, twist=()) -> Cover
         raise InvalidInputError(
             f"twist must list {2 * base_genus} elements for base genus {base_genus}, got {len(twist_ix)}"
         )
+    return _checked_cover(group, base_genus, branch_ix, twist_ix)
 
+
+def _checked_cover(group: FiniteAbelianGroup, base_genus: int, branch_ix: tuple, twist_ix: tuple) -> CoverData:
+    """The cover of data already in make_cover's normal form, after every
+    mathematical check: the branch sum closes, a rational base has at least two
+    points, the data generate, the bundle degrees are integral and the genus by
+    eigenspaces equals the ramification count.
+
+    branch_ix holds (element index, multiplicity) pairs with positive
+    multiplicities and nonzero indices, sorted by index, and twist_ix the
+    2 * base_genus twist indices; make_cover builds them from outside input,
+    and the classifier's solver yields them.
+    """
     # Characters separate elements, so the branch sum is 0 exactly when every
     # character's numerator is a multiple of the exponent (Pardini, 1991).
     nums = _numerators(group, branch_ix)
@@ -115,9 +126,9 @@ def make_cover(group: FiniteAbelianGroup, base_genus, branch, twist=()) -> Cover
             row = group.add_row(i)
             for _ in range(m % group.orders[i]):
                 total = row[total]
-        raise InvalidMonodromyError(f"branch monodromies sum to {els[total]}, not the identity")
+        raise InvalidMonodromyError(f"branch monodromies sum to {group.elements()[total]}, not the identity")
 
-    if base_genus == 0 and group.order > 1 and points < 2:
+    if base_genus == 0 and group.order > 1 and sum([m for _, m in branch_ix]) < 2:
         raise InvalidMonodromyError("a cover of a rational base needs at least two branch points")
 
     if not group.generates([i for i, _ in branch_ix] + list(twist_ix)):

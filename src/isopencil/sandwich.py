@@ -56,20 +56,23 @@ def make_sandwich(cover_f: CoverData, cover_d: CoverData) -> Sandwich:
         raise InvalidInputError(
             f"covers use different groups {cover_f.group.factors} and {cover_d.group.factors}"
         )
-    for cover in (cover_f, cover_d):
-        g = genus(cover)
-        if g < 2:
-            raise InvalidInputError(f"both curves need genus >= 2, got {g}")
+    _checked_genus(cover_f)
+    _checked_genus(cover_d)
     return Sandwich(cover_f, cover_d)
 
 
-def _pairing_dims(sw: Sandwich) -> list[tuple[int, int, int]]:
+def _checked_genus(cover: CoverData) -> int:
+    """The cover's genus, checked to be at least 2, as both curves of a sandwich need."""
+    g = genus(cover)
+    if g < 2:
+        raise InvalidInputError(f"both curves need genus >= 2, got {g}")
+    return g
+
+
+def _pairing_dims(eigen_f: list, neg: tuple, dims_d: tuple) -> list[tuple[int, int, int]]:
     """(character index chi, dim on F, dim of -chi on D) for every chi where
-    both are nonzero."""
-    neg = sw.group.neg_index
-    dims_f = sw.cover_f.dims
-    dims_d = sw.cover_d.dims
-    return [(i, df, dims_d[neg[i]]) for i, df in enumerate(dims_f) if df and dims_d[neg[i]]]
+    both are nonzero, from F's nonzero (chi, dim) pairs and D's dims."""
+    return [(i, df, dims_d[neg[i]]) for i, df in eigen_f if dims_d[neg[i]]]
 
 
 def irregularity(sw: Sandwich) -> int:
@@ -109,11 +112,17 @@ def _point_type(grp: FiniteAbelianGroup, h1: int, h2: int):
 
 def singular_locus(sw: Sandwich) -> tuple[SingularClass, ...]:
     """Cyclic quotient points grouped by type, with their product-side counts."""
-    grp = sw.group
+    return _singular_classes(sw.group, sw.cover_f.branch_ix, sw.cover_d.branch_ix, {})
+
+
+def _singular_classes(grp: FiniteAbelianGroup, branch_f: tuple, branch_d: tuple, shared: dict):
+    """singular_locus of the covers with these index-space branches. shared
+    maps (n, q, count, z) to a SingularClass already made, and every new one
+    is added to it, so equal classes are one object."""
     order = grp.order
     classes: dict[tuple[int, int], list[int]] = {}
-    for h1, d1 in sw.cover_f.branch_ix:
-        for h2, d2 in sw.cover_d.branch_ix:
+    for h1, d1 in branch_f:
+        for h2, d2 in branch_d:
             point = _point_type(grp, h1, h2)
             if point is None:
                 continue
@@ -126,10 +135,13 @@ def singular_locus(sw: Sandwich) -> tuple[SingularClass, ...]:
             bucket = classes.setdefault(key, [0, 0])
             bucket[0] += z * n // order
             bucket[1] += z
-    return tuple(
-        SingularClass(n, q, count, z)
-        for (n, q), (count, z) in sorted(classes.items())
-    )
+    out = []
+    for (n, q), (count, z) in sorted(classes.items()):
+        sing = shared.get((n, q, count, z))
+        if sing is None:
+            sing = shared[n, q, count, z] = SingularClass(n, q, count, z)
+        out.append(sing)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -141,18 +153,35 @@ def _resolution(n: int, q: int) -> tuple[int, int, int]:
 
 
 def invariants(sw: Sandwich) -> InvariantReport:
-    """Invariants of the resolved quotient, checked along two routes."""
-    grp = sw.group
+    """Invariants of the resolved quotient, checked along two routes: the
+    fiber stage of sw.cover_f, then the surface stage of sw.cover_d."""
+    return _surface_stage(_fiber_stage(sw.cover_f), sw.cover_d)
+
+
+def _fiber_stage(cover_f: CoverData) -> tuple:
+    """What invariants needs of the fiber side F alone, for any D: F, its
+    genus, checked to be at least 2, its nonzero eigenspaces as (character
+    index, dimension) pairs, and the shared SingularClass table of
+    _singular_classes. The classifier builds one per pencil pair, so equal
+    singular classes of the pair's surfaces are one object."""
+    g_f = _checked_genus(cover_f)
+    return cover_f, g_f, [(chi, df) for chi, df in enumerate(cover_f.dims) if df], {}
+
+
+def _surface_stage(fiber: tuple, cover_d: CoverData) -> InvariantReport:
+    """Invariants of (F x D)/G from F's fiber stage and the cover D of the
+    same group, with every check of invariants."""
+    cover_f, g_f, eigen_f, shared = fiber
+    grp = cover_f.group
     order = grp.order
-    g_f = genus(sw.cover_f)
-    g_d = genus(sw.cover_d)
+    g_d = genus(cover_d)
     # Sections of the canonical sheaf, counted through matching eigenspaces.
-    support = _pairing_dims(sw)
-    p_g = sum(df * dd for _, df, dd in support)
-    q = irregularity(sw)
+    support = _pairing_dims(eigen_f, grp.neg_index, cover_d.dims)
+    p_g = sum([df * dd for _, df, dd in support])
+    q = cover_f.base_genus + cover_d.base_genus
     chi = 1 - q + p_g
-    sing = singular_locus(sw)
-    t_z = sum(s.z_points for s in sing)
+    sing = _singular_classes(grp, cover_f.branch_ix, cover_d.branch_ix, shared)
+    t_z = sum([s.z_points for s in sing])
 
     euler_z = (2 - 2 * g_f) * (2 - 2 * g_d)
     if (euler_z - t_z) % order:
@@ -160,15 +189,15 @@ def invariants(sw: Sandwich) -> InvariantReport:
             f"free locus has Euler number {euler_z - t_z}, not divisible by {order}"
         )
     resolved = [(s.count, *_resolution(s.n, s.q)) for s in sing]
-    euler_e = (euler_z - t_z) // order + sum(c * chain for c, chain, _, _ in resolved)
+    euler_e = (euler_z - t_z) // order + sum([c * chain for c, chain, _, _ in resolved])
 
     k2_noether = 12 * chi - euler_e
     # By resolution K^2 = 2(2g_F - 2)(2g_D - 2)/|G| + sum of count * num/den;
     # compared with Noether's value in integers over |G| * lcm(den).
     k2_z = 2 * (2 * g_f - 2) * (2 * g_d - 2)
-    lcd = lcm(*(den for _, _, _, den in resolved))
+    lcd = lcm(*[den for _, _, _, den in resolved])
     if (k2_noether * order - k2_z) * lcd != order * sum(
-        c * num * (lcd // den) for c, _, num, den in resolved
+        [c * num * (lcd // den) for c, _, num, den in resolved]
     ):
         k2_exact = Fraction(k2_z, order) + sum(
             (Fraction(c * num, den) for c, _, num, den in resolved), Fraction(0)
@@ -178,7 +207,7 @@ def invariants(sw: Sandwich) -> InvariantReport:
         )
     k2 = k2_noether
 
-    if all(s.n == 2 for s in sing):
+    if all([s.n == 2 for s in sing]):
         # Nodes leave the canonical degree untouched and each one adds 1/4 to chi.
         if k2 * order != 2 * (2 * g_f - 2) * (2 * g_d - 2) or t_z % 4:
             raise InternalConsistencyError("nodal shortcut for the canonical degree failed")
@@ -192,8 +221,8 @@ def invariants(sw: Sandwich) -> InvariantReport:
         canonical = grp.elements()[support[0][0]]
 
     if canonical is not None and p_g >= 11:
-        a = sw.cover_f.base_genus
-        b = sw.cover_d.base_genus
+        a = cover_f.base_genus
+        b = cover_d.base_genus
         lo, hi = FIBER_GENUS_RANGE
         shape_ok = lo <= g_f <= hi and ((b == 0 and a <= 2) or (b == 1 and a == 0))
         if not shape_ok:
@@ -208,6 +237,6 @@ def invariants(sw: Sandwich) -> InvariantReport:
         message = f"canonical degree {k2} exceeds 9*chi={9 * chi}"
         if p_g >= 1:
             raise InternalConsistencyError(f"{message} with p_g={p_g}")
-        warnings.warn(message, RuntimeWarning, stacklevel=2)
+        warnings.warn(message, RuntimeWarning, stacklevel=3)  # invariants' caller
 
     return InvariantReport(p_g, q, chi, euler_e, k2, t_z, sing, canonical)

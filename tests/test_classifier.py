@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 from collections import Counter
 from itertools import product
 from math import gcd
@@ -14,6 +15,7 @@ from isopencil import classifier, groups
 from isopencil.atlas import _actions_cell, abelian_groups_up_to, groups_acting_on
 from isopencil.classifier import (
     PencilPair,
+    SurfaceSolution,
     _branch_solutions,
     _bucket_key,
     _complete_twist,
@@ -514,10 +516,10 @@ def test_every_search_cell_matches_a_brute_force_over_small_second_curves():
 
 
 def _every_character_route(factors, genus_f, a, b, pg):
-    """(character, branch) index pairs, in order, that reach make_cover when
-    every one-dimensional character is solved and each vector is put in
-    canonical form over the whole stabilizer, keeping first occurrences; and
-    the number of solver runs that takes."""
+    """(character, branch) index pairs, in order, that reach make_cover's
+    checks when every one-dimensional character is solved and each vector is
+    put in canonical form over the whole stabilizer, keeping first
+    occurrences; and the number of solver runs that takes."""
     if b >= 2 or (a >= 1 and b >= 1) or a > genus_f:
         return [], 0
     group = make_group(factors)
@@ -545,23 +547,24 @@ def _every_character_route(factors, genus_f, a, b, pg):
 @pytest.mark.parametrize("genus_f, pg", [(2, (3, 12)), (3, (3, 5))])
 def test_one_character_per_orbit_hands_make_cover_the_same_sequence(monkeypatch, genus_f, pg):
     # classify_cell solves only the smallest character of each stabilizer
-    # orbit; the every-character route must reach make_cover with the same
-    # pairs in the same order, cell by cell.
+    # orbit; the every-character route must reach make_cover's checks, which
+    # classify_cell calls as _checked_cover, with the same pairs in the same
+    # order, cell by cell.
     handed = []
     solved = []
     real_branch_solutions = classifier._branch_solutions
-    real_make_cover = classifier.make_cover
+    real_checked_cover = classifier._checked_cover
 
     def recording_branch_solutions(group, fixed, target, degrees):
         solved.append(group.neg_index[target])
         return real_branch_solutions(group, fixed, target, degrees)
 
-    def recording_make_cover(group, base_genus, branch, twist=()):
-        handed.append((solved[-1], branch))
-        return real_make_cover(group, base_genus, branch, twist)
+    def recording_checked_cover(group, base_genus, branch_ix, twist_ix):
+        handed.append((solved[-1], branch_ix))
+        return real_checked_cover(group, base_genus, branch_ix, twist_ix)
 
     monkeypatch.setattr(classifier, "_branch_solutions", recording_branch_solutions)
-    monkeypatch.setattr(classifier, "make_cover", recording_make_cover)
+    monkeypatch.setattr(classifier, "_checked_cover", recording_checked_cover)
     total = runs = 0
     for factors, a, b, _ in search_cells(genus_f):
         expected, cell_runs = _every_character_route(factors, genus_f, a, b, pg)
@@ -593,33 +596,33 @@ def test_generation_is_checked_once_per_branch_vector(monkeypatch):
     _actions_cell(3, 0, (2, 2, 2))  # warm the witness cache, whose enumeration checks generation too
     calls = Counter()
     real_generates = groups.FiniteAbelianGroup.generates
-    real_make_cover = classifier.make_cover
+    real_checked_cover = classifier._checked_cover
 
     def counting_generates(self, elems):
         calls["generates"] += 1
         return real_generates(self, elems)
 
-    def counting_make_cover(*args, **kwargs):
-        calls["make_cover"] += 1
+    def counting_checked_cover(*args, **kwargs):
+        calls["checked_cover"] += 1
         try:
-            return real_make_cover(*args, **kwargs)
+            return real_checked_cover(*args, **kwargs)
         except DisconnectedCoverError:
             calls["disconnected"] += 1
             raise
 
     monkeypatch.setattr(groups.FiniteAbelianGroup, "generates", counting_generates)
-    monkeypatch.setattr(classifier, "make_cover", counting_make_cover)
+    monkeypatch.setattr(classifier, "_checked_cover", counting_checked_cover)
     solutions = classify_cell((2, 2, 2), 3, 0, 0, (3, 6))
     assert len(solutions) == 48
     # Over the rational base the twist table's kernel mask already drops
-    # branch data that do not generate, so no make_cover is spent on them.
+    # branch data that do not generate, so no cover check is spent on them.
     assert calls["disconnected"] == 0
-    assert calls["generates"] == calls["make_cover"]
+    assert calls["generates"] == calls["checked_cover"]
 
 
 def test_a_solution_that_is_not_a_cover_raises(monkeypatch):
     # (1,1) + (2,1) generates (2,2) but sums to a nonzero element, so
-    # make_cover rejects it; the solver can never return such data.
+    # make_cover's checks reject it; the solver can never return such data.
     group = make_group((2, 2))
     assert group.generates([1, 2])
 
@@ -629,6 +632,39 @@ def test_a_solution_that_is_not_a_cover_raises(monkeypatch):
     monkeypatch.setattr(classifier, "_branch_solutions", not_closing)
     with pytest.raises(InternalConsistencyError, match="not a cover"):
         classify_cell((2, 2), 2, 0, 0, (3, 3))
+
+
+@pytest.mark.parametrize("genus_f, pg", [(2, (3, 30)), (3, (3, 8)), (4, (3, 12)), (5, (3, 12))])
+def test_every_solution_matches_the_one_shot_route(genus_f, pg):
+    # classify_cell checks solver output with make_cover's checks and F's side
+    # of invariants once per pencil pair; rebuilding each surface from its
+    # element tuples through the public one-shot route must give the same
+    # record, field by field.
+    cells = search_cells(genus_f)
+    checked = shared = 0
+    for factors, a, b, _ in cells:
+        group = make_group(factors)
+        classes = {}  # (id(witness), chi0) -> ids of the pair's singular classes
+        for sol in classify_cell(factors, genus_f, a, b, pg):
+            cover_d = make_cover(group, b, sol.cover_d.branch, sol.cover_d.twist)
+            report = invariants(make_sandwich(sol.cover_f, cover_d))
+            rebuilt = SurfaceSolution(
+                report.p_g, report.canonical_character, sol.cover_f, cover_d, genus(cover_d), report
+            )
+            for field in SurfaceSolution._fields:
+                assert getattr(sol, field) == getattr(rebuilt, field), (factors, a, b, field)
+            assert sol == rebuilt
+            ids = classes.setdefault((id(sol.cover_f), sol.chi0), set())
+            shared += sum(id(s) in ids for s in sol.report.sing)
+            ids.update(map(id, sol.report.sing))
+            checked += 1
+    assert checked == {2: 1883, 3: 321, 4: 0, 5: 1}[genus_f]
+    # Equal singular classes within one pair are one object, and the rows
+    # still pickle round-trip equal.
+    rows = classify_cells(cells, pg)
+    assert pickle.loads(pickle.dumps(rows)) == rows
+    if genus_f == 2:
+        assert shared > checked
 
 
 def _per_solution_bucket_key(group, sol):

@@ -192,6 +192,40 @@ def test_genus_check_fires_and_keeps_nothing_on_a_mismatch(monkeypatch):
     assert (c.dims, c.genus, genus(c)) == ((0, 2), 2, 2)
 
 
+def _raised(build, *args):
+    """The (class, message) of the error build(*args) raises."""
+    with pytest.raises(Exception) as info:
+        build(*args)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize(
+    "group, base_genus, branch, twist, error",
+    [
+        (Z22, 0, {(1, 0): 1, (1, 1): 1}, (), InvalidMonodromyError),  # sums to (0, 1)
+        (Z2, 0, {(1,): 1}, (), InvalidMonodromyError),  # one point, which cannot close
+        (Z2, 0, {}, (), InvalidMonodromyError),  # no point over P^1
+        (Z22, 0, {(1, 0): 2}, (), DisconnectedCoverError),
+        (Z22, 1, {}, ((1, 0), (1, 0)), DisconnectedCoverError),
+    ],
+)
+def test_checked_cover_raises_what_make_cover_raises(group, base_genus, branch, twist, error):
+    # make_cover resolves outside input to the normal form and hands it to
+    # _checked_cover; the classifier calls _checked_cover on solver output.
+    branch_ix = tuple(sorted((group.index[e], m) for e, m in branch.items()))
+    twist_ix = tuple(group.index[t] for t in twist)
+    raised = _raised(make_cover, group, base_genus, branch, twist)
+    assert raised[0] is error
+    assert _raised(covers_module._checked_cover, group, base_genus, branch_ix, twist_ix) == raised
+
+
+def test_checked_cover_raises_what_make_cover_raises_on_a_genus_mismatch(monkeypatch):
+    monkeypatch.setattr(covers_module, "_profile", lambda grp, b, nums: (0, 3))
+    raised = _raised(make_cover, Z2, 0, {(1,): 6})
+    assert raised == (InternalConsistencyError, "genus mismatch: eigenspace total 3 vs ramification count 2")
+    assert _raised(covers_module._checked_cover, Z2, 0, ((1, 6),), ()) == raised
+
+
 def test_pardini_carry_on_one_cover():
     c = make_cover(Z22, 0, {(1, 0): 1, (0, 1): 1, (1, 1): 3})
     g = c.group

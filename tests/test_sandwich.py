@@ -217,9 +217,9 @@ def test_invariants_builds_the_pairing_list_once(monkeypatch):
     calls = []
     real = sandwich._pairing_dims
 
-    def counting(sw):
-        calls.append(sw)
-        return real(sw)
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
 
     monkeypatch.setattr(sandwich, "_pairing_dims", counting)
     for sw in (_klein_pair(), _eight_group_pair(), _elliptic_base_pair()):
