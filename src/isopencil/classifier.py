@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
+from operator import sub
 
 from .atlas import _actions_cell, check_genus, groups_acting_on
 from .covers import (
@@ -132,10 +133,11 @@ def _branch_solutions(group: FiniteAbelianGroup, fixed: tuple, target: int, degr
 
 
 @lru_cache(maxsize=None)
-def _complete_twist(group: FiniteAbelianGroup, base_genus: int, kernel: int) -> tuple | None:
+def _complete_twist(group: FiniteAbelianGroup, base_genus: int, support: tuple) -> tuple | None:
     """Lexicographically first twist, as element indices, making branch data
-    with this common kernel mask connected, if one exists; over a rational
+    with these element indices connected, if one exists; over a rational
     base that is () when the branch data generate the group."""
+    kernel = group.common_kernel(support)
     for twist, mask in _twist_table(group, base_genus):
         if kernel & mask == 1:  # the same test as group.generates
             return twist
@@ -239,7 +241,7 @@ def pair_solutions(pair: PencilPair, pg_range):
         if branch in seen:
             continue
         seen.add(branch)
-        twist = _complete_twist(group, b, group.common_kernel([i for i, _ in branch]))
+        twist = _complete_twist(group, b, tuple([i for i, _ in branch]))
         if twist is not None:
             yield degree - 1 + b, branch, twist
 
@@ -297,26 +299,30 @@ def classify_cell(
     return solutions
 
 
-def _bucket_key(pair: PencilPair, branch_ix: tuple) -> tuple:
-    """Bounded multiplicities and free residues of a solution's branch data,
-    as (element index, value) pairs, under its pencil pair."""
-    branch = dict(branch_ix)
-    return (
-        tuple((i, branch[i]) for i in pair.bounded if i in branch),
-        tuple((i, branch.get(i, 0) % step) for i, step in pair.steps),
-    )
+def _key_layout(pair: PencilPair, support: tuple) -> tuple:
+    """(element index, position in support) of each bounded element present and
+    (element index, position or None, step) of each free one: where _bucket_key
+    reads branch data with this support under the pencil pair."""
+    position = {i: j for j, i in enumerate(support)}
+    bounded = tuple([(i, position[i]) for i in pair.bounded if i in position])
+    return bounded, tuple([(i, position.get(i), step) for i, step in pair.steps])
 
 
-def _series(sol: SurfaceSolution) -> dict[str, int]:
-    """The columns a family fits as linear forms in p_g; q is constant."""
-    return {
-        "p_g": sol.p_g,
-        "g_D": sol.genus_d,
-        "K2": sol.report.K2,
-        "t_z": sol.report.t_z,
-        "chi": sol.report.chi,
-        "euler_e": sol.report.euler_e,
-    }
+def _bucket_key(layout: tuple, mults: tuple) -> tuple:
+    """Bounded multiplicities and free residues of a solution's branch data, as
+    (element index, value) pairs, from its support's layout and multiplicities."""
+    bounded, free = layout
+    residues = tuple([(i, 0 if j is None else mults[j] % step) for i, j, step in free])
+    return tuple([(i, mults[j]) for i, j in bounded]), residues
+
+
+_SERIES = ("p_g", "g_D", "K2", "t_z", "chi", "euler_e")
+
+
+def _series(sol: SurfaceSolution) -> tuple[int, ...]:
+    """The columns a family fits as linear forms in p_g, named by _SERIES; q is constant."""
+    report = sol.report
+    return sol.p_g, sol.genus_d, report.K2, report.t_z, report.chi, report.euler_e
 
 
 def _row_order(r: FamilyRow):
@@ -327,30 +333,33 @@ def _row_order(r: FamilyRow):
 def fit_families(solutions: list[SurfaceSolution]) -> list[FamilyRow]:
     """Group solutions into linear-in-p_g families, leaving the rest sporadic;
     solutions of two pencil pairs are never merged."""
-    pairs: dict[tuple, tuple[int, PencilPair]] = {}  # (witness, chi0, b) -> (position, pair)
+    pairs: dict[tuple, tuple] = {}  # (witness, chi0, b) -> (position, pair, layout by support)
     buckets: dict[tuple, list[SurfaceSolution]] = {}
     for sol in solutions:
-        cover_f, b = sol.cover_f, sol.cover_d.base_genus
+        cover_f, branch, b = sol.cover_f, sol.cover_d.branch_ix, sol.cover_d.base_genus
         found = pairs.get((cover_f, sol.chi0, b))
         if found is None:
             pair = _pencil_pair(cover_f, cover_f.group.index[sol.chi0], b)
-            found = pairs[cover_f, sol.chi0, b] = (len(pairs), pair)
-        key = (found[0], *_bucket_key(found[1], sol.cover_d.branch_ix))
+            found = pairs[cover_f, sol.chi0, b] = (len(pairs), pair, {})
+        position, pair, layouts = found
+        support, mults = zip(*branch) if branch else ((), ())
+        layout = layouts.get(support) or layouts.setdefault(support, _key_layout(pair, support))
+        key = (position, *_bucket_key(layout, mults))
         buckets.setdefault(key, []).append(sol)
 
     rows = []
     for key in buckets:
         members = sorted(buckets[key], key=lambda s: s.p_g)
         runs: list[list[SurfaceSolution]] = []
-        prev = {}  # series of the previous member, which ends runs[-1]
+        prev = ()  # series of the previous member, which ends runs[-1]
         for sol in members:
             cur = _series(sol)
             run = runs[-1] if runs else None
             if run and sol.p_g == run[-1].p_g + 1:
                 if len(run) == 1:
-                    steps = {k: cur[k] - prev[k] for k in cur}
+                    steps = tuple(map(sub, cur, prev))
                     run.append(sol)
-                elif all(cur[k] - prev[k] == steps[k] for k in cur):
+                elif tuple(map(sub, cur, prev)) == steps:
                     run.append(sol)
                 else:
                     runs.append([sol])
@@ -376,8 +385,8 @@ def _emit_row(run: list[SurfaceSolution]) -> FamilyRow:
     start = _series(first)
     later = _series(run[1]) if len(run) >= 3 else start
     forms = {"q": LinearForm(0, a + b)}
-    for key, value in start.items():
-        slope = later[key] - value
+    for key, value, next_value in zip(_SERIES, start, later):
+        slope = next_value - value
         forms[key] = LinearForm(slope, value - slope * first.p_g)
     kind = "family" if len(run) >= 3 else "sporadic"
     return FamilyRow(

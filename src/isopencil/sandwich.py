@@ -2,6 +2,10 @@
 
 Characters and branch elements are read as element indices throughout; only
 the pencil character becomes an element tuple, for the report.
+
+For a fixed F and support of D (its branch element indices) the singular
+locus is linear in D's multiplicities: _support_plan sums F's point types once
+per support, and _locus evaluates that plan at D's multiplicities.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ import warnings
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 
 from .covers import FIBER_GENUS_RANGE, CoverData, genus
 from .errors import InternalConsistencyError, InvalidInputError
@@ -22,7 +27,6 @@ __all__ = [
     "SingularClass",
     "InvariantReport",
     "make_sandwich",
-    "irregularity",
     "singular_locus",
     "invariants",
 ]
@@ -75,20 +79,17 @@ def _pairing_dims(eigen_f: list, neg: tuple, dims_d: tuple) -> list[tuple[int, i
     return [(i, df, dims_d[neg[i]]) for i, df in eigen_f if dims_d[neg[i]]]
 
 
-def irregularity(sw: Sandwich) -> int:
-    return sw.cover_f.base_genus + sw.cover_d.base_genus
-
-
 @lru_cache(maxsize=None)
 def _point_type(grp: FiniteAbelianGroup, h1: int, h2: int):
     """Type of the points of F x D that the local monodromies h1, h2 fix,
     both element indices.
 
     Returns (n, canonical (n, q), (|G|/o1)*(|G|/o2)), or None when the shared
-    stabilizer is trivial. It depends only on the group and the pair, so each
-    is computed once per (group, h1, h2); groups are interned, so the cache
-    key hashes by identity.
+    stabilizer is trivial; checks that these points split into orbits, as
+    |G| n / (o1 o2) = |G| / |<h1, h2>|. Computed once per (group, h1, h2);
+    groups are interned, so the cache key hashes by identity.
     """
+    order = grp.order
     powers1 = grp._multiples(h1)  # indices of 0, h1, 2 h1, ...
     powers2 = grp._multiples(h2)
     o1, o2 = len(powers1), len(powers2)
@@ -107,49 +108,64 @@ def _point_type(grp: FiniteAbelianGroup, h1: int, h2: int):
         raise InternalConsistencyError(
             f"rotation exponent {q} invalid for a point of order {n}"
         )
-    return n, canonical_type(n, q), (grp.order // o1) * (grp.order // o2)
+    unit = (order // o1) * (order // o2)
+    if unit * n % order:
+        raise InternalConsistencyError(f"{unit} fixed points do not split into orbits of size {order // n}")
+    return n, canonical_type(n, q), unit
+
+
+def _support_plan(grp: FiniteAbelianGroup, branch_f: tuple, support: tuple) -> tuple:
+    """The singular locus of (F x D)/G for every D with these branch element
+    indices, linear in D's multiplicities: (classes, *_resolution), where
+    classes holds (n, q, points) per class, sorted, with the product-side
+    points each support element adds per unit. Their count is points n/|G|,
+    an integer for each pair of branch points (see _point_type)."""
+    size = len(support)
+    columns: dict[tuple[int, int], tuple] = {}  # (n, q) -> (n, q, points)
+    for j, h2 in enumerate(support):
+        for h1, d1 in branch_f:
+            point = _point_type(grp, h1, h2)
+            if point is not None:
+                key = point[1]
+                column = columns.get(key) or columns.setdefault(key, (*key, [0] * size))
+                column[2][j] += d1 * point[2]
+    keys = tuple(sorted(columns))
+    return (tuple(map(columns.get, keys)), *_resolution(keys))
+
+
+def _locus(classes: tuple, mults: tuple, order: int, shared: dict) -> tuple:
+    """(SingularClasses, their counts, total product-side points) of a support
+    plan's classes at D's multiplicities mults, for a group of this order.
+    shared maps (n, q, count, z) to its SingularClass once made, so equal
+    classes are one object."""
+    sing, counts, t_z = [], [], 0
+    for n, q, per_point in classes:
+        z = sum(map(mul, per_point, mults))
+        key = (n, q, z * n // order, z)
+        sing.append(shared.get(key) or shared.setdefault(key, SingularClass(*key)))
+        counts.append(key[2])
+        t_z += z
+    return tuple(sing), counts, t_z
 
 
 def singular_locus(sw: Sandwich) -> tuple[SingularClass, ...]:
     """Cyclic quotient points grouped by type, with their product-side counts."""
-    return _singular_classes(sw.group, sw.cover_f.branch_ix, sw.cover_d.branch_ix, {})
-
-
-def _singular_classes(grp: FiniteAbelianGroup, branch_f: tuple, branch_d: tuple, shared: dict):
-    """singular_locus of the covers with these index-space branches. shared
-    maps (n, q, count, z) to a SingularClass already made, and every new one
-    is added to it, so equal classes are one object."""
-    order = grp.order
-    classes: dict[tuple[int, int], list[int]] = {}
-    for h1, d1 in branch_f:
-        for h2, d2 in branch_d:
-            point = _point_type(grp, h1, h2)
-            if point is None:
-                continue
-            n, key, unit = point
-            z = d1 * d2 * unit
-            if z * n % order:
-                raise InternalConsistencyError(
-                    f"{z} stabilized points do not split into orbits of size {order // n}"
-                )
-            bucket = classes.setdefault(key, [0, 0])
-            bucket[0] += z * n // order
-            bucket[1] += z
-    out = []
-    for (n, q), (count, z) in sorted(classes.items()):
-        sing = shared.get((n, q, count, z))
-        if sing is None:
-            sing = shared[n, q, count, z] = SingularClass(n, q, count, z)
-        out.append(sing)
-    return tuple(out)
+    branch_d = sw.cover_d.branch_ix
+    support, mults = zip(*branch_d) if branch_d else ((), ())
+    classes = _support_plan(sw.group, sw.cover_f.branch_ix, support)[0]
+    return _locus(classes, mults, sw.group.order, {})[0]
 
 
 @lru_cache(maxsize=None)
-def _resolution(n: int, q: int) -> tuple[int, int, int]:
-    """Euler number of the exceptional chain over one 1/n(1,q) point, and the
-    numerator and denominator of its K^2 correction."""
-    k2 = k2_correction(n, q)
-    return len(hj_expansion(n, q)) + 1, k2.numerator, k2.denominator
+def _resolution(keys: tuple) -> tuple:
+    """(chains, weights, lcd, nodal) of classes with these (n, q) keys: the
+    Euler number of each exceptional chain, each K^2 correction over lcd,
+    their common denominator, and whether every point is a node."""
+    k2s = [k2_correction(n, q) for n, q in keys]
+    lcd = lcm(*[k2.denominator for k2 in k2s])
+    chains = tuple([len(hj_expansion(n, q)) + 1 for n, q in keys])
+    weights = tuple([k2.numerator * (lcd // k2.denominator) for k2 in k2s])
+    return chains, weights, lcd, all([n == 2 for n, _ in keys])
 
 
 def invariants(sw: Sandwich) -> InvariantReport:
@@ -160,54 +176,49 @@ def invariants(sw: Sandwich) -> InvariantReport:
 
 def _fiber_stage(cover_f: CoverData) -> tuple:
     """What invariants needs of the fiber side F alone, for any D: F, its
-    genus, checked to be at least 2, its nonzero eigenspaces as (character
-    index, dimension) pairs, and the shared SingularClass table of
-    _singular_classes. The classifier builds one per pencil pair, so equal
-    singular classes of the pair's surfaces are one object."""
+    genus, checked to be at least 2, its nonzero (character index, dimension)
+    pairs, its support plans and its shared SingularClass table. The classifier
+    builds one per pencil pair, so each plan is built once per (pair, support)."""
     g_f = _checked_genus(cover_f)
-    return cover_f, g_f, [(chi, df) for chi, df in enumerate(cover_f.dims) if df], {}
+    return cover_f, g_f, [(chi, df) for chi, df in enumerate(cover_f.dims) if df], {}, {}
 
 
 def _surface_stage(fiber: tuple, cover_d: CoverData) -> InvariantReport:
     """Invariants of (F x D)/G from F's fiber stage and the cover D of the
     same group, with every check of invariants."""
-    cover_f, g_f, eigen_f, shared = fiber
+    cover_f, g_f, eigen_f, plans, shared = fiber
     grp = cover_f.group
     order = grp.order
     g_d = genus(cover_d)
     # Sections of the canonical sheaf, counted through matching eigenspaces.
-    support = _pairing_dims(eigen_f, grp.neg_index, cover_d.dims)
-    p_g = sum([df * dd for _, df, dd in support])
+    pairing = _pairing_dims(eigen_f, grp.neg_index, cover_d.dims)
+    p_g = sum([df * dd for _, df, dd in pairing])
     q = cover_f.base_genus + cover_d.base_genus
     chi = 1 - q + p_g
-    sing = _singular_classes(grp, cover_f.branch_ix, cover_d.branch_ix, shared)
-    t_z = sum([s.z_points for s in sing])
+    support, mults = zip(*cover_d.branch_ix) if cover_d.branch_ix else ((), ())
+    plan = plans.get(support) or plans.setdefault(support, _support_plan(grp, cover_f.branch_ix, support))
+    classes, chains, weights, lcd, nodal = plan
+    sing, counts, t_z = _locus(classes, mults, order, shared)
 
     euler_z = (2 - 2 * g_f) * (2 - 2 * g_d)
     if (euler_z - t_z) % order:
         raise InternalConsistencyError(
             f"free locus has Euler number {euler_z - t_z}, not divisible by {order}"
         )
-    resolved = [(s.count, *_resolution(s.n, s.q)) for s in sing]
-    euler_e = (euler_z - t_z) // order + sum([c * chain for c, chain, _, _ in resolved])
+    euler_e = (euler_z - t_z) // order + sum(map(mul, counts, chains))
 
     k2_noether = 12 * chi - euler_e
-    # By resolution K^2 = 2(2g_F - 2)(2g_D - 2)/|G| + sum of count * num/den;
-    # compared with Noether's value in integers over |G| * lcm(den).
+    # By resolution K^2 = 2(2g_F - 2)(2g_D - 2)/|G| + sum of count * weight/lcd;
+    # compared with Noether's value in integers over |G| * lcd.
     k2_z = 2 * (2 * g_f - 2) * (2 * g_d - 2)
-    lcd = lcm(*[den for _, _, _, den in resolved])
-    if (k2_noether * order - k2_z) * lcd != order * sum(
-        [c * num * (lcd // den) for c, _, num, den in resolved]
-    ):
-        k2_exact = Fraction(k2_z, order) + sum(
-            (Fraction(c * num, den) for c, _, num, den in resolved), Fraction(0)
-        )
-        raise InternalConsistencyError(
-            f"canonical degree disagrees: {k2_noether} by Noether, {k2_exact} by resolution"
-        )
+    k2_sing = sum(map(mul, counts, weights))
+    if (k2_noether * order - k2_z) * lcd != order * k2_sing:
+        k2_exact = Fraction(k2_z, order) + Fraction(k2_sing, lcd)
+        message = f"canonical degree disagrees: {k2_noether} by Noether, {k2_exact} by resolution"
+        raise InternalConsistencyError(message)
     k2 = k2_noether
 
-    if all([s.n == 2 for s in sing]):
+    if nodal:
         # Nodes leave the canonical degree untouched and each one adds 1/4 to chi.
         if k2 * order != 2 * (2 * g_f - 2) * (2 * g_d - 2) or t_z % 4:
             raise InternalConsistencyError("nodal shortcut for the canonical degree failed")
@@ -217,8 +228,8 @@ def _surface_stage(fiber: tuple, cover_d: CoverData) -> InvariantReport:
     # A canonical pencil with fiber F: one character carries the whole
     # canonical system, with a 1-dimensional eigenspace on F.
     canonical = None
-    if p_g >= 2 and len(support) == 1 and support[0][1] == 1:
-        canonical = grp.elements()[support[0][0]]
+    if p_g >= 2 and len(pairing) == 1 and pairing[0][1] == 1:
+        canonical = grp.elements()[pairing[0][0]]
 
     if canonical is not None and p_g >= 11:
         a = cover_f.base_genus

@@ -11,13 +11,12 @@ from operator import mul
 import pytest
 
 import oracle
-from isopencil import classifier, groups
+from isopencil import classifier, groups, sandwich
 from isopencil.atlas import _actions_cell, abelian_groups_up_to, groups_acting_on
 from isopencil.classifier import (
     PencilPair,
     SurfaceSolution,
     _branch_solutions,
-    _bucket_key,
     _complete_twist,
     _pencil_pair,
     _stabilizer,
@@ -38,7 +37,8 @@ from isopencil.errors import (
     InvalidInputError,
 )
 from isopencil.groups import image, make_group
-from isopencil.sandwich import invariants, make_sandwich
+from isopencil.sandwich import Sandwich, invariants, make_sandwich
+from test_sandwich import _oracle_locus
 
 
 def rows_for(factors, genus_f, a, b, pg=(3, 8)):
@@ -538,8 +538,7 @@ def _every_character_route(factors, genus_f, a, b, pg):
                 if canon in seen:
                     continue
                 seen.add(canon)
-                kernel = group.common_kernel([i for i, _ in canon[1]])
-                if _complete_twist(group, b, kernel) is not None:
+                if _complete_twist(group, b, tuple(i for i, _ in canon[1])) is not None:
                     pairs.append(canon)
     return pairs, runs
 
@@ -667,6 +666,31 @@ def test_every_solution_matches_the_one_shot_route(genus_f, pg):
         assert shared > checked
 
 
+@pytest.mark.parametrize("genus_f, pg, solutions", [(2, (3, 30), 1883), (3, (3, 8), 321)])
+def test_every_classified_singular_locus_matches_the_coordinate_walk(monkeypatch, genus_f, pg, solutions):
+    # classify and invariants read the singular locus from one support plan
+    # per (pencil pair, support of D); the coordinate walk recomputes every
+    # point type from element tuples for every pair of branch points. Each
+    # plan is built once, for the 60 combinations that occur at either genus.
+    built = []
+    real = sandwich._support_plan
+
+    def counting(grp, branch_f, support):
+        built.append(support)
+        return real(grp, branch_f, support)
+
+    monkeypatch.setattr(sandwich, "_support_plan", counting)
+    members = [sol for row in classify_cells(search_cells(genus_f), pg) for sol in row.members]
+    assert len(members) == solutions
+    for sol in members:
+        assert sol.report.sing == _oracle_locus(Sandwich(sol.cover_f, sol.cover_d))
+    combinations = {
+        (sol.cover_f, sol.chi0, sol.cover_d.base_genus, tuple(i for i, _ in sol.cover_d.branch_ix))
+        for sol in members
+    }
+    assert len(built) == len(combinations) == 60
+
+
 def _per_solution_bucket_key(group, sol):
     """The bounded multiplicities and free residues of a solution, computed
     afresh from coordinates, with every element mapped to its index at the
@@ -695,15 +719,38 @@ def _per_solution_bucket_key(group, sol):
     ((2, 6), 2, (3, 30), 1452),
     ((2, 2, 2), 3, (3, 8), 78),
 ])
-def test_pencil_pair_split_matches_the_per_solution_key(factors, genus_f, pg, least):
+def test_pencil_pair_split_matches_the_per_solution_key(monkeypatch, factors, genus_f, pg, least):
+    # fit_families keys each solution from the layout of its (pencil pair,
+    # support), worked out once; every key it builds must equal the key
+    # computed afresh from coordinates.
     group = make_group(factors)
+    keys, layouts = [], []
+    real_bucket_key, real_key_layout = classifier._bucket_key, classifier._key_layout
+
+    def recording_bucket_key(layout, mults):
+        keys.append(real_bucket_key(layout, mults))
+        return keys[-1]
+
+    def recording_key_layout(pair, support):
+        layouts.append((pair.witness, pair.chi0, pair.b, support))
+        return real_key_layout(pair, support)
+
+    monkeypatch.setattr(classifier, "_bucket_key", recording_bucket_key)
+    monkeypatch.setattr(classifier, "_key_layout", recording_key_layout)
     checked = 0
     for a in range(genus_f + 1):
         for b in (0, 1):
-            for sol in classify_cell(factors, genus_f, a, b, pg):
-                pair = _pencil_pair(sol.cover_f, group.index[sol.chi0], b)
-                assert _bucket_key(pair, sol.cover_d.branch_ix) == _per_solution_bucket_key(group, sol)
-                checked += 1
+            solutions = classify_cell(factors, genus_f, a, b, pg)
+            keys.clear()
+            layouts.clear()
+            fit_families(solutions)
+            assert keys == [_per_solution_bucket_key(group, sol) for sol in solutions]
+            supports = {
+                (sol.cover_f, group.index[sol.chi0], b, tuple(i for i, _ in sol.cover_d.branch_ix))
+                for sol in solutions
+            }
+            assert sorted(layouts, key=repr) == sorted(supports, key=repr)
+            checked += len(solutions)
     assert checked >= least
 
 

@@ -10,14 +10,14 @@ import pytest
 import oracle
 from isopencil import sandwich
 from isopencil.atlas import abelian_groups_up_to
+from isopencil.classifier import classify_cell
 from isopencil.covers import eigen_profile, genus, make_cover
-from isopencil.errors import InvalidInputError
+from isopencil.errors import InternalConsistencyError, InvalidInputError
 from isopencil.groups import make_group
 from isopencil.sandwich import (
     InvariantReport,
     SingularClass,
     invariants,
-    irregularity,
     make_sandwich,
     singular_locus,
 )
@@ -152,7 +152,6 @@ def test_irregular_pair_over_elliptic_bases():
     f = make_cover(g, 1, {(1,): 2}, twist=((0,), (0,)))
     sw = make_sandwich(f, f)
     assert genus(f) == 2
-    assert irregularity(sw) == 2
     rep = invariants(sw)
     assert (rep.p_g, rep.q, rep.chi) == (2, 2, 1)
     assert (rep.euler_e, rep.K2, rep.t_z) == (8, 4, 4)
@@ -324,3 +323,56 @@ def test_each_point_type_is_computed_once_per_group_and_pair(random_covers):
     calls = 2 * sum(len(f.branch_ix) * len(d.branch_ix) for f, d in pairs)
     info = sandwich._point_type.cache_info()
     assert (info.misses, info.hits) == (len(distinct), calls - len(distinct))
+
+
+def _singular_pairs():
+    """Hand-worked sandwiches with singular points: nodes, then three types over Z/4."""
+    g = make_group([4])
+    mixed = make_sandwich(
+        make_cover(g, 0, {(1,): 1, (3,): 1, (2,): 2}), make_cover(g, 0, {(1,): 2, (3,): 2})
+    )
+    return _klein_pair(), mixed
+
+
+@pytest.mark.parametrize("plant", ["point", "orbit", "chain"])
+def test_a_planted_plan_defect_fails_a_surface_check(monkeypatch, plant):
+    # The support plan feeds the singular side of both routes to K^2, while
+    # p_g, q and the genera come from the eigenspaces. One wrong point
+    # coefficient or chain length in the plan must make the Euler
+    # divisibility or K^2 by Noether against K^2 by resolution fail.
+    real = sandwich._support_plan
+
+    def planted(grp, branch_f, support):
+        classes, chains, weights, lcd, nodal = real(grp, branch_f, support)
+        n, q, points = classes[-1]
+        if plant != "chain":  # one point more, or one whole orbit of points more
+            points = [points[0] + (1 if plant == "point" else grp.order), *points[1:]]
+        else:
+            chains = (*chains[:-1], chains[-1] + 1)
+        return (*classes[:-1], (n, q, points)), chains, weights, lcd, nodal
+
+    for sw in _singular_pairs():
+        invariants(sw)
+    monkeypatch.setattr(sandwich, "_support_plan", planted)
+    for sw in _singular_pairs():
+        with pytest.raises(InternalConsistencyError, match="Euler number|canonical degree"):
+            invariants(sw)
+    # The classifier's surface stage reads the same plans.
+    with pytest.raises(InternalConsistencyError, match="Euler number|canonical degree"):
+        classify_cell((2, 2), 2, 0, 0, (3, 5))
+
+
+def test_a_planted_point_count_fails_the_orbit_split_check():
+    # Over two branch points with monodromies h1, h2 of orders o1, o2 and a
+    # shared stabilizer of order n, (|G|/o1)(|G|/o2) points of F x D are
+    # fixed, in orbits of size |G|/n. A group that miscounts its order by one
+    # gives Z/3 a point count that does not split, and _point_type must say so.
+    g = make_group([3])
+
+    class Miscounted:
+        order = g.order + 1
+        _multiples = staticmethod(g._multiples)
+
+    assert sandwich._point_type(g, 1, 1) == (3, (3, 1), 1)
+    with pytest.raises(InternalConsistencyError, match="do not split into orbits"):
+        sandwich._point_type(Miscounted(), 1, 1)
