@@ -43,9 +43,10 @@ __all__ = [
 
 
 class SurfaceSolution(Record):
-    """One pencil-bearing surface found at a specific section count."""
+    """One pencil-bearing surface found at a specific section count, with the
+    PencilPair it was solved from; its witness is the fiber curve F."""
 
-    __slots__ = ("p_g", "chi0", "cover_f", "cover_d", "genus_d", "report")
+    __slots__ = ("p_g", "chi0", "pair", "cover_d", "genus_d", "report")
 
 
 class PencilPair(Record):
@@ -190,7 +191,7 @@ def _stabilizer(cover: CoverData):
     return tuple(kept)
 
 
-def _pencil_pair(cover_f: CoverData, chi0: int, b: int, fixers=()) -> PencilPair:
+def _pencil_pair(cover_f: CoverData, chi0: int, b: int, fixers) -> PencilPair:
     """The pair of the witness cover_f at the character index chi0: every other
     character in F's eigen-profile is fixed, needing degree 1 - b on D at its
     negative, and the target -chi0 carries the degree that grows with p_g. An
@@ -295,7 +296,7 @@ def classify_cell(
                 )
             if report.p_g != p_g:
                 raise InternalConsistencyError(f"solution built for p_g={p_g} reports p_g={report.p_g}")
-            solutions.append(SurfaceSolution(p_g, chi0, pair.witness, cover_d, g_d, report))
+            solutions.append(SurfaceSolution(p_g, chi0, pair, cover_d, g_d, report))
     return solutions
 
 
@@ -333,15 +334,11 @@ def _row_order(r: FamilyRow):
 def fit_families(solutions: list[SurfaceSolution]) -> list[FamilyRow]:
     """Group solutions into linear-in-p_g families, leaving the rest sporadic;
     solutions of two pencil pairs are never merged."""
-    pairs: dict[tuple, tuple] = {}  # (witness, chi0, b) -> (position, pair, layout by support)
+    pairs: dict[PencilPair, tuple] = {}  # pair -> (position, layout by support)
     buckets: dict[tuple, list[SurfaceSolution]] = {}
     for sol in solutions:
-        cover_f, branch, b = sol.cover_f, sol.cover_d.branch_ix, sol.cover_d.base_genus
-        found = pairs.get((cover_f, sol.chi0, b))
-        if found is None:
-            pair = _pencil_pair(cover_f, cover_f.group.index[sol.chi0], b)
-            found = pairs[cover_f, sol.chi0, b] = (len(pairs), pair, {})
-        position, pair, layouts = found
+        pair, branch = sol.pair, sol.cover_d.branch_ix
+        position, layouts = pairs.get(pair) or pairs.setdefault(pair, (len(pairs), {}))
         support, mults = zip(*branch) if branch else ((), ())
         layout = layouts.get(support) or layouts.setdefault(support, _key_layout(pair, support))
         key = (position, *_bucket_key(layout, mults))
@@ -380,8 +377,8 @@ def _emit_row(run: list[SurfaceSolution]) -> FamilyRow:
     """A family row for a run of three or more solutions, else a sporadic row
     for a run's one solution: the same fit, with slope 0."""
     first = run[0]
-    a = first.cover_f.base_genus
-    b = first.cover_d.base_genus
+    witness, b = first.pair.witness, first.pair.b
+    a = witness.base_genus
     start = _series(first)
     later = _series(run[1]) if len(run) >= 3 else start
     forms = {"q": LinearForm(0, a + b)}
@@ -390,10 +387,10 @@ def _emit_row(run: list[SurfaceSolution]) -> FamilyRow:
         forms[key] = LinearForm(slope, value - slope * first.p_g)
     kind = "family" if len(run) >= 3 else "sporadic"
     return FamilyRow(
-        first.cover_f.group.factors,
+        witness.group.factors,
         a,
         b,
-        genus(first.cover_f),
+        genus(witness),
         first.chi0,
         kind,
         first.p_g,

@@ -107,9 +107,9 @@ def make_cover(group: FiniteAbelianGroup, base_genus, branch, twist=()) -> Cover
 
 def _checked_cover(group: FiniteAbelianGroup, base_genus: int, branch_ix: tuple, twist_ix: tuple) -> CoverData:
     """The cover of data already in make_cover's normal form, after every
-    mathematical check: the branch sum closes, a rational base has at least two
-    points, the data generate, the bundle degrees are integral and the genus by
-    eigenspaces equals the ramification count.
+    mathematical check: the branch sum closes, which makes every bundle degree
+    integral, a rational base has at least two points, the data generate, and
+    the genus by eigenspaces equals the ramification count.
 
     branch_ix holds (element index, multiplicity) pairs with positive
     multiplicities and nonzero indices, sorted by index, and twist_ix the
@@ -175,21 +175,17 @@ def _profile(grp: FiniteAbelianGroup, b: int, nums: list[int]) -> tuple[int, ...
     """Eigenspace dimension of every character from its branch numerator (see _numerators).
 
     By Chevalley-Weil a nontrivial character whose line bundle has degree
-    l = num / exponent has an eigenspace of dimension l + b - 1. On a
-    connected cover l is an integer, and 0 only over a base of positive genus.
+    l = num / exponent has an eigenspace of dimension l + b - 1. l is integral
+    once the branch sum closes, which _checked_cover tests first, and on a
+    connected cover 0 only over a base of positive genus.
     """
+    if b == 0 and 0 in nums[1:]:  # cross-checks the kernel-mask generation test
+        raise InternalConsistencyError(
+            f"degree-0 bundle at nontrivial character index {nums.index(0, 1)} on a connected rational-base cover"
+        )
     exponent = grp.exponent
-    dims = [b]  # elements() starts at the identity, whose eigenspace is the base's
-    for chi, num in enumerate(nums[1:], 1):
-        if num < exponent or num % exponent:  # a degree below 1, or not integral
-            if num % exponent:
-                raise InternalConsistencyError(f"bundle degree for character index {chi} is not integral")
-            if b == 0:
-                raise InternalConsistencyError(
-                    f"degree-0 bundle at nontrivial character index {chi} on a connected rational-base cover"
-                )
-        dims.append(num // exponent + b - 1)
-    return tuple(dims)
+    # elements() starts at the identity, whose eigenspace is the base's
+    return (b, *[num // exponent + b - 1 for num in nums[1:]])
 
 
 def eigen_profile(cover: CoverData) -> dict[Element, int]:
@@ -413,9 +409,10 @@ def _iter_covers(group, base_genus, target_genus, up_to_aut):
     vectors = _multiplicity_vectors(lambda i, s: rows[i][s], weights, 0, 0, goal)
 
     # Key of every orbit member met -> orbit minimum, all in index space. A
-    # leaf's (branch, twist) is already in make_cover's normal form (branch
-    # sorted by element, no zero multiplicity), so a known non-minimal orbit
-    # member is skipped unbuilt, and so is a disconnected one.
+    # leaf's (branch, twist) is in make_cover's normal form (branch sorted by
+    # element, no zero multiplicity), so the orbit is computed from the raw
+    # data at its first member met and only its minimum is built; a
+    # disconnected leaf is skipped unbuilt too.
     least: dict[tuple, tuple] = {}
     twists = _twist_table(group, base_genus)
     for branch, _ in vectors:
@@ -426,9 +423,12 @@ def _iter_covers(group, base_genus, target_genus, up_to_aut):
             if branch_mask & twist_mask != 1:
                 continue
             key = (branch, twist)
-            known = least.get(key) if up_to_aut else None
-            if known is not None and known != key:
-                continue
+            if up_to_aut:
+                if key not in least:
+                    orbit = _index_orbit(group, branch, twist)
+                    least.update(dict.fromkeys(orbit, min(orbit)))
+                if least[key] != key:
+                    continue
             # A leaf's branch sum closes, its masks say it generates and its
             # twist has 2b elements; over a rational base that means at least
             # two points when G is nontrivial (one closing point is the
@@ -437,13 +437,8 @@ def _iter_covers(group, base_genus, target_genus, up_to_aut):
                 cover = make_cover(group, base_genus, branch, twist)
             except InvalidInputError as err:
                 raise InternalConsistencyError(f"solved branch data are not a cover: {err}") from err
-            if up_to_aut and known is None:
-                if key != (cover.branch_ix, cover.twist_ix):
-                    raise InternalConsistencyError(
-                        f"enumerator leaf {key} is not in normal form {(cover.branch_ix, cover.twist_ix)}"
-                    )
-                orbit = _index_orbit(group, branch, twist)
-                least.update(dict.fromkeys(orbit, min(orbit)))
-                if least[key] != key:
-                    continue
+            if key != (cover.branch_ix, cover.twist_ix):
+                raise InternalConsistencyError(
+                    f"enumerator leaf {key} is not in normal form {(cover.branch_ix, cover.twist_ix)}"
+                )
             yield cover

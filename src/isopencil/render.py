@@ -196,7 +196,7 @@ def render_family_rows(rows: list[FamilyRow], fmt: str) -> str:
             "members": [
                 {
                     "p_g": sol.p_g,
-                    "spec": sandwich_record(Sandwich(sol.cover_f, sol.cover_d)),
+                    "spec": sandwich_record(Sandwich(sol.pair.witness, sol.cover_d)),
                     "invariants": _invariant_payload(sol.report),
                 }
                 for sol in row.members

@@ -170,7 +170,8 @@ def _resolution(keys: tuple) -> tuple:
 
 def invariants(sw: Sandwich) -> InvariantReport:
     """Invariants of the resolved quotient, checked along two routes: the
-    fiber stage of sw.cover_f, then the surface stage of sw.cover_d."""
+    fiber stage of sw.cover_f, then the surface stage of sw.cover_d, each
+    refusing its curve when its genus is below 2."""
     return _surface_stage(_fiber_stage(sw.cover_f), sw.cover_d)
 
 
@@ -189,7 +190,7 @@ def _surface_stage(fiber: tuple, cover_d: CoverData) -> InvariantReport:
     cover_f, g_f, eigen_f, plans, shared = fiber
     grp = cover_f.group
     order = grp.order
-    g_d = genus(cover_d)
+    g_d = _checked_genus(cover_d)
     # Sections of the canonical sheaf, counted through matching eigenspaces.
     pairing = _pairing_dims(eigen_f, grp.neg_index, cover_d.dims)
     p_g = sum([df * dd for _, df, dd in pairing])

@@ -96,7 +96,7 @@ def check_dual_route_reports(rows) -> int:
     seen = 0
     for row in rows:
         for member in row.members:
-            report = invariants(make_sandwich(member.cover_f, member.cover_d))
+            report = invariants(make_sandwich(member.pair.witness, member.cover_d))
             assert report == member.report
             assert 12 * report.chi == report.K2 + report.euler_e
             seen += 1
@@ -111,8 +111,8 @@ def check_node_shortcut(rows) -> int:
             report = member.report
             if any(s.n != 2 for s in report.sing):
                 continue
-            order = member.cover_f.group.order
-            g_f = genus(member.cover_f)
+            order = member.pair.witness.group.order
+            g_f = genus(member.pair.witness)
             g_d = genus(member.cover_d)
             assert report.K2 * order == 2 * (2 * g_f - 2) * (2 * g_d - 2)
             assert report.t_z % 4 == 0

@@ -41,7 +41,7 @@ def families(rows):
 
 def bounded_orders(row):
     # Capped multiplicities repeat across members; only the growth element moves.
-    group = row.members[0].cover_f.group
+    group = row.members[0].pair.witness.group
     first = dict(row.members[0].cover_d.branch)
     last = dict(row.members[-1].cover_d.branch)
     orders = []
@@ -122,7 +122,7 @@ def test_criterion_03_rational_base_trio_matches_with_one_flagged_degree():
     for intercept, expected in vectors.items():
         for member in (fams[intercept].members[0], fams[intercept].members[-1]):
             m = member.p_g + 1
-            grp = member.cover_f.group
+            grp = member.pair.witness.group
             degrees = dict(member.cover_d.branch)
             got = sorted(degrees.get(e, 0) for e in grp.elements()[1:])
             assert got == sorted(expected(m))
@@ -321,7 +321,7 @@ def test_criterion_09_control_families_only_arise_from_unlisted_actions():
         fams = families(classify(genus_f, groups=[factors], pg_range=(3, 8)))
         assert fams, (factors, genus_f)
         for row in fams:
-            cover = row.members[0].cover_f
+            cover = row.members[0].pair.witness
             profile = canonical_profile(cover.group, eigen_profile(cover))
             assert profile in unlisted and profile not in listed
 

@@ -296,7 +296,7 @@ def test_genus_three_double_quotient_family():
     rows = rows_for([2], 3, 2, 0)
     assert len(rows) == 1
     row = rows[0]
-    assert row.members[0].cover_f.branch == ()
+    assert row.members[0].pair.witness.branch == ()
     assert (row.forms["q"].slope, row.forms["q"].intercept) == (0, 2)
     assert forms5(row) == ((1, 0), (8, -8), (0, 0), (1, -1), (4, -4))
 
@@ -331,7 +331,7 @@ def test_genus_three_rank_three_cell():
     rows = rows_for([2, 2, 2], 3, 0, 0)
     assert len(rows) == 12
     assert all(r.kind == "family" for r in rows)
-    assert len({r.members[0].cover_f for r in rows}) == 1
+    assert len({r.members[0].pair.witness for r in rows}) == 1
     counts = Counter(forms5(r) for r in rows)
     assert counts == {
         ((4, 5), (8, 8), (0, 0), (1, 1), (4, 4)): 1,
@@ -353,7 +353,7 @@ def test_genus_three_rank_three_cell():
 def bounded_orders(row):
     # Multiplicities of capped elements stay fixed along a family while the
     # growing element's count changes, and element orders survive relabeling.
-    group = row.members[0].cover_f.group
+    group = row.members[0].pair.witness.group
     first = dict(row.members[0].cover_d.branch)
     last = dict(row.members[-1].cover_d.branch)
     orders = []
@@ -367,7 +367,7 @@ def test_genus_three_mixed_cyclic_cell():
     rows = rows_for([2, 8], 3, 0, 0)
     assert len(rows) == 22
     assert all(r.kind == "family" for r in rows)
-    assert len({r.members[0].cover_f for r in rows}) == 1
+    assert len({r.members[0].pair.witness for r in rows}) == 1
     assert all(r.forms["g_D"].slope == 8 for r in rows)
     assert all((r.forms["chi"].slope, r.forms["chi"].intercept) == (1, 1) for r in rows)
     intercepts = sorted(r.forms["g_D"].intercept for r in rows)
@@ -448,7 +448,7 @@ def test_search_is_complete_within_a_box():
     # the targeted search must find exactly the same set.
     sols = classify_cell([2, 2], 2, 0, 0, (3, 3))
     assert len(sols) == 3
-    f_curves = {s.cover_f for s in sols}
+    f_curves = {s.pair.witness for s in sols}
     assert len(f_curves) == 1
     cover_f = f_curves.pop()
     group = make_group([2, 2])
@@ -532,7 +532,7 @@ def _every_character_route(factors, genus_f, a, b, pg):
         seen = set()
         for chi0 in [chi for chi, dim in enumerate(witness.dims) if chi and dim == 1]:
             runs += 1
-            pair = _pencil_pair(witness, chi0, b)
+            pair = _pencil_pair(witness, chi0, b, ())
             for _, branch in _branch_solutions(group, pair.fixed, pair.target, range(lo + 1 - b, hi + 2 - b)):
                 canon = _canonical_pair(stab, chi0, branch)
                 if canon in seen:
@@ -646,14 +646,14 @@ def test_every_solution_matches_the_one_shot_route(genus_f, pg):
         classes = {}  # (id(witness), chi0) -> ids of the pair's singular classes
         for sol in classify_cell(factors, genus_f, a, b, pg):
             cover_d = make_cover(group, b, sol.cover_d.branch, sol.cover_d.twist)
-            report = invariants(make_sandwich(sol.cover_f, cover_d))
+            report = invariants(make_sandwich(sol.pair.witness, cover_d))
             rebuilt = SurfaceSolution(
-                report.p_g, report.canonical_character, sol.cover_f, cover_d, genus(cover_d), report
+                report.p_g, report.canonical_character, sol.pair, cover_d, genus(cover_d), report
             )
             for field in SurfaceSolution._fields:
                 assert getattr(sol, field) == getattr(rebuilt, field), (factors, a, b, field)
             assert sol == rebuilt
-            ids = classes.setdefault((id(sol.cover_f), sol.chi0), set())
+            ids = classes.setdefault((id(sol.pair.witness), sol.chi0), set())
             shared += sum(id(s) in ids for s in sol.report.sing)
             ids.update(map(id, sol.report.sing))
             checked += 1
@@ -683,9 +683,9 @@ def test_every_classified_singular_locus_matches_the_coordinate_walk(monkeypatch
     members = [sol for row in classify_cells(search_cells(genus_f), pg) for sol in row.members]
     assert len(members) == solutions
     for sol in members:
-        assert sol.report.sing == _oracle_locus(Sandwich(sol.cover_f, sol.cover_d))
+        assert sol.report.sing == _oracle_locus(Sandwich(sol.pair.witness, sol.cover_d))
     combinations = {
-        (sol.cover_f, sol.chi0, sol.cover_d.base_genus, tuple(i for i, _ in sol.cover_d.branch_ix))
+        (sol.pair.witness, sol.chi0, sol.cover_d.base_genus, tuple(i for i, _ in sol.cover_d.branch_ix))
         for sol in members
     }
     assert len(built) == len(combinations) == 60
@@ -695,7 +695,7 @@ def _per_solution_bucket_key(group, sol):
     """The bounded multiplicities and free residues of a solution, computed
     afresh from coordinates, with every element mapped to its index at the
     end."""
-    profile_f = eigen_profile(sol.cover_f)
+    profile_f = eigen_profile(sol.pair.witness)
     constraint_chars = [
         oracle.neg(group, chi)
         for chi, dim in sorted(profile_f.items())
@@ -746,7 +746,7 @@ def test_pencil_pair_split_matches_the_per_solution_key(monkeypatch, factors, ge
             fit_families(solutions)
             assert keys == [_per_solution_bucket_key(group, sol) for sol in solutions]
             supports = {
-                (sol.cover_f, group.index[sol.chi0], b, tuple(i for i, _ in sol.cover_d.branch_ix))
+                (sol.pair.witness, group.index[sol.chi0], b, tuple(i for i, _ in sol.cover_d.branch_ix))
                 for sol in solutions
             }
             assert sorted(layouts, key=repr) == sorted(supports, key=repr)
@@ -793,6 +793,23 @@ def test_pencil_pairs_are_counted_per_fiber_genus(monkeypatch):
     assert calls["solve"] == counts[2] + counts[3]
 
 
+@pytest.mark.parametrize("genus_f, pg, pairs", [(2, (3, 30), 25), (3, (3, 8), 88)])
+def test_each_pencil_pair_is_built_once_fit_included(monkeypatch, genus_f, pg, pairs):
+    # Every solution carries the pair it was solved from, so fitting reads
+    # that pair and builds none of its own.
+    built = []
+    real = classifier._pencil_pair
+
+    def counting(*args):
+        built.append(args[:3])
+        return real(*args)
+
+    monkeypatch.setattr(classifier, "_pencil_pair", counting)
+    rows = classify_cells(search_cells(genus_f), pg)
+    assert len(built) == len(set(built)) == pairs
+    assert {(s.pair.witness, s.pair.chi0, s.pair.b) for row in rows for s in row.members} <= set(built)
+
+
 def test_fit_families_never_merges_two_pencil_pairs():
     # Fitting every g_F = 2 solution at once gives the rows of fitting each
     # cell alone, and every row holds the solutions of one pencil pair.
@@ -802,4 +819,4 @@ def test_fit_families_never_merges_two_pencil_pairs():
     rows = fit_families(pooled)
     assert rows == classify_cells(cells, pg)
     for row in rows:
-        assert len({(s.cover_f, s.chi0, s.cover_d.base_genus) for s in row.members}) == 1
+        assert len({(s.pair.witness, s.chi0, s.cover_d.base_genus) for s in row.members}) == 1

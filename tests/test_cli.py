@@ -1,8 +1,10 @@
 """Exit codes, spec examples, and byte-determinism of the command line."""
 
 import argparse
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -10,12 +12,13 @@ from pathlib import Path
 
 import pytest
 
+import isopencil
 from isopencil import classifier, cli
 from isopencil.classifier import cell_of, classify, classify_cells, search_cells
 from isopencil.compare import compare_with_reference
 from isopencil.covers import make_cover
 from isopencil.errors import CapabilityError, InternalConsistencyError, InvalidInputError
-from isopencil.groups import make_group
+from isopencil.groups import Automorphism, FiniteAbelianGroup, make_group
 from isopencil.reference_tables import family_reference, family_table_ids
 from isopencil.sandwich import make_sandwich
 from isopencil.specfile import parse_sandwich, sandwich_record
@@ -216,6 +219,16 @@ def test_consistency_failures_exit_two(capsys, monkeypatch):
         assert run(capsys, "atlas", "--genus", "2") == (code, "", "error: routes disagree\n"), error
 
 
+def test_a_solved_second_curve_of_genus_below_two_exits_two(capsys, monkeypatch):
+    # classify_cell checks g(D) before the surface stage, whose refusal would
+    # read as bad input and exit 1.
+    low = make_cover(make_group([2, 2]), 0, {(0, 1): 2, (1, 0): 2})
+    monkeypatch.setattr(classifier, "_checked_cover", lambda group, b, branch, twist: low)
+    code, out, err = run(capsys, "classify", "--genus-f", "2", "--group", "2,2", "--base-a", "0", "--base-b", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: solution for p_g=3 has g(D)=1 < 2"), err
+
+
 def test_compare_subcommand_covers_both_table_kinds(capsys):
     code, out, _ = run(capsys, "compare", "tabelladue")
     assert code == 0
@@ -327,3 +340,20 @@ def test_readme_examples_match_the_cli_byte_for_byte(tmp_path, capsys, monkeypat
         code, out, err = run(capsys, *command.split()[2:])
         assert (code, err) == (0, "")
         assert out == expected, command
+
+
+def test_readme_library_example_runs():
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```$", README.read_text(), flags=re.M | re.S)
+    (example,) = [body for info, body in blocks if info == "python"]
+    exec(compile(example, str(README), "exec"), {})
+
+
+def test_readme_private_names_resolve():
+    # A backticked private name such as `_multiplicity_vectors` points the
+    # reader at code, so it must name something that exists.
+    spans = re.findall(r"`[^`\n]+`", README.read_text())
+    names = {name for span in spans for name in re.findall(r"(?<!\w)_[A-Za-z]\w*", span)}
+    homes = [importlib.import_module(f"isopencil.{m.name}") for m in pkgutil.iter_modules(isopencil.__path__)]
+    homes += [FiniteAbelianGroup, Automorphism]
+    assert names
+    assert sorted(name for name in names if not any(hasattr(home, name) for home in homes)) == []

@@ -26,6 +26,7 @@ KLEIN = make_group((2, 2))
 F_COVER = make_cover(KLEIN, 0, {(0, 1): 1, (1, 0): 1, (1, 1): 3})
 D_COVER = make_cover(KLEIN, 1, {(0, 1): 6}, ((1, 0), (0, 1)))
 REPORT = invariants(make_sandwich(F_COVER, D_COVER))
+PAIR = PencilPair(F_COVER, 1, 1, ((2, 0),), 1, ((0, 1, 2, 3),), (2, 3), ((1, 2),))
 FORM = LinearForm(8, -4)
 CELL = ((2, 2), 0, 1, 2)
 DISCREPANCY = Discrepancy("zero", 1, "K2", LinearForm(8, 0), FORM, -4)
@@ -65,7 +66,7 @@ CASES = [
         {
             "p_g": 3,
             "chi0": (0, 1),
-            "cover_f": F_COVER,
+            "pair": PAIR,
             "cover_d": D_COVER,
             "genus_d": genus(D_COVER),
             "report": REPORT,

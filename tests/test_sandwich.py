@@ -16,6 +16,7 @@ from isopencil.errors import InternalConsistencyError, InvalidInputError
 from isopencil.groups import make_group
 from isopencil.sandwich import (
     InvariantReport,
+    Sandwich,
     SingularClass,
     invariants,
     make_sandwich,
@@ -69,6 +70,21 @@ def test_make_sandwich_rejects_low_genus_factors():
             make_sandwich(hyper, bad)
         with pytest.raises(InvalidInputError):
             make_sandwich(bad, hyper)
+
+
+def test_invariants_refuses_a_second_curve_of_genus_below_two():
+    # A Sandwich built directly skips make_sandwich's checks; the surface
+    # stage refuses D as the fiber stage refuses F.
+    g = make_group([2, 2])
+    f = make_cover(g, 0, {(0, 1): 1, (1, 0): 1, (1, 1): 3})
+    rational = make_cover(g, 0, {(0, 1): 1, (1, 0): 1, (1, 1): 1})
+    elliptic = make_cover(g, 0, {(0, 1): 2, (1, 0): 2})
+    for d, g_d in ((rational, 0), (elliptic, 1)):
+        assert genus(d) == g_d
+        with pytest.raises(InvalidInputError, match=f"genus >= 2, got {g_d}"):
+            invariants(Sandwich(f, d))
+        with pytest.raises(InvalidInputError, match=f"genus >= 2, got {g_d}"):
+            invariants(Sandwich(d, f))
 
 
 def test_nodes_only_invariants():
