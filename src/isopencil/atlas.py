@@ -60,16 +60,23 @@ def abelian_groups_up_to(bound: int) -> list[FiniteAbelianGroup]:
 
 
 def canonical_profile(group: FiniteAbelianGroup, profile) -> Profile:
-    """Smallest relabeling of a character-dimension table over group symmetry."""
+    """Smallest relabeling of a character-dimension table over group symmetry;
+    the table may list each character once."""
     if isinstance(profile, dict):
         profile = profile.items()
     index = group.index
+    seen = set()
     pairs = []
     for chi, dim in profile:
         if not is_int(dim) or dim < 0:
             raise InvalidInputError(f"eigenspace dimension must be an integer >= 0, got {dim!r}")
+        chi = group.validate(chi)
+        i = index[chi]
+        if i in seen:
+            raise InvalidInputError(f"profile lists character {list(chi)} more than once")
+        seen.add(i)
         if dim:
-            pairs.append((index[group.validate(chi)], dim))
+            pairs.append((i, dim))
     return _canonical_index_profile(group, pairs)
 
 

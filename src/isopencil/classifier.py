@@ -334,11 +334,13 @@ def _row_order(r: FamilyRow):
 def fit_families(solutions: list[SurfaceSolution]) -> list[FamilyRow]:
     """Group solutions into linear-in-p_g families, leaving the rest sporadic;
     solutions of two pencil pairs are never merged."""
-    pairs: dict[PencilPair, tuple] = {}  # pair -> (position, layout by support)
+    # Each solution carries the one PencilPair object it was solved from, so the
+    # pair's identity tells pairs apart without hashing its fields.
+    pairs: dict[int, tuple] = {}  # id(pair) -> (position, layout by support)
     buckets: dict[tuple, list[SurfaceSolution]] = {}
     for sol in solutions:
         pair, branch = sol.pair, sol.cover_d.branch_ix
-        position, layouts = pairs.get(pair) or pairs.setdefault(pair, (len(pairs), {}))
+        position, layouts = pairs.get(id(pair)) or pairs.setdefault(id(pair), (len(pairs), {}))
         support, mults = zip(*branch) if branch else ((), ())
         layout = layouts.get(support) or layouts.setdefault(support, _key_layout(pair, support))
         key = (position, *_bucket_key(layout, mults))

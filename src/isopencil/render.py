@@ -1,7 +1,12 @@
 """Deterministic table, CSV, and JSON views of every report the library emits.
 
-Each report kind has its own render_* function, which takes the report and
-one of FORMATS; there is no dispatcher over report types.
+Each listed record kind (family rows, atlas rows, covers, invariant reports)
+has one column list, and generic writers read all three formats off it. A
+column is a tuple (table header, CSV header, JSON key, text, JSON value):
+text and value map a record to the column's cell text and JSON value, and a
+header or key is None where a format leaves the column out. A column keyed
+"" splices its dict value into the record's JSON object. The two comparison
+reports are prose in their table views and keep a renderer of their own.
 
 Every JSON view is laid out exactly as ``json.dumps(payload, indent=2)``
 followed by a newline: two-space indent, ASCII escapes, keys in insertion
@@ -14,9 +19,10 @@ from __future__ import annotations
 
 import io
 from json.encoder import encode_basestring_ascii as _quote
+from operator import attrgetter
 
 from .atlas import AtlasRow
-from .classifier import FamilyRow, cell_of
+from .classifier import FamilyRow
 from .compare import AtlasComparison, ComparisonReport
 from .covers import CoverData, genus
 from .errors import InternalConsistencyError, InvalidInputError
@@ -117,10 +123,147 @@ def _write(value, out: list[str], newline: str) -> None:
         )
 
 
-def _cell_columns(cell) -> list[str]:
-    """The text columns of a search cell (factors, a, b, genus_f)."""
-    factors, a, b, genus_f = cell
-    return [",".join(str(f) for f in factors), str(a), str(b), str(genus_f)]
+def _view(columns, records, fmt: str) -> str:
+    """A list of records in one format, read off its record kind's column list."""
+    _check_format(fmt)
+    if fmt == "json":
+        return _json([_payload(columns, record) for record in records])
+    at = 0 if fmt == "table" else 1  # where the column keeps this format's header
+    shown = [(column[at], column[3]) for column in columns if column[at] is not None]
+    body = [[text(record) for _, text in shown] for record in records]
+    return (_tabulate if at == 0 else _csv)([header for header, _ in shown], body)
+
+
+def _payload(columns, record) -> dict:
+    """One record's JSON object, its keyed columns in list order."""
+    out = {}
+    for _, _, key, _, value in columns:
+        if key:
+            out[key] = value(record)
+        elif key == "":
+            out.update(value(record))
+    return out
+
+
+def _number(table, name: str):
+    """An integer field shown under one name as CSV header and JSON key."""
+    get = attrgetter(name)
+    return (table, name, name, lambda record: str(get(record)), get)
+
+
+def _group(table: str, attr: str):
+    """The group's invariant factors: "2,2" as text, [2, 2] in JSON."""
+    get = attrgetter(attr)
+    return (table, "group", "group", lambda record: ",".join(map(str, get(record))),
+            lambda record: list(get(record)))
+
+
+def _form(table, name: str):
+    """One linear form of a family row as text; the JSON nests every form under forms."""
+    return (table, name, None, lambda row: row.forms[name].render(), None)
+
+
+def _pairs_text(pairs) -> str:
+    return " ".join(f"{format_element(e)}:{n}" for e, n in pairs)
+
+
+def _member_payload(sol) -> dict:
+    return {
+        "p_g": sol.p_g,
+        "spec": sandwich_record(Sandwich(sol.pair.witness, sol.cover_d)),
+        "invariants": _payload(_INVARIANT_COLUMNS, sol.report),
+    }
+
+
+_INVARIANT_COLUMNS = [
+    _number("p_g", "p_g"),
+    _number("q", "q"),
+    _number("chi", "chi"),
+    _number("e", "euler_e"),
+    _number("K^2", "K2"),
+    _number("t", "t_z"),
+    ("sing", "sing", "sing",
+     lambda r: " ".join(f"{s.count}x(1/{s.n})(1,{s.q})[z={s.z_points}]" for s in r.sing),
+     lambda r: [{"n": s.n, "q": s.q, "count": s.count, "z_points": s.z_points} for s in r.sing]),
+    ("pencil", "canonical_character", "canonical_character",
+     lambda r: "-" if r.canonical_character is None else format_element(r.canonical_character),
+     lambda r: None if r.canonical_character is None else list(r.canonical_character)),
+]
+
+# The table view keeps the reference tables' columns G, g(A), g(B), g(F), g(D), K^2, t.
+_FAMILY_COLUMNS = [
+    _group("G", "factors"),
+    _number("g(A)", "quotient_genus_a"),
+    _number("g(B)", "quotient_genus_b"),
+    _number("g(F)", "genus_f"),
+    (None, "chi0", "chi0", lambda row: format_element(row.chi0), lambda row: list(row.chi0)),
+    (None, "kind", "kind", attrgetter("kind"), attrgetter("kind")),
+    _number(None, "pg_lo"),
+    _number(None, "pg_hi"),
+    _form(None, "p_g"),
+    _form(None, "q"),
+    _form("g(D)", "g_D"),
+    _form("K^2", "K2"),
+    _form("t", "t_z"),
+    _form(None, "chi"),
+    _form(None, "euler_e"),
+    (None, None, "forms", None, lambda row: {
+        key: {"slope": form.slope, "intercept": form.intercept}
+        for key, form in sorted(row.forms.items())
+    }),
+    (None, None, "members", None, lambda row: [_member_payload(sol) for sol in row.members]),
+]
+
+_LISTED = {True: "yes", False: "no", None: ""}
+
+_ATLAS_COLUMNS = [
+    _number("genus", "genus"),
+    _number("quot", "quotient_genus"),
+    _group("G", "group.factors"),
+    ("profile", "profile", "profile", lambda row: _pairs_text(row.profile),
+     lambda row: [{"chi": list(chi), "dim": dim} for chi, dim in row.profile]),
+    ("listed", "listed", "listed", lambda row: _LISTED[row.in_reference], attrgetter("in_reference")),
+    (None, None, "witness", None, lambda row: cover_record(row.witness)),
+]
+
+# The JSON object reads group, genus, then cover_record's base_genus, branch, twist.
+_COVER_COLUMNS = [
+    _group("group", "group.factors"),
+    ("base_genus", "base_genus", None, lambda cover: str(cover.base_genus), None),
+    # genus is looked up per call, where perfbench/tracer.py counts covers.genus.
+    ("genus", "genus", "genus", lambda cover: str(genus(cover)), lambda cover: genus(cover)),
+    ("branch", "branch", None, lambda cover: _pairs_text(cover.branch), None),
+    ("twist", "twist", None, lambda cover: " ".join(map(format_element, cover.twist)), None),
+    (None, None, "", None, cover_record),
+]
+
+
+def render_family_rows(rows: list[FamilyRow], fmt: str) -> str:
+    """Classification rows; the table view keeps the reference column layout."""
+    return _view(_FAMILY_COLUMNS, rows, fmt)
+
+
+def render_atlas_rows(rows: list[AtlasRow], fmt: str) -> str:
+    """Action rows; listed says whether the reference table carries the class."""
+    return _view(_ATLAS_COLUMNS, rows, fmt)
+
+
+def render_covers(covers: list[CoverData], fmt: str) -> str:
+    """Cover rows: group, base genus, total genus, branch multiset, twist."""
+    return _view(_COVER_COLUMNS, covers, fmt)
+
+
+def render_invariants(report: InvariantReport, fmt: str) -> str:
+    """One invariant report as aligned name-value lines, a CSV row, or a JSON object."""
+    if fmt == "json":
+        return _json(_payload(_INVARIANT_COLUMNS, report))
+    if fmt != "table":
+        return _view(_INVARIANT_COLUMNS, [report], fmt)
+    width = max(len(column[0]) for column in _INVARIANT_COLUMNS)
+    # An empty text, such as sing with no singular points, reads "-".
+    return "".join(
+        f"{table.ljust(width)}  {text(report) or '-'}\n" for table, _, _, text, _ in _INVARIANT_COLUMNS
+    )
 
 
 def _cell_note(cell) -> str:
@@ -131,176 +274,6 @@ def _cell_note(cell) -> str:
 def _cell_payload(cell) -> dict:
     factors, a, b, genus_f = cell
     return {"group": list(factors), "quotient_genus_a": a, "quotient_genus_b": b, "genus_f": genus_f}
-
-
-def _form_fields(row: FamilyRow) -> dict[str, str]:
-    return {key: form.render() for key, form in sorted(row.forms.items())}
-
-
-def _invariant_payload(report: InvariantReport) -> dict:
-    return {
-        "p_g": report.p_g,
-        "q": report.q,
-        "chi": report.chi,
-        "euler_e": report.euler_e,
-        "K2": report.K2,
-        "t_z": report.t_z,
-        "sing": [
-            {"n": s.n, "q": s.q, "count": s.count, "z_points": s.z_points}
-            for s in report.sing
-        ],
-        "canonical_character": (
-            list(report.canonical_character)
-            if report.canonical_character is not None
-            else None
-        ),
-    }
-
-
-def render_family_rows(rows: list[FamilyRow], fmt: str) -> str:
-    """Classification rows; the table view keeps the reference column layout."""
-    _check_format(fmt)
-    if fmt == "table":
-        body = []
-        for row in rows:
-            forms = _form_fields(row)
-            body.append(_cell_columns(cell_of(row)) + [forms["g_D"], forms["K2"], forms["t_z"]])
-        return _tabulate(["G", "g(A)", "g(B)", "g(F)", "g(D)", "K^2", "t"], body)
-    if fmt == "csv":
-        header = [
-            "group", "quotient_genus_a", "quotient_genus_b", "genus_f", "chi0",
-            "kind", "pg_lo", "pg_hi", "p_g", "q", "g_D", "K2", "t_z", "chi", "euler_e",
-        ]
-        body = []
-        for row in rows:
-            forms = _form_fields(row)
-            body.append(_cell_columns(cell_of(row)) + [
-                format_element(row.chi0),
-                row.kind,
-                str(row.pg_lo),
-                str(row.pg_hi),
-            ] + [forms[k] for k in ("p_g", "q", "g_D", "K2", "t_z", "chi", "euler_e")])
-        return _csv(header, body)
-    payload = []
-    for row in rows:
-        payload.append({
-            **_cell_payload(cell_of(row)),
-            "chi0": list(row.chi0),
-            "kind": row.kind,
-            "pg_lo": row.pg_lo,
-            "pg_hi": row.pg_hi,
-            "forms": {
-                key: {"slope": form.slope, "intercept": form.intercept}
-                for key, form in sorted(row.forms.items())
-            },
-            "members": [
-                {
-                    "p_g": sol.p_g,
-                    "spec": sandwich_record(Sandwich(sol.pair.witness, sol.cover_d)),
-                    "invariants": _invariant_payload(sol.report),
-                }
-                for sol in row.members
-            ],
-        })
-    return _json(payload)
-
-
-def _profile_text(profile) -> str:
-    return " ".join(f"{format_element(chi)}:{dim}" for chi, dim in profile)
-
-
-def render_atlas_rows(rows: list[AtlasRow], fmt: str) -> str:
-    """Action rows; listed says whether the reference table carries the class."""
-    _check_format(fmt)
-    listed = {True: "yes", False: "no", None: ""}
-    if fmt != "json":
-        body = [
-            [
-                str(row.genus),
-                str(row.quotient_genus),
-                ",".join(str(f) for f in row.group.factors),
-                _profile_text(row.profile),
-                listed[row.in_reference],
-            ]
-            for row in rows
-        ]
-        if fmt == "table":
-            return _tabulate(["genus", "quot", "G", "profile", "listed"], body)
-        return _csv(["genus", "quotient_genus", "group", "profile", "listed"], body)
-    payload = [
-        {
-            "genus": row.genus,
-            "quotient_genus": row.quotient_genus,
-            "group": list(row.group.factors),
-            "profile": [{"chi": list(chi), "dim": dim} for chi, dim in row.profile],
-            "listed": row.in_reference,
-            "witness": cover_record(row.witness),
-        }
-        for row in rows
-    ]
-    return _json(payload)
-
-
-def _branch_text(cover: CoverData) -> str:
-    return " ".join(f"{format_element(e)}:{m}" for e, m in cover.branch)
-
-
-def render_covers(covers: list[CoverData], fmt: str) -> str:
-    """Cover rows: group, base genus, total genus, branch multiset, twist."""
-    _check_format(fmt)
-    if fmt in ("table", "csv"):
-        body = [
-            [
-                ",".join(str(f) for f in cover.group.factors),
-                str(cover.base_genus),
-                str(genus(cover)),
-                _branch_text(cover),
-                " ".join(format_element(e) for e in cover.twist),
-            ]
-            for cover in covers
-        ]
-        header = ["group", "base_genus", "genus", "branch", "twist"]
-        return _tabulate(header, body) if fmt == "table" else _csv(header, body)
-    payload = [
-        {"group": list(cover.group.factors), "genus": genus(cover), **cover_record(cover)}
-        for cover in covers
-    ]
-    return _json(payload)
-
-
-def render_invariants(report: InvariantReport, fmt: str) -> str:
-    """One invariant report as aligned text, a CSV row, or a JSON object."""
-    _check_format(fmt)
-    if fmt == "json":
-        return _json(_invariant_payload(report))
-    sing_text = " ".join(
-        f"{s.count}x(1/{s.n})(1,{s.q})[z={s.z_points}]" for s in report.sing
-    )
-    chi0_text = (
-        format_element(report.canonical_character)
-        if report.canonical_character is not None
-        else "-"
-    )
-    if fmt == "table":
-        pairs = [
-            ("p_g", str(report.p_g)),
-            ("q", str(report.q)),
-            ("chi", str(report.chi)),
-            ("e", str(report.euler_e)),
-            ("K^2", str(report.K2)),
-            ("t", str(report.t_z)),
-            ("sing", sing_text or "-"),
-            ("pencil", chi0_text),
-        ]
-        width = max(len(name) for name, _ in pairs)
-        return "\n".join(f"{name.ljust(width)}  {value}" for name, value in pairs) + "\n"
-    if fmt == "csv":
-        header = ["p_g", "q", "chi", "euler_e", "K2", "t_z", "sing", "canonical_character"]
-        row = [
-            str(report.p_g), str(report.q), str(report.chi), str(report.euler_e),
-            str(report.K2), str(report.t_z), sing_text, chi0_text,
-        ]
-        return _csv(header, [row])
 
 
 def _form_pair(form) -> dict:

@@ -120,6 +120,16 @@ def test_canonical_profile_rejects_bool_dims(profile):
         canonical_profile(make_group([2]), profile)
 
 
+@pytest.mark.parametrize("profile", [
+    [((0, 1), 1), ((0, 1), 1)],
+    [((0, 1), 1), ((0, 1), 2)],
+    [((0, 1), 0), ((1, 0), 1), ((0, 1), 1)],
+])
+def test_canonical_profile_rejects_a_repeated_character(profile):
+    with pytest.raises(InvalidInputError, match=r"character \[0, 1\] more than once"):
+        canonical_profile(make_group((2, 2)), profile)
+
+
 def test_genus_two_base_one():
     rows = enumerate_actions(2, 1)
     assert len(rows) == 1

@@ -1,6 +1,7 @@
 """Exit codes, spec examples, and byte-determinism of the command line."""
 
 import argparse
+import hashlib
 import importlib
 import json
 import os
@@ -357,3 +358,73 @@ def test_readme_private_names_resolve():
     homes += [FiniteAbelianGroup, Automorphism]
     assert names
     assert sorted(name for name in names if not any(hasattr(home, name) for home in homes)) == []
+
+
+_NO_PENCIL_SPEC = {
+    "group": [4],
+    "coverF": {"base_genus": 0, "twist": [], "branch": [
+        {"elem": [1], "mult": 1}, {"elem": [2], "mult": 2}, {"elem": [3], "mult": 1}]},
+    "coverD": {"base_genus": 0, "twist": [], "branch": [
+        {"elem": [1], "mult": 2}, {"elem": [3], "mult": 2}]},
+}
+
+# sha256 of stdout in the table, CSV and JSON formats, recorded before the
+# renderers shared one column list per record kind.
+_STDOUT_DIGESTS = [
+    (("atlas", "--genus", "2"), (
+        "6c5630c5afb98b7535cce47771a7bd73e908598b99469eff0b8f24cecebc4878",
+        "0699034def25c38761278b9eba73a34227641c73eb536acc808066c026b6d72d",
+        "4fb6d0860a53e6e85875b4be1700f2c4e019aeca328f5268819bb47f7789fe4a",
+    )),
+    (("covers", "--group", "2,2", "--base-genus", "1", "--genus", "5"), (
+        "2e0dc87684ece62c5e17166fe8f91df6776669d47cfe28d28debe4aaae335baa",
+        "2b1c63061e7dd0fb1121c4ed1691550c4bec553b7cbf6d2b7221d8d1bf525216",
+        "a9b831966bba5fbebe13e4779ef35955e67268deac4354427a5e24d0cf5c9f29",
+    )),
+    (("covers", "--group", "6", "--base-genus", "0", "--genus", "2"), (
+        "e875e923c3e1d32d135f9ba1c48f465cf619da543c438b07fe1484833b10ed2d",
+        "d36000f2c48818cc76431ff03198695089c6fb10f94d55f086a09479de6ab5a4",
+        "e3f6bc61ca06a21ae666e7499eee3bfc636038bb2f0cf7baf4e813d9662c0bc4",
+    )),
+    (("classify", "--genus-f", "2", "--group", "2,2", "--pg", "3..8"), (
+        "6f09087e5c56bda088c5931710305b03553ce096bb28ca858997fbc7ca807ccd",
+        "4ce288df1da0bc0cee85c2a20ef0b86cd7f11dbc6b5be465635d45a9e5ddfb27",
+        "64f6ff3899b68a2158e524ac8f0e7a92003fcb3824116196cf2db7e28bbb4994",
+    )),
+    (("invariants", "surface.json"), (
+        "1950813c2070de46e8fb89af31cfa5402dce8e1ffef5c6665c139ce12d744b95",
+        "9aa16aa62953b797d3735e81a85d7baf401ed519629112e7112f2882b7cf34b0",
+        "b04d6561edf442fb986d292d5cfc14083ddcef638f7a3a71e17fac6daeaa35d1",
+    )),
+    (("invariants", "no_pencil.json"), (
+        "a3d84362c1feaeab01e7e01c9142552058bf28a46f02c997e928c742523d4780",
+        "3ade437d476cf604ac42c8584148501fec6c3de87175bde5b79ef5409421c9b0",
+        "9001cc3e6dcfc5141090b8231a9761897781987c335629d9511062b053139e05",
+    )),
+    (("compare", "diciotto"), (
+        "2e27acfdf69179db3de0fdbfac1a607a213514751b68de07ade84b8d27dd1d6d",
+        "85bdfe8275b62f9b86aea68a907c298db37893f02bbfa0ebf3114ad682a3c5fb",
+        "a57975e86b27fb9d9a75d07b5e4c741a8899a0f69086741224c2e3df5e40c026",
+    )),
+    (("compare", "tabelladue"), (
+        "4e6f12e8bfff1f9777cfbe8f8f8436c0acc3a6a9ed2ad7256ac798410513efc7",
+        "4523d767ef9d956a972297df264a9ab08f2ad16e117dfdd7f6e3ce7229bef024",
+        "3100fa14e2fcec73cccd315ff6750c8f4489732105b447ab8ccff5b9207b44a8",
+    )),
+]
+
+
+@pytest.mark.parametrize("argv, fmt, digest", [
+    pytest.param(argv, fmt, digest, id=f"{argv[0]}-{argv[-1]}-{fmt}")
+    for argv, digests in _STDOUT_DIGESTS
+    for fmt, digest in zip(("table", "csv", "json"), digests)
+])
+def test_stdout_bytes_are_pinned_in_every_format(tmp_path, capsys, monkeypatch, argv, fmt, digest):
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```$", README.read_text(), flags=re.M | re.S)
+    (spec,) = [body for info, body in blocks if info == "json" and '"coverF"' in body]
+    (tmp_path / "surface.json").write_text(spec)
+    (tmp_path / "no_pencil.json").write_text(json.dumps(_NO_PENCIL_SPEC))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,5 +1,7 @@
 """Spec-file schema and the three output formats stay stable and reversible."""
 
+import csv
+import io
 import json
 import re
 import time
@@ -15,6 +17,7 @@ from isopencil.compare import compare_atlas_with_reference, compare_with_referen
 from isopencil.covers import enumerate_covers, make_cover
 from isopencil.errors import InternalConsistencyError, InvalidInputError
 from isopencil.groups import make_group
+from isopencil.linear import LinearForm
 from isopencil.reference_tables import family_reference
 from isopencil.render import (
     render_atlas_comparison,
@@ -309,3 +312,64 @@ def test_every_json_render_matches_the_stdlib_encoder(monkeypatch, name):
     text = JSON_RENDERS[name]()
     (payload,) = payloads
     assert text == json.JSONEncoder(indent=2).encode(payload) + "\n"
+
+
+def _element_text(coords) -> str:
+    return "[" + ",".join(map(str, coords)) + "]"
+
+
+# How a JSON value reads as CSV text, spelled here apart from the renderers;
+# any other column's CSV text is str of its JSON value.
+_CSV_TEXT_OF_JSON = {
+    "group": lambda v: ",".join(map(str, v)),
+    "chi0": _element_text,
+    "canonical_character": lambda v: "-" if v is None else _element_text(v),
+    "profile": lambda v: " ".join(f"{_element_text(p['chi'])}:{p['dim']}" for p in v),
+    "branch": lambda v: " ".join(f"{_element_text(p['elem'])}:{p['mult']}" for p in v),
+    "twist": lambda v: " ".join(map(_element_text, v)),
+    "listed": {True: "yes", False: "no", None: ""}.get,
+    "sing": lambda v: " ".join(f"{s['count']}x(1/{s['n']})(1,{s['q']})[z={s['z_points']}]" for s in v),
+}
+
+
+def _free_pair_invariants():
+    # Z/2 acts freely on D, so the quotient has no singular points.
+    group = make_group([2])
+    free_d = make_cover(group, 2, {}, ((1,), (0,), (0,), (0,)))
+    report = invariants(make_sandwich(make_cover(group, 0, {(1,): 6}), free_d))
+    assert report.sing == () and report.canonical_character is None
+    return report
+
+
+CROSS_FORMAT = {
+    "family": lambda: (render_family_rows, classify(2, groups=[(2, 2)], pg_range=(3, 12))),
+    "atlas": lambda: (render_atlas_rows, atlas_table(2)),
+    "covers": lambda: (render_covers, [
+        *enumerate_covers(KLEIN, 1, genus=5, up_to_aut=True),
+        *enumerate_covers(make_group([6]), 0, genus=2, up_to_aut=True),
+    ]),
+    "invariants_pencil": lambda: (render_invariants, invariants(make_sandwich(F_COVER, D_COVER))),
+    "invariants_free": lambda: (render_invariants, _free_pair_invariants()),
+}
+
+
+@pytest.mark.parametrize("name", list(CROSS_FORMAT))
+def test_csv_and_json_views_carry_the_same_values(name):
+    render, records = CROSS_FORMAT[name]()
+    header, *lines = csv.reader(io.StringIO(render(records, "csv")))
+    objects = json.loads(render(records, "json"))
+    if isinstance(objects, dict):  # an invariant report is one object
+        objects = [objects]
+    assert len(lines) == len(objects) > 0
+    for line, obj in zip(lines, objects):
+        # A family row's JSON nests its forms; the CSV gives each its own column.
+        forms = {
+            key: LinearForm(form["slope"], form["intercept"]).render()
+            for key, form in obj.pop("forms", {}).items()
+        }
+        assert set(header) <= set(obj) | set(forms)
+        for column, text in zip(header, line):
+            if column in forms:
+                assert text == forms[column], column
+            else:
+                assert text == _CSV_TEXT_OF_JSON.get(column, str)(obj[column]), column
