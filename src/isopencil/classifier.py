@@ -89,6 +89,14 @@ def _validate_pg_range(pg_range) -> tuple[int, int]:
     return lo, hi
 
 
+def _invariant_factors(factors) -> tuple[int, ...]:
+    """make_group(factors).factors when each divides the next: groups="all" and the tables name groups so."""
+    fs = make_group(factors).factors
+    if any(d % c for c, d in zip(fs, fs[1:])):
+        raise InvalidInputError(f"group {list(fs)} must be given by invariant factors, each dividing the next")
+    return fs
+
+
 def _degree_rows(group: FiniteAbelianGroup, fixed: tuple, target: int) -> list:
     """(pairing numerators with the fixed characters, pairing numerator with
     the target) for every element, in elements() order; characters are indices."""
@@ -259,7 +267,7 @@ def classify_cell(
     branch data are in make_cover's normal form, D has the witness's group,
     and F's side of invariants is built once per pair.
     """
-    group = make_group(factors)
+    group = make_group(_invariant_factors(factors))
     pg_range = _validate_pg_range(pg_range)
     check_genus(genus_f, "fiber genus")
     for name, value in (("a", quotient_genus_a), ("b", quotient_genus_b)):
@@ -300,21 +308,13 @@ def classify_cell(
     return solutions
 
 
-def _key_layout(pair: PencilPair, support: tuple) -> tuple:
-    """(element index, position in support) of each bounded element present and
-    (element index, position or None, step) of each free one: where _bucket_key
-    reads branch data with this support under the pencil pair."""
-    position = {i: j for j, i in enumerate(support)}
-    bounded = tuple([(i, position[i]) for i in pair.bounded if i in position])
-    return bounded, tuple([(i, position.get(i), step) for i, step in pair.steps])
-
-
-def _bucket_key(layout: tuple, mults: tuple) -> tuple:
-    """Bounded multiplicities and free residues of a solution's branch data, as
-    (element index, value) pairs, from its support's layout and multiplicities."""
-    bounded, free = layout
-    residues = tuple([(i, 0 if j is None else mults[j] % step) for i, j, step in free])
-    return tuple([(i, mults[j]) for i, j in bounded]), residues
+def _bucket_key(pair: PencilPair, branch: tuple) -> tuple:
+    """The multiplicity of each bounded element of the pair and the residue of
+    each free one mod its step, in the pair's order, from a solution's branch
+    (element index, multiplicity) pairs; an absent element has multiplicity 0."""
+    mults = dict(branch)
+    residues = tuple([mults.get(i, 0) % step for i, step in pair.steps])
+    return tuple([mults.get(i, 0) for i in pair.bounded]), residues
 
 
 _SERIES = ("p_g", "g_D", "K2", "t_z", "chi", "euler_e")
@@ -336,14 +336,9 @@ def fit_families(solutions: list[SurfaceSolution]) -> list[FamilyRow]:
     solutions of two pencil pairs are never merged."""
     # Each solution carries the one PencilPair object it was solved from, so the
     # pair's identity tells pairs apart without hashing its fields.
-    pairs: dict[int, tuple] = {}  # id(pair) -> (position, layout by support)
     buckets: dict[tuple, list[SurfaceSolution]] = {}
     for sol in solutions:
-        pair, branch = sol.pair, sol.cover_d.branch_ix
-        position, layouts = pairs.get(id(pair)) or pairs.setdefault(id(pair), (len(pairs), {}))
-        support, mults = zip(*branch) if branch else ((), ())
-        layout = layouts.get(support) or layouts.setdefault(support, _key_layout(pair, support))
-        key = (position, *_bucket_key(layout, mults))
+        key = (id(sol.pair), *_bucket_key(sol.pair, sol.cover_d.branch_ix))
         buckets.setdefault(key, []).append(sol)
 
     rows = []
@@ -418,15 +413,9 @@ def search_cells(
     if groups == "all":
         factor_list = [g.factors for g in groups_acting_on(genus_f)]
     else:
-        factor_list = [make_group(f).factors for f in groups]
-    if quotient_genus_a == "any":
-        a_list = list(range(genus_f + 1))
-    else:
-        a_list = [quotient_genus_a]
-    if quotient_genus_b == "any":
-        b_list = [0, 1]
-    else:
-        b_list = [quotient_genus_b]
+        factor_list = [_invariant_factors(f) for f in groups]
+    a_list = range(genus_f + 1) if quotient_genus_a == "any" else [quotient_genus_a]
+    b_list = (0, 1) if quotient_genus_b == "any" else [quotient_genus_b]
     return [(factors, a, b, genus_f) for factors in factor_list for a in a_list for b in b_list]
 
 

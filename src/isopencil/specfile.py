@@ -107,14 +107,18 @@ def parse_sandwich(data) -> Sandwich:
 
 
 def load_sandwich(path: str) -> Sandwich:
-    """Read and validate a spec file from disk."""
+    """Read and validate a UTF-8 spec file from disk."""
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as err:
         raise InvalidInputError(f"cannot read spec file {path!r}: {err.strerror}")
+    except UnicodeDecodeError as err:
+        raise InvalidInputError(f"spec file {path!r} is not UTF-8: {err.reason} at byte {err.start}")
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # a JSONDecodeError, or an integer past Python's digit limit
         raise InvalidInputError(f"spec file {path!r} is not valid JSON: {err}")
+    except RecursionError:
+        raise InvalidInputError(f"spec file {path!r} nests JSON too deeply")
     return parse_sandwich(data)

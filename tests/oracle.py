@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import lcm
 
 
@@ -148,3 +149,76 @@ def check_tables(g) -> None:
         assert [els[j] for j in g.add_row(i)] == [add(g, y, x) for y in els]
         assert list(g.pairing_row(i)) == [pair_num(g, chi, x) for chi in els]
         assert g.kernel_mask(i) == sum(1 << j for j, chi in enumerate(els) if not pairing(g, chi, x))
+
+
+def subgroups(g) -> list[frozenset]:
+    """Every subgroup as a set of elements, by closure: each subgroup other
+    than 0 is H + <x> for a smaller subgroup H and an element x outside it."""
+    found = {frozenset([zero(g)])}
+    frontier = list(found)
+    while frontier:
+        larger = {
+            frozenset(add(g, a, m) for a in h for m in multiples(g, x))
+            for h in frontier
+            for x in g.elements()
+            if x not in h
+        }
+        frontier = list(larger - found)
+        found |= larger
+    return list(found)
+
+
+def mobius(g, subs) -> dict:
+    """mu(H, G) for every subgroup H, by the recursion mu(G, G) = 1 and
+    sum(mu(K, G) for H <= K <= G) = 0 when H < G."""
+    mu = {}
+    for h in sorted(subs, key=len, reverse=True):  # every proper overgroup comes first
+        mu[h] = 1 if len(h) == len(g.elements()) else -sum(m for k, m in mu.items() if h < k)
+    return mu
+
+
+def _zero_sum_multisets(g, h, weight: int) -> int:
+    """The number of multisets of nonzero elements of h that sum to 0 and
+    weigh `weight`, where one copy of e weighs |G| - |G| / order(e): a DP over
+    (sum, weight so far), one element at a time."""
+    n = len(g.elements())
+    counts = {(zero(g), 0): 1}
+    for e in sorted(h - {zero(g)}):
+        w = n - n // order(g, e)
+        step: dict = {}
+        for (total, used), c in counts.items():
+            while used <= weight:  # one more copy of e each time round
+                step[total, used] = step.get((total, used), 0) + c
+                total, used = add(g, total, e), used + w
+        counts = step
+    return counts.get((zero(g), weight), 0)
+
+
+class CoordinateGroup:
+    """A group as its factors and its elements in lexicographic order, all the counts read."""
+
+    def __init__(self, factors):
+        self.factors = tuple(factors)
+        self._elements = list(product(*[range(n) for n in self.factors]))
+
+    def elements(self) -> list[tuple[int, ...]]:
+        return self._elements
+
+
+def cover_count(factors, b: int, genus: int) -> int:
+    """The number of (branch multiset, twist) data of G over a genus-b base
+    whose cover has the given genus and which generate G.
+
+    Data inside a subgroup H number c(H) = |H|^(2b) times the zero-sum
+    multisets of nonzero elements of H whose Riemann-Hurwitz weight,
+    2g - 2 = |G|(2b - 2) + sum(m * |G| * (1 - 1/order(e))), gives the genus.
+    Moebius inversion over the subgroup lattice keeps those that generate G:
+    sum(mu(H, G) * c(H)) (P. Hall, 1936).
+    """
+    g = CoordinateGroup(factors)
+    weight = 2 * genus - 2 - len(g.elements()) * (2 * b - 2)
+    if weight < 0:
+        return 0
+    subs = subgroups(g)
+    mu = mobius(g, subs)
+    return sum(mu[h] * len(h) ** (2 * b) * _zero_sum_multisets(g, h, weight) for h in subs if mu[h])

@@ -92,6 +92,18 @@ def test_classify_is_classify_cells_over_search_cells(genus_f, groups_arg, a, b)
     assert {cell_of(row) for row in rows} <= set(cells)
 
 
+@pytest.mark.parametrize("factors", [(2, 3), (8, 2), (2, 4, 2)])
+def test_classify_takes_groups_by_invariant_factors(factors):
+    # The reference tables and groups="all" name each group by invariant
+    # factors, so another spelling of a group would miss every reference row.
+    with pytest.raises(InvalidInputError, match="each dividing the next"):
+        classify(2, groups=[factors])
+    with pytest.raises(InvalidInputError, match="each dividing the next"):
+        search_cells(3, [(2, 2), factors])
+    with pytest.raises(InvalidInputError, match="each dividing the next"):
+        classify_cell(factors, 2, 0, 0, (3, 8))
+
+
 def test_unreachable_cells_are_empty():
     # A positive-genus pair on both quotients, or b >= 2, spreads the canonical
     # system over several characters, and a > g(F) has no quotient map at all.
@@ -693,8 +705,8 @@ def test_every_classified_singular_locus_matches_the_coordinate_walk(monkeypatch
 
 def _per_solution_bucket_key(group, sol):
     """The bounded multiplicities and free residues of a solution, computed
-    afresh from coordinates, with every element mapped to its index at the
-    end."""
+    afresh from coordinates, each element in elements() order, an absent one
+    with multiplicity 0."""
     profile_f = eigen_profile(sol.pair.witness)
     constraint_chars = [
         oracle.neg(group, chi)
@@ -707,11 +719,10 @@ def _per_solution_bucket_key(group, sol):
     residues = []
     for e in group.elements()[1:]:
         if any(oracle.pair_num(group, chi, e) for chi in constraint_chars):
-            if branch.get(e):
-                bounded.append((group.index[e], branch[e]))
+            bounded.append(branch.get(e, 0))
         else:
             step = group.exponent // gcd(group.exponent, oracle.pair_num(group, target, e))
-            residues.append((group.index[e], branch.get(e, 0) % step))
+            residues.append(branch.get(e, 0) % step)
     return tuple(bounded), tuple(residues)
 
 
@@ -720,36 +731,25 @@ def _per_solution_bucket_key(group, sol):
     ((2, 2, 2), 3, (3, 8), 78),
 ])
 def test_pencil_pair_split_matches_the_per_solution_key(monkeypatch, factors, genus_f, pg, least):
-    # fit_families keys each solution from the layout of its (pencil pair,
-    # support), worked out once; every key it builds must equal the key
-    # computed afresh from coordinates.
+    # fit_families keys each solution by its pencil pair's bounded and free
+    # elements; every key it builds must equal the key computed afresh from
+    # coordinates.
     group = make_group(factors)
-    keys, layouts = [], []
-    real_bucket_key, real_key_layout = classifier._bucket_key, classifier._key_layout
+    keys = []
+    real_bucket_key = classifier._bucket_key
 
-    def recording_bucket_key(layout, mults):
-        keys.append(real_bucket_key(layout, mults))
+    def recording_bucket_key(pair, branch):
+        keys.append(real_bucket_key(pair, branch))
         return keys[-1]
 
-    def recording_key_layout(pair, support):
-        layouts.append((pair.witness, pair.chi0, pair.b, support))
-        return real_key_layout(pair, support)
-
     monkeypatch.setattr(classifier, "_bucket_key", recording_bucket_key)
-    monkeypatch.setattr(classifier, "_key_layout", recording_key_layout)
     checked = 0
     for a in range(genus_f + 1):
         for b in (0, 1):
             solutions = classify_cell(factors, genus_f, a, b, pg)
             keys.clear()
-            layouts.clear()
             fit_families(solutions)
             assert keys == [_per_solution_bucket_key(group, sol) for sol in solutions]
-            supports = {
-                (sol.pair.witness, group.index[sol.chi0], b, tuple(i for i, _ in sol.cover_d.branch_ix))
-                for sol in solutions
-            }
-            assert sorted(layouts, key=repr) == sorted(supports, key=repr)
             checked += len(solutions)
     assert checked >= least
 

@@ -79,6 +79,21 @@ def test_missing_spec_file_is_invalid_input(capsys):
     assert "missing.json" in err
 
 
+@pytest.mark.parametrize("content, reason", [
+    (b"\xff\xfe\x00bad", "is not UTF-8"),
+    (b"[" * 100_000 + b"]" * 100_000, "nests JSON too deeply"),
+    (b'{"group": [' + b"1" * 5000 + b"]}", "is not valid JSON"),
+], ids=["not-utf8", "too-deep", "long-integer"])
+def test_unreadable_spec_file_is_invalid_input(capsys, tmp_path, content, reason):
+    # README promises exit 1 and an error line for unreadable or malformed spec files.
+    spec = tmp_path / "bad.json"
+    spec.write_bytes(content)
+    code, out, err = run(capsys, "invariants", str(spec))
+    assert code == 1
+    assert not out
+    assert err.startswith("error: ") and str(spec) in err and reason in err
+
+
 def test_invariants_json_round_trip(capsys, tmp_path):
     group = make_group((2, 2))
     sw = make_sandwich(
@@ -182,6 +197,16 @@ def test_invalid_inputs_exit_one(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith("error: ")
+
+
+def test_classify_group_needs_invariant_factors(capsys):
+    # 8,2 names the group 2,8 names, but the reference tables only know 2,8.
+    argv = ("classify", "--genus-f", "3", "--group", "8,2", "--compare", "mostro")
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert not out
+    assert err == "error: group [8, 2] must be given by invariant factors, each dividing the next\n"
+    assert run(capsys, *argv[:4], "2,8", *argv[5:])[0] == 0
 
 
 def test_covers_requires_the_genus(capsys):

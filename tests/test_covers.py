@@ -11,7 +11,7 @@ import oracle
 from conftest import degrees_from_dims
 from isopencil import classifier as classifier_module
 from isopencil import covers as covers_module
-from isopencil.atlas import abelian_groups_up_to
+from isopencil.atlas import abelian_groups_up_to, groups_acting_on
 from isopencil.covers import (
     CoverData,
     canonical_cover_form,
@@ -449,6 +449,71 @@ def test_enumerate_covers_up_to_aut_matches_brute_force(factors, base_genus, gen
         assert [canonical_cover_form(c) for c in expected] == [(c.branch, c.twist) for c in expected]
         yielded += len(expected)
     assert yielded >= 3
+
+
+def _check_against_the_count(factors, base_genus, genus_):
+    """The generating data of this genus number oracle.cover_count, listed
+    once each by enumerate_covers; up to Aut(G) its covers lie in pairwise
+    distinct orbits, whose sizes |Aut(G)| / |Stab| add up to the same count.
+    Orbits are taken on alpha.perm here, apart from _index_orbit. Returns the count."""
+    group = make_group(factors)
+    count = oracle.cover_count(factors, base_genus, genus_)
+    assert sum(1 for _ in enumerate_covers(group, base_genus, genus=genus_)) == count
+    perms = [alpha.perm for alpha in group.automorphisms()]
+    keys, total = [], 0
+    for cover in enumerate_covers(group, base_genus, genus=genus_, up_to_aut=True):
+        branch, twist = cover.branch_ix, cover.twist_ix
+        images = [(tuple(sorted([(p[i], m) for i, m in branch])), tuple([p[t] for t in twist])) for p in perms]
+        keys.append(min(images))
+        stabilizer = images.count((branch, twist))
+        assert len(perms) % stabilizer == 0
+        total += len(perms) // stabilizer
+    assert len(set(keys)) == len(keys)
+    assert total == count
+    return count
+
+
+_COUNT_CASES = [
+    ((2, 2, 2, 2), 0, 17, 15135),
+    ((2, 4), 0, 25, 2423),
+    ((3, 3), 1, 10, 1224),
+    ((2, 2), 1, 3, 36),  # the 36 covers of the enumerate_covers docstring
+    ((5,), 0, 12, 33),
+    ((7,), 0, 9, 36),
+    ((8,), 0, 10, 24),
+    ((12,), 0, 11, 29),
+    ((2, 6), 0, 9, 30),
+    ((3, 6), 0, 10, 148),
+    ((2, 8), 0, 13, 134),
+    ((4, 4), 0, 9, 72),
+    ((2, 2, 2), 0, 9, 315),
+    ((2, 2, 4), 0, 13, 884),
+    ((4,), 1, 9, 92),
+    ((6,), 1, 7, 158),
+    ((2, 2, 2), 1, 9, 1624),
+    ((2,), 2, 5, 16),
+    ((3,), 2, 7, 162),
+    ((2, 2), 2, 7, 720),
+]
+
+
+@pytest.mark.parametrize(
+    "factors, base_genus, genus_, data",
+    _COUNT_CASES,
+    ids=[f"{','.join(map(str, f))}-b{b}-g{g}" for f, b, g, _ in _COUNT_CASES],
+)
+def test_enumerate_covers_matches_the_subgroup_lattice_count(factors, base_genus, genus_, data):
+    assert _check_against_the_count(factors, base_genus, genus_) == data
+
+
+@pytest.mark.parametrize("genus_", [2, 3, 4, 5])
+def test_every_atlas_cell_matches_the_subgroup_lattice_count(genus_):
+    counted = sum(
+        _check_against_the_count(group.factors, a, genus_)
+        for a in range(genus_ + 1)
+        for group in groups_acting_on(genus_)
+    )
+    assert counted > 0
 
 
 _DICT_TABLES = {}

@@ -16,8 +16,8 @@ from isopencil.cli import _parse_factors, _parse_pg  # noqa: E402
 from isopencil.covers import genus, make_cover  # noqa: E402
 from isopencil.errors import InvalidInputError  # noqa: E402
 from isopencil.groups import make_group  # noqa: E402
-from isopencil.sandwich import make_sandwich  # noqa: E402
-from isopencil.specfile import parse_sandwich, sandwich_record  # noqa: E402
+from isopencil.sandwich import Sandwich, make_sandwich  # noqa: E402
+from isopencil.specfile import load_sandwich, parse_sandwich, sandwich_record  # noqa: E402
 
 # Deterministic and writing no example database, so every run checks the same inputs.
 FUZZ = settings(
@@ -201,3 +201,21 @@ def test_valid_specs_round_trip_through_the_record(sw):
     again = parse_sandwich(json.loads(json.dumps(record)))
     assert again == sw
     assert sandwich_record(again) == record
+
+
+@FUZZ
+@given(
+    st.one_of(
+        st.binary(max_size=64),
+        st.one_of(spec_shaped, valid_sandwiches().map(sandwich_record)).map(lambda d: json.dumps(d).encode()),
+        st.text(max_size=16).map(lambda t: t.encode("utf-16")),
+    )
+)
+def test_load_sandwich_raises_only_invalid_input(tmp_path_factory, content):
+    spec = tmp_path_factory.getbasetemp() / "fuzzed_spec.json"
+    spec.write_bytes(content)
+    try:
+        sw = load_sandwich(str(spec))
+    except InvalidInputError:
+        return
+    assert isinstance(sw, Sandwich)
